@@ -17,6 +17,8 @@
 //! forwards the shutdown to every shard, drains in-flight work, and
 //! exits 0 — shutting the whole cluster down as one unit.
 
+use std::io::Write;
+
 use iced_service::{Router, RouterConfig};
 
 fn main() {
@@ -82,13 +84,18 @@ fn main() {
         }
     };
     // Stdout line protocol for supervisors: the bound address, flushed
-    // before any request is served (svc_load waits for this).
-    println!("iced-routerd listening on {}", router.local_addr());
-    println!(
+    // before any request is served (svc_load waits for this). A
+    // supervisor may close its end of the pipe once it has read what it
+    // needs, so every status line ignores write errors: a clean drain
+    // must still exit 0.
+    let mut out = std::io::stdout();
+    let _ = writeln!(out, "iced-routerd listening on {}", router.local_addr());
+    let _ = writeln!(
+        out,
         "iced-routerd: {} shard(s), replicate-hot {}",
         cfg.shards.len(),
         cfg.replicate_hot
     );
     router.wait();
-    println!("iced-routerd: drained and stopped");
+    let _ = writeln!(out, "iced-routerd: drained and stopped");
 }

@@ -19,6 +19,8 @@
 //! The process runs until a client sends the `shutdown` verb, then drains
 //! in-flight work, flushes the cache, and exits 0.
 
+use std::io::Write;
+
 use iced_service::{Level, Server, ServiceConfig};
 
 fn main() {
@@ -104,11 +106,18 @@ fn main() {
         }
     };
     // Stdout line protocol for supervisors: the bound address, flushed
-    // before any request is served (svc_load waits for this).
-    println!("iced-serviced listening on {}", server.local_addr());
+    // before any request is served (svc_load waits for this). A
+    // supervisor may close its end of the pipe once it has read what it
+    // needs, so every status line ignores write errors: a clean drain
+    // must still exit 0.
+    let mut out = std::io::stdout();
+    let _ = writeln!(out, "iced-serviced listening on {}", server.local_addr());
     if let Some(seed) = cfg.chaos {
-        println!("iced-serviced: chaos injection ACTIVE (seed {seed:#x})");
+        let _ = writeln!(
+            out,
+            "iced-serviced: chaos injection ACTIVE (seed {seed:#x})"
+        );
     }
     server.wait();
-    println!("iced-serviced: drained and stopped");
+    let _ = writeln!(out, "iced-serviced: drained and stopped");
 }

@@ -133,17 +133,23 @@ impl ResultCache {
             .map(|d| d.join(format!("{}.json", key.hex())))
     }
 
+    /// Looks up `key` in memory only, refreshing recency. Never touches
+    /// the spill directory, so it is safe on the reactor thread: a miss
+    /// here may still be a disk hit for [`get`](Self::get).
+    pub fn get_resident(&self, key: CacheKey) -> Option<Arc<String>> {
+        let mut inner = self.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let e = inner.map.get_mut(&key)?;
+        e.tick = tick;
+        Some(Arc::clone(&e.bytes))
+    }
+
     /// Looks up `key`, refreshing recency. Falls back to the spill
     /// directory and promotes disk hits back into memory.
     pub fn get(&self, key: CacheKey) -> Option<Arc<String>> {
-        {
-            let mut inner = self.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(e) = inner.map.get_mut(&key) {
-                e.tick = tick;
-                return Some(Arc::clone(&e.bytes));
-            }
+        if let Some(hit) = self.get_resident(key) {
+            return Some(hit);
         }
         let path = self.spill_path(key)?;
         let raw = std::fs::read_to_string(&path).ok()?;
@@ -348,9 +354,12 @@ mod tests {
         }
         // A fresh cache instance (new process, conceptually) hits disk.
         let c2 = ResultCache::new(1 << 20, Some(dir.clone()));
+        // The memory-only probe never reads the spill file…
+        assert!(c2.get_resident(k(9)).is_none());
         assert_eq!(c2.get(k(9)).unwrap().as_str(), "{\"cycles\":99}");
-        // And the hit was promoted into memory.
+        // …and the hit was promoted into memory, where it now answers.
         assert_eq!(c2.entries(), 1);
+        assert_eq!(c2.get_resident(k(9)).unwrap().as_str(), "{\"cycles\":99}");
         assert!(c2.get(k(10)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -370,6 +370,9 @@ impl Metrics {
 
     /// Records the queue-wait vs. service-time split for a worker-served
     /// request (total latency is observed separately via [`Metrics::observe`]).
+    /// Cache hits the reactor answers inline never reach a worker, so
+    /// they count in [`Metrics::observe`] and the cache counters only:
+    /// this split covers worker-served requests, not every request.
     pub fn observe_split(&self, verb: Verb, queue_wait: Duration, service: Duration) {
         self.queue_wait[verb as usize].record(queue_wait);
         self.service[verb as usize].record(service);

@@ -6,11 +6,16 @@
 //! carry either a `result` object or a structured `error` object — the
 //! daemon never answers with a panic or a closed socket mid-request.
 
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock};
+
 use iced::dfg::{text, Dfg};
 use iced::kernels::{Kernel, UnrollFactor};
 use iced::mapper::MapperOptions;
 use iced::streaming::RuntimePolicy;
 use iced::Strategy;
+
+use iced_hash::StableHasher;
 
 use crate::json::{self, Obj, Value};
 
@@ -166,16 +171,34 @@ pub enum Source {
     /// A suite kernel by name, with an unroll factor.
     Named(Kernel, UnrollFactor),
     /// An inline DFG in the `iced-dfg` text format.
-    Inline(Dfg),
+    Inline(InlineDfg),
 }
 
 impl Source {
     /// Resolves to the DFG to compile.
-    pub fn dfg(&self) -> Dfg {
+    ///
+    /// # Errors
+    ///
+    /// `dfg_parse_error` when inline text whose key came from the memo
+    /// fails its re-parse — only possible if two texts share a 128-bit
+    /// digest, the same collision bound the result cache's keys carry.
+    pub fn try_dfg(&self) -> Result<Dfg, SvcError> {
         match self {
-            Source::Named(k, uf) => k.dfg(*uf),
-            Source::Inline(d) => d.clone(),
+            Source::Named(k, uf) => Ok(k.dfg(*uf)),
+            Source::Inline(d) => d.dfg(),
         }
+    }
+
+    /// [`try_dfg`](Self::try_dfg) for in-process callers that hold a
+    /// source this process already parsed or keyed. The service itself
+    /// always goes through `try_dfg`.
+    ///
+    /// # Panics
+    ///
+    /// Only on the digest collision `try_dfg` reports as an error.
+    pub fn dfg(&self) -> Dfg {
+        self.try_dfg()
+            .unwrap_or_else(|e| panic!("inline DFG failed its re-parse: {}", e.message))
     }
 
     /// Node count of the DFG this source resolves to — the `auto`
@@ -190,13 +213,186 @@ impl Source {
     /// The canonical hash of the DFG this source resolves to. For named
     /// suite kernels the hash comes from a lazily built process-wide
     /// table, so key derivation on hot paths (the cluster router keys
-    /// every forwarded request) skips the DFG construction entirely.
+    /// every forwarded request) skips the DFG construction entirely;
+    /// inline DFGs memoize theirs per text (see [`InlineDfg`]).
     pub fn canonical_hash(&self) -> u64 {
         match self {
             Source::Named(k, uf) => named_dfg_hash(*k, *uf),
             Source::Inline(d) => d.canonical_hash(),
         }
     }
+
+    /// Whether [`canonical_hash`](Self::canonical_hash) is a lookup
+    /// rather than a WL refinement: always for named kernels, and for
+    /// inline text once its hash is memoized. The reactor only derives a
+    /// cache key where this holds.
+    pub(crate) fn hash_known(&self) -> bool {
+        match self {
+            Source::Named(..) => true,
+            Source::Inline(d) => d.hash_known(),
+        }
+    }
+}
+
+/// An inline DFG: the request's text plus what the service needs to key
+/// it — its canonical hash and node count.
+///
+/// A process-wide memo maps a 128-bit digest of the raw text to
+/// `(canonical_hash, node_count)`. On a memo hit the request skips both
+/// the text parse and the WL refinement; the DFG itself is re-parsed
+/// only if a worker has to compile it. On a miss the text is parsed
+/// (which validates it) and the hash is computed once, on first use,
+/// then memoized. Text that fails to parse is never memoized.
+#[derive(Debug, Clone)]
+pub struct InlineDfg {
+    text: Arc<str>,
+    digest: TextDigest,
+    nodes: usize,
+    state: InlineState,
+}
+
+#[derive(Debug, Clone)]
+enum InlineState {
+    /// Memo hit: the hash is known and the text was not parsed.
+    Keyed(u64),
+    /// This request parsed the text; the hash is computed on first use.
+    Parsed { dfg: Arc<Dfg>, hash: OnceLock<u64> },
+}
+
+impl InlineDfg {
+    /// Keys `text` through the memo, parsing it only on a memo miss.
+    ///
+    /// # Errors
+    ///
+    /// `dfg_parse_error` when the text does not parse.
+    pub(crate) fn new(text: &str) -> Result<InlineDfg, SvcError> {
+        let digest = TextDigest::of(text);
+        let (nodes, state) = match dfg_memo().get(digest) {
+            Some((hash, nodes)) => (nodes, InlineState::Keyed(hash)),
+            None => {
+                let dfg = parse_dfg_text(text)?;
+                let nodes = dfg.node_count();
+                let state = InlineState::Parsed {
+                    dfg: Arc::new(dfg),
+                    hash: OnceLock::new(),
+                };
+                (nodes, state)
+            }
+        };
+        Ok(InlineDfg {
+            text: Arc::from(text),
+            digest,
+            nodes,
+            state,
+        })
+    }
+
+    /// The DFG's node count.
+    pub fn node_count(&self) -> usize {
+        self.nodes
+    }
+
+    /// The DFG's canonical hash: memoized, or computed once and then
+    /// inserted into the memo.
+    pub fn canonical_hash(&self) -> u64 {
+        match &self.state {
+            InlineState::Keyed(hash) => *hash,
+            InlineState::Parsed { dfg, hash } => *hash.get_or_init(|| {
+                let h = dfg.canonical_hash();
+                dfg_memo().insert(self.digest, h, self.nodes);
+                h
+            }),
+        }
+    }
+
+    /// Whether the canonical hash is known without a WL refinement.
+    pub(crate) fn hash_known(&self) -> bool {
+        match &self.state {
+            InlineState::Keyed(_) => true,
+            InlineState::Parsed { hash, .. } => hash.get().is_some(),
+        }
+    }
+
+    /// The DFG: a copy of the parsed one, or a re-parse of the text.
+    fn dfg(&self) -> Result<Dfg, SvcError> {
+        match &self.state {
+            InlineState::Keyed(_) => parse_dfg_text(&self.text),
+            InlineState::Parsed { dfg, .. } => Ok(Dfg::clone(dfg)),
+        }
+    }
+}
+
+fn parse_dfg_text(text: &str) -> Result<Dfg, SvcError> {
+    text::parse(text).map_err(|e| SvcError::with_entity("dfg_parse_error", e.to_string(), "dfg"))
+}
+
+/// A 128-bit digest of raw DFG text: two independently seeded
+/// [`StableHasher`] lanes, as `CacheKey::derive` uses, so the memo adds
+/// no collision surface weaker than the result cache's own keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct TextDigest(u64, u64);
+
+impl TextDigest {
+    fn of(text: &str) -> TextDigest {
+        let mut a = StableHasher::with_seed(0x1ced_0004);
+        let mut b = StableHasher::with_seed(0x1ced_0005);
+        a.write_u64(text.len() as u64);
+        b.write_u64(text.len() as u64);
+        // One pass feeding both lanes: two independent multiply chains
+        // the CPU overlaps.
+        for &byte in text.as_bytes() {
+            a.write_u8(byte);
+            b.write_u8(byte);
+        }
+        TextDigest(a.finish(), b.finish())
+    }
+}
+
+/// Entries the inline-DFG memo keeps (about 40 bytes each); the oldest
+/// insertion is evicted first.
+const DFG_MEMO_CAP: usize = 4096;
+
+/// Text digest → `(canonical_hash, node_count)`, bounded by entry count
+/// with FIFO eviction.
+struct DfgMemo {
+    cap: usize,
+    map: HashMap<TextDigest, (u64, usize)>,
+    order: VecDeque<TextDigest>,
+}
+
+impl DfgMemo {
+    fn new(cap: usize) -> DfgMemo {
+        DfgMemo {
+            cap,
+            map: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    fn get(&self, digest: TextDigest) -> Option<(u64, usize)> {
+        self.map.get(&digest).copied()
+    }
+
+    fn insert(&mut self, digest: TextDigest, hash: u64, nodes: usize) {
+        if self.map.insert(digest, (hash, nodes)).is_some() {
+            return;
+        }
+        self.order.push_back(digest);
+        while self.map.len() > self.cap {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            self.map.remove(&oldest);
+        }
+    }
+}
+
+fn dfg_memo() -> MutexGuard<'static, DfgMemo> {
+    static MEMO: LazyLock<Mutex<DfgMemo>> =
+        LazyLock::new(|| Mutex::new(DfgMemo::new(DFG_MEMO_CAP)));
+    // No update can stop halfway (only an allocation failure could, and
+    // that aborts), so a poisoned guard still holds a consistent memo.
+    MEMO.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Memoized `Kernel::dfg(unroll).canonical_hash()` over the whole suite.
@@ -204,7 +400,6 @@ impl Source {
 /// derives one key per request, so this table is what keeps routing off
 /// the scaling-bottleneck path.
 fn named_dfg_hash(kernel: Kernel, unroll: UnrollFactor) -> u64 {
-    use std::sync::OnceLock;
     static TABLE: OnceLock<Vec<u64>> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
         Kernel::ALL
@@ -442,9 +637,7 @@ fn parse_compile_spec(v: &Value) -> Result<CompileSpec, SvcError> {
             let body = d.as_str().ok_or_else(|| {
                 SvcError::with_entity("bad_request", "'dfg' must be a string", "dfg")
             })?;
-            let dfg = text::parse(body)
-                .map_err(|e| SvcError::with_entity("dfg_parse_error", e.to_string(), "dfg"))?;
-            Source::Inline(dfg)
+            Source::Inline(InlineDfg::new(body)?)
         }
         (None, None) => {
             return Err(SvcError::new(
@@ -1167,9 +1360,203 @@ mod tests {
                 assert_eq!(s.canonical_hash(), s.dfg().canonical_hash(), "{}", k.name());
             }
         }
-        let d = text::parse("dfg tiny\nnode n0 add a\n").unwrap();
-        let h = d.canonical_hash();
-        assert_eq!(Source::Inline(d).canonical_hash(), h);
+        let text = "dfg tiny\nnode n0 add a\n";
+        let h = text::parse(text).unwrap().canonical_hash();
+        assert_eq!(
+            Source::Inline(InlineDfg::new(text).unwrap()).canonical_hash(),
+            h
+        );
+    }
+
+    /// A compile request line carrying `text` as its inline DFG.
+    fn inline_line(text: &str) -> String {
+        let mut body = String::new();
+        json::escape_into(&mut body, text);
+        format!(r#"{{"id":1,"verb":"compile","dfg":"{body}"}}"#)
+    }
+
+    fn inline_source(line: &str) -> InlineDfg {
+        match parse_request(line).expect("valid request").payload {
+            Payload::Compile(CompileSpec {
+                source: Source::Inline(d),
+                ..
+            }) => d,
+            p => panic!("wrong payload {p:?}"),
+        }
+    }
+
+    /// `dfg`'s nodes re-declared in a seeded shuffled order: the same
+    /// graph under different node ids, so different text.
+    fn shuffled(dfg: &Dfg, seed: u64) -> Dfg {
+        use iced::dfg::{DfgBuilder, NodeId};
+        let n = dfg.node_count();
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut state = seed;
+        for i in (1..n).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            order.swap(i, ((state >> 33) % (i as u64 + 1)) as usize);
+        }
+        let mut b = DfgBuilder::new(dfg.name());
+        let mut new_id: Vec<Option<NodeId>> = vec![None; n];
+        for &old in &order {
+            let node = dfg.node(NodeId::from_index(old));
+            new_id[old] = Some(b.node(node.op(), node.label()));
+        }
+        for &old in &order {
+            for e in dfg.out_edges(NodeId::from_index(old)) {
+                let (s, d) = (new_id[e.src().index()], new_id[e.dst().index()]);
+                b.edge(s.expect("inserted"), d.expect("inserted"), e.kind())
+                    .expect("edge valid in the shuffled graph");
+            }
+        }
+        b.finish().expect("shuffled graph is the same graph")
+    }
+
+    mod memo {
+        use super::*;
+        use crate::server::request_key;
+        use proptest::prelude::*;
+
+        fn cfg() -> u64 {
+            iced::arch::CgraConfig::iced_prototype().canonical_hash()
+        }
+
+        /// The key a fresh parse plus WL hash derives, bypassing the memo.
+        fn fresh_key(line: &str, text: &str) -> crate::cache::CacheKey {
+            let mut req = parse_request(line).expect("valid request");
+            let Payload::Compile(spec) = &mut req.payload else {
+                panic!("not a compile");
+            };
+            let dfg = text::parse(text).expect("parses");
+            let hash = dfg.canonical_hash();
+            spec.source = Source::Inline(InlineDfg {
+                text: Arc::from(text),
+                digest: TextDigest::of(text),
+                nodes: dfg.node_count(),
+                state: InlineState::Keyed(hash),
+            });
+            request_key(cfg(), &req).expect("keyed")
+        }
+
+        fn generated(seed: u64) -> Option<Dfg> {
+            iced::fuzz::gen::generate(seed, &iced::fuzz::gen::GenOptions::small()).ok()
+        }
+
+        fn check_memoized_key(seed: u64) {
+            let Some(dfg) = generated(seed) else {
+                return;
+            };
+            let text = text::to_text(&dfg);
+            let line = inline_line(&text);
+            let want = fresh_key(&line, &text);
+
+            // The first sighting parses; keying it fills the memo.
+            let first = parse_request(&line).expect("valid");
+            assert_eq!(request_key(cfg(), &first), Some(want));
+            // The next one is a memo hit: no parse, no WL, same key.
+            let hit = inline_source(&line);
+            assert!(
+                matches!(hit.state, InlineState::Keyed(_)),
+                "memo hit must skip the parse"
+            );
+            assert!(hit.hash_known());
+            assert_eq!(hit.node_count(), dfg.node_count());
+            let again = parse_request(&line).expect("valid");
+            assert_eq!(request_key(cfg(), &again), Some(want));
+            // A worker resolving the hit re-parses to the same graph.
+            assert_eq!(Source::Inline(hit).try_dfg().expect("re-parses"), dfg);
+
+            // The same graph with its nodes declared in another order is
+            // another text (another memo entry) but the same key.
+            let permuted = text::to_text(&shuffled(&dfg, seed));
+            if permuted != text {
+                assert_ne!(TextDigest::of(&permuted), TextDigest::of(&text));
+            }
+            let pline = inline_line(&permuted);
+            let preq = parse_request(&pline).expect("valid");
+            assert_eq!(request_key(cfg(), &preq), Some(want));
+            assert!(dfg_memo().get(TextDigest::of(&permuted)).is_some());
+            assert!(dfg_memo().get(TextDigest::of(&text)).is_some());
+            assert!(dfg_memo().map.len() <= DFG_MEMO_CAP);
+        }
+
+        fn check_malformed(seed: u64, cut: usize) {
+            let Some(dfg) = generated(seed) else {
+                return;
+            };
+            // An edge to a node that does not exist, after a valid prefix
+            // of random length.
+            let text = text::to_text(&dfg);
+            let cut = text
+                .char_indices()
+                .map(|(i, _)| i)
+                .nth(cut)
+                .unwrap_or(text.len());
+            let bad = format!("{}\nedge n0 n9999\n", &text[..cut]);
+            let line = inline_line(&bad);
+            for _ in 0..3 {
+                let e = parse_request(&line).expect_err("malformed DFG text");
+                assert_eq!(e.error.code, "dfg_parse_error");
+                assert_eq!(e.verb, Some(Verb::Compile));
+                assert!(dfg_memo().get(TextDigest::of(&bad)).is_none());
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn memoized_key_equals_the_freshly_derived_key(seed in any::<u64>()) {
+                check_memoized_key(seed);
+            }
+
+            #[test]
+            fn malformed_text_is_a_typed_error_and_never_memoized(seed in any::<u64>(), cut in 1usize..64) {
+                check_malformed(seed, cut);
+            }
+
+            #[test]
+            fn the_memo_never_grows_past_its_cap(cap in 1usize..32, extra in 0usize..64) {
+                let mut memo = DfgMemo::new(cap);
+                for i in 0..cap + extra {
+                    memo.insert(TextDigest(i as u64, !(i as u64)), i as u64, i);
+                    // Re-inserting a resident digest changes nothing.
+                    memo.insert(TextDigest(i as u64, !(i as u64)), i as u64, i);
+                    prop_assert!(memo.map.len() <= cap);
+                    prop_assert_eq!(memo.map.len(), memo.order.len());
+                }
+                // FIFO: the newest `cap` insertions survive.
+                let n = cap + extra;
+                for i in 0..n {
+                    let resident = memo.get(TextDigest(i as u64, !(i as u64))).is_some();
+                    prop_assert_eq!(resident, i + cap >= n, "entry {}", i);
+                }
+            }
+        }
+
+        #[test]
+        fn inline_auto_backend_reads_the_memoized_node_count() {
+            let text = "dfg auto_memo\nnode n0 add a\nnode n1 add b\nedge n0 n1\n";
+            let line = inline_line(text).replace(
+                r#""verb":"compile""#,
+                r#""verb":"compile","strategy":"auto""#,
+            );
+            for _ in 0..2 {
+                let Payload::Compile(spec) = parse_request(&line).expect("valid").payload else {
+                    panic!("not a compile");
+                };
+                let want = if iced::exact::auto_prefers_exact(2) {
+                    Backend::Exact
+                } else {
+                    Backend::Heuristic
+                };
+                assert_eq!(spec.backend, want);
+                assert_eq!(spec.source.node_count(), 2);
+                let _ = spec.source.canonical_hash();
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! * **Writes** never block the loop: rendered bytes append to
 //!   `write_buf`, the socket is polled with `POLLOUT` only while bytes
 //!   remain, and partial writes simply stay queued.
+//! * **Warm hits** are answered here: a `compile`/`simulate`/`stream`
+//!   request whose key is cheap to derive (a named kernel, a stream
+//!   spec, inline text with a memoized hash) is probed against the
+//!   in-memory cache and, on a hit, answered without a worker hop.
+//!   Misses, spill-directory reads and WL hashing stay on the workers.
 //! * **Batches** are planned here, before enqueueing: every slot's cache
 //!   key is derived and deduped, so a batch of N identical specs reaches
 //!   the worker pool as one unit of computation.
@@ -41,8 +46,8 @@ use crate::proto::{
 };
 use crate::queue::PushError;
 use crate::server::{
-    begin_shutdown, elem_key, lock, log_control_finish, log_request_error, Job, JobKind, Shared,
-    SlotPlan,
+    begin_shutdown, elem_key, lock, log_control_finish, log_request_error, request_key, Job,
+    JobKind, Shared, SlotPlan,
 };
 
 /// Poll timeout: a liveness backstop only — completions and shutdown
@@ -571,10 +576,62 @@ fn handle_line(shared: &Arc<Shared>, c: &mut Conn, text: &str) {
                 render_ok(req.id, Some(rid), Verb::CachePut, false, &result),
             );
         }
-        Verb::Compile | Verb::Simulate | Verb::Stream | Verb::Batch => {
-            enqueue_work(shared, c, req, rid, ticket, t0);
-        }
+        Verb::Compile | Verb::Simulate | Verb::Stream => match probe_resident(shared, &req) {
+            Some(hit) => answer_cached(shared, c, &req, rid, ticket, t0, &hit),
+            None => enqueue_work(shared, c, req, rid, ticket, t0),
+        },
+        Verb::Batch => enqueue_work(shared, c, req, rid, ticket, t0),
     }
+}
+
+/// Probes the in-memory cache for a work request whose key is cheap to
+/// derive here: a named kernel, a `stream` spec, or inline text whose
+/// hash is memoized. Anything that would need a WL refinement, and every
+/// spill-directory read, stays on the workers, so the reactor never
+/// hashes a graph or touches a file. A draining server answers no new
+/// work, cached or not.
+fn probe_resident(shared: &Shared, req: &Request) -> Option<Arc<String>> {
+    let cheap = match &req.payload {
+        Payload::Compile(spec) => spec.source.hash_known(),
+        Payload::Simulate(spec) => spec.compile.source.hash_known(),
+        Payload::Stream(_) => true,
+        _ => false,
+    };
+    if !cheap || shared.shutting.load(Ordering::SeqCst) {
+        return None;
+    }
+    shared
+        .cache
+        .get_resident(request_key(shared.config_hash, req)?)
+}
+
+/// Answers a resident cache hit inline, through the same ticketed path
+/// as the control verbs, so per-connection order is unchanged. The hit
+/// counts in the cache and per-verb latency metrics and logs a `cached`
+/// finish, but never enters the worker-only queue-wait/service split.
+fn answer_cached(
+    shared: &Shared,
+    c: &mut Conn,
+    req: &Request,
+    rid: RequestId,
+    ticket: u64,
+    t0: Instant,
+    result: &str,
+) {
+    let _flight = shared.metrics.flight(req.verb);
+    shared.metrics.cache_event(true);
+    shared.metrics.observe(req.verb, t0.elapsed());
+    shared.log.emit(Level::Info, "request_finish", |o| {
+        o.str("req", &rid.token())
+            .str("verb", req.verb.name())
+            .str("outcome", "cached")
+            .u64("total_us", t0.elapsed().as_micros() as u64)
+    });
+    c.complete(
+        ticket,
+        rid,
+        render_ok(req.id, Some(rid), req.verb, true, result),
+    );
 }
 
 fn enqueue_work(
@@ -656,7 +713,7 @@ fn enqueue_work(
 /// Dedupes a batch's slots by cache key: identical specs collapse to one
 /// unique element computed once, every slot keeping a pointer to it.
 fn plan_batch(shared: &Shared, id: u64, items: Vec<BatchSlot>) -> JobKind {
-    let cfg = shared.config.canonical_hash();
+    let cfg = shared.config_hash;
     let mut index: HashMap<CacheKey, usize> = HashMap::new();
     let mut unique: Vec<(CacheKey, BatchElem)> = Vec::new();
     let mut slots: Vec<SlotPlan> = Vec::with_capacity(items.len());

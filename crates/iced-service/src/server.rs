@@ -8,13 +8,15 @@
 //!   listener and all client sockets over nonblocking `poll(2)`: it
 //!   accepts, frames newline-delimited JSON incrementally, answers
 //!   control verbs (`healthz`, `metrics`, `stats`, `shutdown`) inline so
-//!   they stay responsive even when the work queue is saturated, pushes
-//!   work verbs onto the bounded queue (a full queue yields an immediate
-//!   typed `queue_full` response, never an unbounded buffer), and writes
-//!   responses back in strict per-connection request order with
-//!   interest-driven writability — partial writes are buffered, never
-//!   blocked on.
-//! * `ICED_SVC_THREADS` **workers** drain the queue, consult the cache,
+//!   they stay responsive even when the work queue is saturated, answers
+//!   warm hits from the in-memory cache when the key is cheap to derive,
+//!   pushes the remaining work onto the bounded queue (a full queue
+//!   yields an immediate typed `queue_full` response, never an unbounded
+//!   buffer), and writes responses back in strict per-connection request
+//!   order with interest-driven writability — partial writes are
+//!   buffered, never blocked on.
+//! * `ICED_SVC_THREADS` **workers** drain the queue, derive keys that
+//!   need a WL hash, consult the cache (spill directory included),
 //!   compute on miss, render the full response envelope, and hand it back
 //!   to the reactor through a completion list plus a wake token.
 //!
@@ -219,6 +221,8 @@ pub(crate) struct Completion {
 /// State shared by the reactor and the workers.
 pub(crate) struct Shared {
     pub(crate) config: CgraConfig,
+    /// `config.canonical_hash()`, computed once: every cache key folds it.
+    pub(crate) config_hash: u64,
     pub(crate) model: PowerModel,
     pub(crate) cache: ResultCache,
     pub(crate) queue: BoundedQueue<Job>,
@@ -284,6 +288,7 @@ impl Server {
                 .bool("chaos_armed", cfg.chaos.is_some())
         });
         let shared = Arc::new(Shared {
+            config_hash: cfg.cgra.canonical_hash(),
             config: cfg.cgra,
             model: PowerModel::asap7(),
             cache: ResultCache::new(
@@ -749,8 +754,7 @@ pub fn request_key(cfg: u64, req: &Request) -> Option<CacheKey> {
 /// Serving knobs (deadline, thread count, client id) are deliberately
 /// excluded — they cannot change the payload bytes.
 fn cache_key(shared: &Shared, req: &Request) -> CacheKey {
-    let cfg = shared.config.canonical_hash();
-    request_key(cfg, req).unwrap_or_else(|| CacheKey::derive(&[hash_str("control")]))
+    request_key(shared.config_hash, req).unwrap_or_else(|| CacheKey::derive(&[hash_str("control")]))
 }
 
 fn map_err_to_svc(e: MapError, entity: &str) -> SvcError {
@@ -775,7 +779,7 @@ fn compile_mapping(
     ),
     SvcError,
 > {
-    let dfg = spec.source.dfg();
+    let dfg = spec.source.try_dfg()?;
     let mut opts = spec.mapper_options();
     if let Some(ms) = spec.deadline_ms {
         opts.deadline = Some(Instant::now() + Duration::from_millis(ms));
@@ -829,7 +833,11 @@ fn compile_result(shared: &Shared, spec: &CompileSpec) -> Result<String, SvcErro
         .f64("power_mw", energy.total_power_mw())
         .u64("bitstream_words", bits.words().len() as u64)
         .u64("bitstream_bytes", bits.total_bytes() as u64)
-        .str("dfg_hash", &format!("{:016x}", dfg.canonical_hash()))
+        // The hash the cache key folded in: no second WL pass.
+        .str(
+            "dfg_hash",
+            &format!("{:016x}", spec.source.canonical_hash()),
+        )
         .finish())
 }
 
@@ -889,6 +897,7 @@ pub(crate) fn test_shared() -> Arc<Shared> {
     let (waker, _rx) = crate::poll::wake_pair().expect("wake pair");
     let cfg = ServiceConfig::default();
     Arc::new(Shared {
+        config_hash: cfg.cgra.canonical_hash(),
         config: cfg.cgra,
         model: PowerModel::asap7(),
         cache: ResultCache::new(cfg.cache_mb << 20, None),

@@ -1,12 +1,13 @@
 //! Observability suite: enriched `healthz`, structured worker-panic
 //! errors that carry the request id and panic payload into both the
-//! envelope and the JSONL event log, and the `stats`/Prometheus
-//! expositions over the wire.
+//! envelope and the JSONL event log, the `stats`/Prometheus expositions
+//! over the wire, and reactor-served warm hits accounted like any other.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use iced_service::json::{self, Value};
 use iced_service::{ChaosInjector, Server, ServiceConfig};
 
 /// A line-oriented test client with no retry discipline — chaos-injected
@@ -206,4 +207,71 @@ fn stats_and_prometheus_expositions_work_over_the_wire() {
 
     server.shutdown();
     server.wait();
+}
+
+/// Warm hits the reactor answers inline are first-class requests: they
+/// count as cache hits, in the per-verb latency histograms and windows,
+/// and as `cached` finishes in the event log — but not in the
+/// worker-only queue-wait/service-time split.
+#[test]
+fn reactor_served_hits_are_counted_and_logged() {
+    const HITS: u64 = 6;
+    let log = std::env::temp_dir().join(format!("iced-svc-obs-hits-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&log);
+    let (server, addr) = start(ServiceConfig {
+        threads: 2,
+        log_path: Some(log.clone()),
+        ..ServiceConfig::default()
+    });
+    let mut c = Raw::connect(addr);
+    let named = r#"{"id":1,"verb":"compile","kernel":"fir"}"#;
+    let inline = r#"{"id":2,"verb":"compile","dfg":"dfg obs_hit\nnode n0 ld a\nnode n1 mul b\nnode n2 st c\nedge n0 n1\nedge n1 n2\n"}"#;
+    for cold in [named, inline] {
+        let resp = c.round_trip(cold);
+        assert!(resp.contains("\"cached\":false"), "{resp}");
+    }
+    for i in 0..HITS {
+        let resp = c.round_trip(if i % 2 == 0 { named } else { inline });
+        assert!(resp.contains("\"cached\":true"), "{resp}");
+    }
+
+    let metrics = json::parse(&c.round_trip(r#"{"id":3,"verb":"metrics"}"#)).expect("JSON");
+    let m = metrics.get("result").expect("result");
+    let field = |path: &[&str]| {
+        path.iter()
+            .try_fold(m, |v, k| v.get(k))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("no {path:?} in metrics"))
+    };
+    assert_eq!(field(&["cache_hits"]), HITS);
+    assert_eq!(field(&["cache_misses"]), 2);
+    assert_eq!(field(&["latency", "compile", "count"]), HITS + 2);
+    assert_eq!(field(&["queue_wait", "compile", "count"]), 2);
+    assert_eq!(field(&["service_time", "compile", "count"]), 2);
+
+    let stats = json::parse(&c.round_trip(r#"{"id":4,"verb":"stats"}"#)).expect("JSON");
+    let window = stats
+        .get("result")
+        .and_then(|r| r.get("window"))
+        .and_then(|w| w.get("compile"))
+        .and_then(|w| w.get("count"))
+        .and_then(Value::as_u64);
+    assert_eq!(window, Some(HITS + 2), "hits land in the sliding window");
+
+    server.shutdown();
+    server.wait(); // flushes and closes the event log
+    let events = std::fs::read_to_string(&log).expect("event log written");
+    let cached: Vec<&str> = events
+        .lines()
+        .filter(|l| {
+            l.contains("\"event\":\"request_finish\"") && l.contains("\"outcome\":\"cached\"")
+        })
+        .collect();
+    assert_eq!(cached.len() as u64, HITS, "{events}");
+    for line in &cached {
+        assert!(line.contains("\"verb\":\"compile\""), "{line}");
+        assert!(line.contains("\"req\":\"c1-"), "{line}");
+        assert!(line.contains("\"total_us\":"), "{line}");
+    }
+    let _ = std::fs::remove_file(&log);
 }
