@@ -77,7 +77,7 @@ impl CacheKey {
     /// cluster `cache_put` verb). Returns `None` for anything that is
     /// not exactly 32 hex characters.
     pub fn from_hex(s: &str) -> Option<CacheKey> {
-        if s.len() != 32 || !s.is_ascii() {
+        if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         let hi = u64::from_str_radix(&s[..16], 16).ok()?;

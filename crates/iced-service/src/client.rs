@@ -24,8 +24,11 @@ use std::time::{Duration, Instant};
 
 use iced_hash::StableHasher;
 
+use crate::json::Fields;
+use crate::proto::read_batch_result;
+
 /// Structured-error codes that are safe and sensible to retry.
-const RETRYABLE_CODES: [&str; 2] = ["\"code\":\"queue_full\"", "\"code\":\"internal\""];
+const RETRYABLE_CODES: [&str; 2] = ["queue_full", "internal"];
 
 /// First backoff step; doubles per attempt up to [`MAX_BACKOFF`].
 const BASE_BACKOFF: Duration = Duration::from_millis(20);
@@ -68,15 +71,15 @@ pub struct BatchItem {
 }
 
 impl BatchItem {
-    fn from_raw(raw: String) -> BatchItem {
-        let ok = raw.starts_with("{\"ok\":true");
-        // Only inspect the slot header: a result payload could legally
-        // contain the same substring.
-        let header = raw.find("\"result\"").map_or(raw.as_str(), |i| &raw[..i]);
+    fn from_raw(raw: &str) -> BatchItem {
+        // Only the slot's own fields count: a result payload could
+        // legally contain the same words.
+        let fields = Fields::read(raw);
+        let flag = |key| fields.as_ref().is_some_and(|f| f.is_true(key));
         BatchItem {
-            ok,
-            cached: header.contains("\"cached\":true"),
-            raw,
+            ok: flag("ok"),
+            cached: flag("cached"),
+            raw: raw.to_string(),
         }
     }
 }
@@ -290,13 +293,7 @@ impl Client {
             "{{\"id\":{id},\"verb\":\"batch\",\"items\":[{}]}}",
             items.join(",")
         );
-        let resp = self.request(&line)?;
-        if !resp.contains("\"ok\":true") {
-            return Err(ClientError {
-                attempts: 1,
-                last: resp,
-            });
-        }
+        let resp = self.request_ok(&line)?;
         Ok(split_results(&resp)
             .into_iter()
             .map(BatchItem::from_raw)
@@ -312,7 +309,7 @@ impl Client {
     /// final response is a structured error.
     pub fn request_ok(&mut self, line: &str) -> Result<String, ClientError> {
         let resp = self.request(line)?;
-        if resp.contains("\"ok\":true") {
+        if is_ok(&resp) {
             Ok(resp)
         } else {
             Err(ClientError {
@@ -340,56 +337,33 @@ fn splice_verb(verb: &str, spec: &str) -> String {
     }
 }
 
-/// Splits the envelope's `"results":[…]` array into its top-level
-/// elements as raw text, so a successful slot's bytes stay exactly as
-/// the server rendered them (no client-side re-serialization).
-pub(crate) fn split_results(resp: &str) -> Vec<String> {
-    let Some(start) = resp.find("\"results\":[") else {
-        return Vec::new();
-    };
-    let body = &resp[start + "\"results\":[".len()..];
-    let mut items = Vec::new();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut item_start = None;
-    for (i, ch) in body.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match ch {
-            '\\' if in_str => escaped = true,
-            '"' => in_str = !in_str,
-            _ if in_str => {}
-            '{' | '[' => {
-                if depth == 0 && item_start.is_none() {
-                    item_start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' | ']' => {
-                if depth == 0 {
-                    // The array's own closing bracket.
-                    break;
-                }
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = item_start.take() {
-                        items.push(body[s..=i].to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    items
+/// Splits a batch envelope's `results` array into its elements as raw
+/// text, so a successful slot's bytes stay exactly as the server rendered
+/// them (no client-side re-serialization). Empty for anything else.
+fn split_results(resp: &str) -> Vec<&str> {
+    Fields::read(resp)
+        .and_then(|env| read_batch_result(env.get("result")?))
+        .map(|(_, items)| items)
+        .unwrap_or_default()
+}
+
+/// Is this a success envelope? Read by span: a payload that merely
+/// contains `"ok":true` does not count.
+fn is_ok(resp: &str) -> bool {
+    Fields::read(resp).is_some_and(|env| env.is_true("ok"))
 }
 
 /// Is this response worth replaying? Only backpressure and worker-panic
 /// errors qualify; success and permanent errors are final.
 fn is_transient(resp: &str) -> bool {
-    !resp.contains("\"ok\":true") && RETRYABLE_CODES.iter().any(|c| resp.contains(c))
+    error_code(resp).is_some_and(|code| RETRYABLE_CODES.contains(&code.as_str()))
+}
+
+/// The `error.code` of an error envelope.
+fn error_code(resp: &str) -> Option<String> {
+    let env = Fields::read(resp).filter(|env| !env.is_true("ok"))?;
+    let code = Fields::read(env.get("error")?)?.value("code")?;
+    code.as_str().map(str::to_owned)
 }
 
 /// Exponential backoff with deterministic jitter: `base·2^(attempt-1)`
@@ -488,10 +462,10 @@ mod tests {
             items[1],
             r#"{"ok":false,"verb":"compile","error":{"code":"map_error","message":"no: [{"}}"#
         );
-        let third = BatchItem::from_raw(items[2].clone());
+        let third = BatchItem::from_raw(items[2]);
         assert!(third.ok);
         assert!(third.cached);
-        let second = BatchItem::from_raw(items[1].clone());
+        let second = BatchItem::from_raw(items[1]);
         assert!(!second.ok);
         assert!(!second.cached);
         // An error response or empty array yields no slots.

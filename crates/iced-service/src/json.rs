@@ -10,9 +10,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 
-/// Maximum nesting depth accepted by [`parse`]. Requests are flat objects;
-/// anything deeper than this is an attack or a bug, not a workload.
+/// Maximum nesting depth accepted by [`parse`] and [`layout`]. Requests
+/// are flat objects; anything deeper is an attack or a bug, not a workload.
 const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.
@@ -104,17 +105,103 @@ impl std::error::Error for ParseError {}
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
+    let mut p = Parser::new(input);
     let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
+    p.end()?;
     Ok(v)
+}
+
+/// The top level of one JSON value as byte ranges into its text: where
+/// each field of an object, or each element of an array, starts and ends.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Layout {
+    /// An object: each distinct (decoded) key with its value's range. A
+    /// repeated key keeps its *last* value, the rule [`parse`] applies.
+    Obj(BTreeMap<String, Range<usize>>),
+    /// An array: each element's range, in order.
+    Arr(Vec<Range<usize>>),
+    /// A string, number, bool or null.
+    Scalar,
+}
+
+/// Reads the top-level [`Layout`] of one complete JSON value. The same
+/// parser as [`parse`] reads it — same grammar, same depth bound, same
+/// duplicate-key rule — so a text has a layout exactly when it parses,
+/// and every range re-parses to the value [`parse`] puts there.
+///
+/// # Errors
+///
+/// The [`ParseError`] that [`parse`] reports for the same text.
+pub fn layout(input: &str) -> Result<Layout, ParseError> {
+    let mut p = Parser::new(input);
+    let layout = match p.peek() {
+        Some(b'{') => {
+            let mut fields = BTreeMap::new();
+            p.members(0, |key, _, span| {
+                fields.insert(key, span);
+            })?;
+            Layout::Obj(fields)
+        }
+        Some(b'[') => {
+            let mut elems = Vec::new();
+            p.elements(0, |_, span| elems.push(span))?;
+            Layout::Arr(elems)
+        }
+        _ => {
+            p.value(0)?;
+            Layout::Scalar
+        }
+    };
+    p.end()?;
+    Ok(layout)
+}
+
+/// An object's top-level fields as raw text, read by [`layout`]: how the
+/// router and client read envelopes without re-serializing the bytes
+/// they forward.
+#[derive(Debug, Clone)]
+pub struct Fields<'a> {
+    text: &'a str,
+    spans: BTreeMap<String, Range<usize>>,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads `text`; `None` unless it is exactly one JSON object.
+    pub fn read(text: &'a str) -> Option<Fields<'a>> {
+        match layout(text).ok()? {
+            Layout::Obj(spans) => Some(Fields { text, spans }),
+            _ => None,
+        }
+    }
+
+    /// The byte range of field `key`'s value.
+    pub fn span(&self, key: &str) -> Option<Range<usize>> {
+        self.spans.get(key).cloned()
+    }
+
+    /// The raw text of field `key`'s value.
+    pub fn get(&self, key: &str) -> Option<&'a str> {
+        self.span(key).map(|r| &self.text[r])
+    }
+
+    /// Is field `key` the literal `true`?
+    pub fn is_true(&self, key: &str) -> bool {
+        self.get(key) == Some("true")
+    }
+
+    /// Field `key` parsed as a value.
+    pub fn value(&self, key: &str) -> Option<Value> {
+        parse(self.get(key)?).ok()
+    }
+}
+
+/// The raw text of each element of `text`; `None` unless it is exactly
+/// one JSON array.
+pub fn elements(text: &str) -> Option<Vec<&str>> {
+    match layout(text).ok()? {
+        Layout::Arr(spans) => Some(spans.into_iter().map(|r| &text[r]).collect()),
+        _ => None,
+    }
 }
 
 struct Parser<'a> {
@@ -123,6 +210,26 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// A parser positioned at the first non-whitespace byte of `input`.
+    fn new(input: &'a str) -> Parser<'a> {
+        let mut p = Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// Accepts only trailing whitespace after the value.
+    fn end(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after JSON value"))
+        }
+    }
+
     fn err(&self, msg: &'static str) -> ParseError {
         ParseError { at: self.pos, msg }
     }
@@ -164,22 +271,34 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.pos += 1; // consume '['
         let mut items = Vec::new();
+        self.elements(depth, |v, _| items.push(v))?;
+        Ok(Value::Arr(items))
+    }
+
+    /// Reads an array, handing each element and its byte range to `each`.
+    fn elements(
+        &mut self,
+        depth: usize,
+        mut each: impl FnMut(Value, Range<usize>),
+    ) -> Result<(), ParseError> {
+        self.pos += 1; // consume '['
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let start = self.pos;
+            let v = self.value(depth + 1)?;
+            each(v, start..self.pos);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
@@ -187,12 +306,25 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.pos += 1; // consume '{'
         let mut map = BTreeMap::new();
+        self.members(depth, |key, val, _| {
+            map.insert(key, val);
+        })?;
+        Ok(Value::Obj(map))
+    }
+
+    /// Reads an object, handing each key, value and value byte range to
+    /// `each` in text order.
+    fn members(
+        &mut self,
+        depth: usize,
+        mut each: impl FnMut(String, Value, Range<usize>),
+    ) -> Result<(), ParseError> {
+        self.pos += 1; // consume '{'
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -206,14 +338,15 @@ impl<'a> Parser<'a> {
             }
             self.pos += 1;
             self.skip_ws();
+            let start = self.pos;
             let val = self.value(depth + 1)?;
-            map.insert(key, val);
+            each(key, val, start..self.pos);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Obj(map));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }

@@ -16,11 +16,14 @@
 //! * [`server`] — worker pool (`ICED_SVC_THREADS`), per-request mapper
 //!   deadlines, batch dedup execution, and graceful shutdown that drains
 //!   in-flight work before closing sockets.
-//! * `reactor` (internal) — the single-threaded readiness loop that owns
-//!   every connection: nonblocking accept, incremental newline framing,
-//!   strict per-connection response ordering via tickets, interest-driven
+//! * `conn` (internal) — the connection core the shard and the router
+//!   share: nonblocking accept, incremental newline framing, strict
+//!   per-connection response ordering via tickets, interest-driven
 //!   buffered writes, per-connection pipeline caps (`ICED_SVC_PIPELINE`),
 //!   and a connection ceiling (`ICED_SVC_MAX_CONNS`).
+//! * `reactor` (internal) — the shard's readiness loop and line handler
+//!   over that core: control verbs, warm hits, batch planning, and the
+//!   hand-off to the worker pool.
 //! * [`poll`] — `libc`-free `poll(2)` (direct syscall on Linux, portable
 //!   degradation elsewhere) plus the loopback wake token the reactor
 //!   sleeps on.
@@ -57,6 +60,7 @@
 pub mod cache;
 pub mod chaos;
 pub mod client;
+mod conn;
 pub mod json;
 pub mod log;
 pub mod metrics;

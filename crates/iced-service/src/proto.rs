@@ -17,7 +17,8 @@ use iced::Strategy;
 
 use iced_hash::StableHasher;
 
-use crate::json::{self, Obj, Value};
+use crate::cache::CacheKey;
+use crate::json::{self, Fields, Obj, Value};
 
 /// Request verbs the daemon understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -554,8 +555,8 @@ pub enum Payload {
     /// `cache_put`: install an already-rendered result object under a
     /// content-addressed key (internal cluster replication).
     CachePut {
-        /// The 32-hex-character `CacheKey::hex()` form.
-        key: String,
+        /// The key, sent in its 32-hex-digit [`CacheKey::hex`] form.
+        key: CacheKey,
         /// The rendered result-object bytes to install verbatim.
         value: String,
     },
@@ -915,18 +916,14 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 let key = v.get("key").and_then(Value::as_str).ok_or_else(|| {
                     SvcError::with_entity("bad_request", "missing string field 'key'", "key")
                 })?;
-                if key.len() != 32 || !key.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    return Err(SvcError::with_entity(
-                        "bad_request",
-                        "'key' must be 32 hex characters",
-                        "key",
-                    ));
-                }
+                let key = CacheKey::from_hex(key).ok_or_else(|| {
+                    SvcError::with_entity("bad_request", "'key' must be 32 hex characters", "key")
+                })?;
                 let value = v.get("value").and_then(Value::as_str).ok_or_else(|| {
                     SvcError::with_entity("bad_request", "missing string field 'value'", "value")
                 })?;
                 Payload::CachePut {
-                    key: key.to_string(),
+                    key,
                     value: value.to_string(),
                 }
             }
@@ -1033,6 +1030,15 @@ pub fn render_batch_result(count: usize, unique: usize, items: &[String]) -> Str
         .u64("deduped", count.saturating_sub(unique) as u64)
         .raw("results", &results)
         .finish()
+}
+
+/// Reads a `batch` result object back by span, the inverse of
+/// [`render_batch_result`]: its `unique` count and each slot's exact
+/// rendered bytes. `None` unless `result` has that shape.
+pub fn read_batch_result(result: &str) -> Option<(u64, Vec<&str>)> {
+    let fields = Fields::read(result)?;
+    let unique = fields.value("unique")?.as_u64()?;
+    Some((unique, json::elements(fields.get("results")?)?))
 }
 
 /// Renders an error envelope.
@@ -1338,7 +1344,8 @@ mod tests {
         assert_eq!(r.verb, Verb::CachePut);
         match r.payload {
             Payload::CachePut { key: k, value } => {
-                assert_eq!(k, key);
+                assert_eq!(k, CacheKey(0x0123_4567_89ab_cdef, 0x0123_4567_89ab_cdef));
+                assert_eq!(k.hex(), key);
                 assert_eq!(value, "{\"ii\":2}");
             }
             p => panic!("wrong payload {p:?}"),

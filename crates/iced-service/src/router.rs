@@ -6,17 +6,22 @@
 //! rendezvous (highest-random-weight) hashing from `iced_hash`. Design
 //! points, in the order they matter:
 //!
+//! * **One connection core.** Client connections live in the same
+//!   internal `conn` core as the shard's — framing, ticket ordering,
+//!   buffered writes, admission — with the router as the line handler.
+//!   Responses from different shards park under their ticket and release
+//!   strictly in request order.
 //! * **One pipelined upstream connection per shard.** Shards answer each
-//!   connection strictly in request order (the PR-7 ticket discipline),
-//!   so the router needs no per-request correlation state upstream: a
-//!   FIFO of in-flight [`Forward`] records per link is exact.
-//! * **Client ordering is preserved** with the same ticket + reorder
-//!   window the shard reactor uses: responses from different shards park
-//!   under their ticket and release strictly in request order.
-//! * **Byte identity.** A forwarded response is passed through verbatim
-//!   except for the shard's `"req":"cX-Y"` token, which is replaced by
-//!   the router's own token — the `cached` flag, result bytes, and error
-//!   objects are exactly what a single daemon would have sent.
+//!   connection strictly in request order, so the router needs no
+//!   per-request correlation state upstream: a FIFO of in-flight
+//!   `Forward` records per link is exact. Links frame and buffer with
+//!   the core's line reader and write buffer.
+//! * **Byte identity.** Envelopes are read by span with the JSON parser
+//!   ([`Fields`]), never by substring. A forwarded response is passed
+//!   through verbatim except for the shard's top-level `"req"` token,
+//!   which is replaced by the router's own — the `cached` flag, result
+//!   bytes, and error objects are exactly what a single daemon would have
+//!   sent.
 //! * **Batches split per shard.** Each slot's key is derived (same
 //!   memoized derivation the shards use), slots group by owning shard
 //!   into sub-batches whose raw item bytes are forwarded untouched, and
@@ -34,8 +39,8 @@
 //!   rendezvous hashing guarantees only the dead shard's keys move.
 //!   Down shards are re-probed at most every [`RECONNECT_MS`].
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,19 +52,16 @@ use iced::arch::CgraConfig;
 use iced_hash::{rendezvous_rank, rendezvous_score, shard_id};
 
 use crate::cache::CacheKey;
-use crate::json::Obj;
-use crate::poll::{drain_wakes, poll, wake_pair, PollFd, Waker, POLLIN, POLLOUT};
-use crate::proto::{
-    parse_request, render_batch_item_err, render_batch_result, render_err, render_ok, BatchSlot,
-    Payload, Request, RequestId, SvcError, Verb, MAX_LINE_BYTES,
+use crate::conn::{
+    serve, Completion, Conn, Frame, Handler, LineReader, ReplyTo, WriteBuf, READ_ROUNDS,
 };
-use crate::server::{elem_key, request_key};
-
-const POLL_TIMEOUT_MS: i32 = 500;
-const READ_CHUNK: usize = 64 * 1024;
-const READ_ROUNDS: usize = 4;
-const WRITE_COMPACT_BYTES: usize = 64 * 1024;
-const FLUSH_BUDGET_MS: u64 = 5000;
+use crate::json::{self, Fields, Obj};
+use crate::poll::{wake_pair, PollFd, Waker, POLLIN, POLLOUT};
+use crate::proto::{
+    parse_request, read_batch_result, render_batch_item_err, render_batch_result, render_err,
+    render_ok, BatchSlot, Payload, Request, RequestId, SvcError, Verb,
+};
+use crate::server::{elem_key, env_usize, request_key};
 
 /// Minimum spacing between reconnect probes to a down shard.
 const RECONNECT_MS: u64 = 2000;
@@ -119,13 +121,6 @@ impl Default for RouterConfig {
     }
 }
 
-fn env_usize(key: &str, default: usize, lo: usize, hi: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(default, |v| v.clamp(lo, hi))
-}
-
 impl RouterConfig {
     /// Reads `ICED_SVC_*` from the environment, with sane defaults.
     pub fn from_env() -> Self {
@@ -154,10 +149,7 @@ enum Forward {
     /// A whole client request; the response passes through (req token
     /// rewritten). `line` is kept for failover replay.
     Single {
-        slot: usize,
-        token: u64,
-        ticket: u64,
-        rid: RequestId,
+        to: ReplyTo,
         id: u64,
         verb: Verb,
         key: CacheKey,
@@ -183,15 +175,11 @@ struct AsmPart {
     slot_idxs: Vec<usize>,
     /// First slot's key — the routing key for failover replay.
     first_key: CacheKey,
-    done: bool,
 }
 
 /// A split batch being reassembled.
 struct Assembly {
-    slot: usize,
-    token: u64,
-    ticket: u64,
-    rid: RequestId,
+    to: ReplyTo,
     id: u64,
     /// Rendered per-slot items; invalid slots are prefilled locally.
     items: Vec<Option<String>>,
@@ -207,9 +195,8 @@ struct ShardLink {
     stream: Option<TcpStream>,
     up: bool,
     last_probe: Option<Instant>,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wpos: usize,
+    reader: LineReader,
+    out: WriteBuf,
     inflight: VecDeque<Forward>,
     /// Forwards accepted while the link was at [`LINK_PIPELINE`]; drained
     /// onto the wire in order as responses free slots.
@@ -226,123 +213,11 @@ impl ShardLink {
             stream: None,
             up: false,
             last_probe: None,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
+            reader: LineReader::default(),
+            out: WriteBuf::default(),
             inflight: VecDeque::new(),
             queued: VecDeque::new(),
             forwarded: 0,
-        }
-    }
-
-    fn write_pending(&self) -> bool {
-        self.wpos < self.wbuf.len()
-    }
-
-    /// Appends one line (newline added) to the link's write buffer.
-    fn push_line(&mut self, line: &str) {
-        self.wbuf.extend_from_slice(line.as_bytes());
-        self.wbuf.push(b'\n');
-    }
-}
-
-/// A finished response awaiting release in ticket order.
-struct PendingLine {
-    line: String,
-}
-
-/// One downstream client connection (same slab/ticket discipline as the
-/// shard reactor, minus the worker-pool hand-off).
-struct ClientConn {
-    stream: TcpStream,
-    token: u64,
-    slot: usize,
-    seq: u64,
-    read_buf: Vec<u8>,
-    discarding: bool,
-    write_buf: Vec<u8>,
-    wpos: usize,
-    next_ticket: u64,
-    next_release: u64,
-    pending: BTreeMap<u64, PendingLine>,
-    outstanding: usize,
-    read_closed: bool,
-    dead: bool,
-}
-
-impl ClientConn {
-    fn new(stream: TcpStream, token: u64, slot: usize) -> ClientConn {
-        ClientConn {
-            stream,
-            token,
-            slot,
-            seq: 0,
-            read_buf: Vec::new(),
-            discarding: false,
-            write_buf: Vec::new(),
-            wpos: 0,
-            next_ticket: 0,
-            next_release: 0,
-            pending: BTreeMap::new(),
-            outstanding: 0,
-            read_closed: false,
-            dead: false,
-        }
-    }
-
-    fn write_pending(&self) -> bool {
-        self.wpos < self.write_buf.len()
-    }
-
-    fn admit(&mut self) -> (RequestId, u64) {
-        self.seq += 1;
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.outstanding += 1;
-        (
-            RequestId {
-                conn: self.token,
-                seq: self.seq,
-            },
-            ticket,
-        )
-    }
-
-    fn complete(&mut self, ticket: u64, line: String) {
-        self.pending.insert(ticket, PendingLine { line });
-    }
-
-    fn release_ready(&mut self) {
-        while let Some(entry) = self.pending.remove(&self.next_release) {
-            self.next_release += 1;
-            self.outstanding -= 1;
-            self.write_buf.extend_from_slice(entry.line.as_bytes());
-            self.write_buf.push(b'\n');
-        }
-    }
-
-    fn flush(&mut self) {
-        while self.wpos < self.write_buf.len() {
-            match self.stream.write(&self.write_buf[self.wpos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-        if self.wpos == self.write_buf.len() {
-            self.write_buf.clear();
-            self.wpos = 0;
-        } else if self.wpos > WRITE_COMPACT_BYTES {
-            self.write_buf.drain(..self.wpos);
-            self.wpos = 0;
         }
     }
 }
@@ -431,19 +306,20 @@ impl Drop for Router {
     }
 }
 
-/// Everything the routing loop owns. Single-threaded: no locks anywhere
-/// past the shutdown flag.
+/// Everything the routing loop owns except the client connections, which
+/// live in the connection core with this state as their handler.
+/// Single-threaded: no locks anywhere past the shutdown flag.
 struct Loop {
+    shared: Arc<RouterShared>,
     cfg_hash: u64,
     replicate_hot: usize,
     pipeline_cap: usize,
     link_pipeline: usize,
     max_conns: usize,
     links: Vec<ShardLink>,
+    /// The link behind each pollfd [`Handler::poll_extra`] added.
+    link_fds: Vec<usize>,
     shard_ids: Vec<u64>,
-    conns: Vec<Option<ClientConn>>,
-    free: Vec<usize>,
-    next_token: u64,
     assemblies: HashMap<u64, Assembly>,
     next_assembly: u64,
     hot: HashMap<CacheKey, HotEntry>,
@@ -456,20 +332,23 @@ struct Loop {
     conns_open: u64,
     conns_rejected: u64,
     errors: u64,
+    /// The shared shutdown flag as of this loop iteration.
+    shutting: bool,
     shutdown_sent: bool,
     /// Set by a wire `shutdown`; promoted to the shared flag at the loop
     /// top so wire- and API-initiated shutdowns share one path.
     shutdown_requested: bool,
-    /// Responses finished while their connection was checked out of the
-    /// slab (the read path) park here; drained every iteration.
-    completions: Vec<(usize, u64, u64, String)>,
+    /// Responses finished away from their connection (shard responses,
+    /// failover answers): the handler cannot reach the connection slab,
+    /// so the loop delivers them, generation-checked, every iteration.
+    completions: Vec<Completion>,
 }
 
 fn router_loop(
     shared: &Arc<RouterShared>,
     cfg: RouterConfig,
     listener: TcpListener,
-    mut wake_rx: TcpStream,
+    wake_rx: TcpStream,
 ) {
     let links: Vec<ShardLink> = cfg
         .shards
@@ -478,16 +357,15 @@ fn router_loop(
         .collect();
     let shard_ids: Vec<u64> = links.iter().map(|l| l.id).collect();
     let mut st = Loop {
+        shared: Arc::clone(shared),
         cfg_hash: cfg.cgra.canonical_hash(),
         replicate_hot: cfg.replicate_hot,
         pipeline_cap: cfg.pipeline.max(1),
         link_pipeline: cfg.shard_pipeline.max(1),
         max_conns: cfg.max_conns.max(1),
         links,
+        link_fds: Vec::new(),
         shard_ids,
-        conns: Vec::new(),
-        free: Vec::new(),
-        next_token: 0,
         assemblies: HashMap::new(),
         next_assembly: 0,
         hot: HashMap::new(),
@@ -499,332 +377,118 @@ fn router_loop(
         conns_open: 0,
         conns_rejected: 0,
         errors: 0,
+        shutting: false,
         shutdown_sent: false,
         shutdown_requested: false,
         completions: Vec::new(),
     };
-    let mut listener = Some(listener);
-    let mut fds: Vec<PollFd> = Vec::new();
-    // What each pollfd past the fixed prefix refers to.
-    enum FdRef {
-        Conn(usize),
-        Link(usize),
-    }
-    let mut fd_refs: Vec<FdRef> = Vec::new();
-    let mut scratch = vec![0u8; READ_CHUNK];
-    let mut drain_deadline: Option<Instant> = None;
-
-    loop {
-        if st.shutdown_requested {
-            shared.shutting.store(true, Ordering::SeqCst);
-        }
-        let shutting = shared.shutting.load(Ordering::SeqCst);
-        if shutting {
-            listener = None;
-            if !st.shutdown_sent {
-                st.shutdown_sent = true;
-                forward_shutdown_to_shards(&mut st);
-            }
-        }
-
-        fds.clear();
-        fd_refs.clear();
-        fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
-        if let Some(l) = &listener {
-            fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
-        }
-        let base = fds.len();
-        for (i, c) in st.conns.iter().enumerate() {
-            let Some(c) = c else { continue };
-            let mut interest = 0i16;
-            if !c.read_closed && !c.dead {
-                interest |= POLLIN;
-            }
-            if c.write_pending() && !c.dead {
-                interest |= POLLOUT;
-            }
-            if interest != 0 {
-                fds.push(PollFd::new(c.stream.as_raw_fd(), interest));
-                fd_refs.push(FdRef::Conn(i));
-            }
-        }
-        for (i, l) in st.links.iter().enumerate() {
-            let Some(s) = &l.stream else { continue };
-            let mut interest = POLLIN;
-            if l.write_pending() {
-                interest |= POLLOUT;
-            }
-            fds.push(PollFd::new(s.as_raw_fd(), interest));
-            fd_refs.push(FdRef::Link(i));
-        }
-        let _ = poll(&mut fds, POLL_TIMEOUT_MS);
-        if fds[0].readable() {
-            drain_wakes(&mut wake_rx);
-        }
-
-        if let Some(l) = listener.as_ref() {
-            if fds[1].readable() {
-                accept_all(&mut st, l);
-            }
-        }
-
-        for (k, pfd) in fds.iter().enumerate().skip(base) {
-            match fd_refs[k - base] {
-                FdRef::Conn(slot) => {
-                    if pfd.readable() && st.conns[slot].is_some() {
-                        read_client(&mut st, shutting, slot, &mut scratch);
-                    }
-                }
-                FdRef::Link(idx) => {
-                    if pfd.writable() {
-                        flush_link(&mut st, shutting, idx);
-                    }
-                    if pfd.readable() {
-                        read_link(&mut st, shutting, idx, &mut scratch);
-                    }
-                }
-            }
-        }
-
-        // One flush per link per iteration: forwards accumulated across
-        // every client line read above go out in a single write, so a
-        // deep pipeline costs one syscall per chunk, not one per request.
-        for i in 0..st.links.len() {
-            if st.links[i].write_pending() {
-                flush_link(&mut st, shutting, i);
-            }
-        }
-
-        drain_completions(&mut st);
-        for c in st.conns.iter_mut().flatten() {
-            if !c.dead {
-                c.release_ready();
-                c.flush();
-            }
-        }
-
-        for i in 0..st.conns.len() {
-            let finished = match &st.conns[i] {
-                Some(c) => c.dead || (c.read_closed && c.outstanding == 0 && !c.write_pending()),
-                None => false,
-            };
-            if finished {
-                if let Some(c) = st.conns[i].take() {
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    st.conns_open = st.conns_open.saturating_sub(1);
-                }
-                st.free.push(i);
-            }
-        }
-
-        if shutting {
-            let deadline = *drain_deadline
-                .get_or_insert_with(|| Instant::now() + Duration::from_millis(FLUSH_BUDGET_MS));
-            let upstream_done = st
-                .links
-                .iter()
-                .all(|l| (l.inflight.is_empty() && l.queued.is_empty()) || !l.up);
-            let flushed = st
-                .conns
-                .iter()
-                .flatten()
-                .all(|c| c.pending.is_empty() && !c.write_pending());
-            if (upstream_done && flushed) || Instant::now() >= deadline {
-                break;
-            }
-        }
-    }
-
+    serve(listener, wake_rx, st.max_conns, st.pipeline_cap, &mut st);
     for l in &st.links {
         if let Some(s) = &l.stream {
             let _ = s.shutdown(Shutdown::Both);
         }
     }
-    for c in st.conns.iter().flatten() {
-        let _ = c.stream.shutdown(Shutdown::Both);
-    }
 }
 
-fn accept_all(st: &mut Loop, listener: &TcpListener) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(true);
-                let _ = stream.set_nodelay(true);
-                if st.conns_open as usize >= st.max_conns {
-                    st.conns_rejected += 1;
-                    refuse_connection(st.max_conns, stream);
-                    continue;
-                }
-                st.conns_total += 1;
-                st.conns_open += 1;
-                st.next_token += 1;
-                let slot = st.free.pop().unwrap_or(st.conns.len());
-                let conn = ClientConn::new(stream, st.next_token, slot);
-                if slot == st.conns.len() {
-                    st.conns.push(Some(conn));
-                } else {
-                    st.conns[slot] = Some(conn);
-                }
+/// The router's side of the connection core: it answers control verbs
+/// itself and forwards everything else.
+impl Handler for Loop {
+    fn line(&mut self, c: &mut Conn, to: ReplyTo, line: &str) {
+        handle_client_line(self, c, to, line);
+    }
+
+    fn rejected(&mut self, _rid: RequestId, _err: &SvcError) {
+        self.errors += 1;
+    }
+
+    fn opened(&mut self) {
+        self.conns_total += 1;
+        self.conns_open += 1;
+    }
+
+    fn closed(&mut self) {
+        self.conns_open = self.conns_open.saturating_sub(1);
+    }
+
+    fn refused(&mut self) {
+        self.conns_rejected += 1;
+    }
+
+    fn draining(&mut self) -> bool {
+        if self.shutdown_requested {
+            self.shared.shutting.store(true, Ordering::SeqCst);
+        }
+        self.shutting = self.shared.shutting.load(Ordering::SeqCst);
+        if self.shutting && !self.shutdown_sent {
+            self.shutdown_sent = true;
+            forward_shutdown_to_shards(self);
+        }
+        self.shutting
+    }
+
+    fn poll_extra(&mut self, fds: &mut Vec<PollFd>) {
+        self.link_fds.clear();
+        for (i, l) in self.links.iter().enumerate() {
+            let Some(s) = &l.stream else { continue };
+            let mut interest = POLLIN;
+            if l.out.pending() {
+                interest |= POLLOUT;
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return,
+            fds.push(PollFd::new(s.as_raw_fd(), interest));
+            self.link_fds.push(i);
         }
     }
-}
 
-fn refuse_connection(max_conns: usize, mut stream: TcpStream) {
-    let err = SvcError::new(
-        "too_many_connections",
-        format!("connection limit ({max_conns}) reached; retry later"),
-    );
-    let mut line = render_err(0, None, None, &err);
-    line.push('\n');
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-fn too_large() -> SvcError {
-    SvcError::new("too_large", "request line exceeds 1 MiB")
-}
-
-fn read_client(st: &mut Loop, shutting: bool, slot: usize, scratch: &mut [u8]) {
-    // The connection is taken out of the slab while its lines are
-    // handled, because handling may touch other loop state (links,
-    // assemblies). Completions for this conn go through its own entry.
-    let Some(mut c) = st.conns[slot].take() else {
-        return;
-    };
-    for _ in 0..READ_ROUNDS {
-        match c.stream.read(scratch) {
-            Ok(0) => {
-                c.read_closed = true;
-                break;
+    fn ready_extra(&mut self, fds: &[PollFd], scratch: &mut [u8]) {
+        for (k, pfd) in fds.iter().enumerate() {
+            let idx = self.link_fds[k];
+            if pfd.writable() {
+                flush_link(self, idx);
             }
-            Ok(n) => {
-                consume_client_bytes(st, shutting, &mut c, &scratch[..n]);
-                if c.dead {
-                    break;
-                }
+            if pfd.readable() {
+                read_link(self, idx, scratch);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                c.dead = true;
-                break;
+        }
+        // One flush per link per iteration: forwards accumulated across
+        // every client line read this iteration go out in a single write,
+        // so a deep pipeline costs one syscall per chunk, not one per
+        // request.
+        for i in 0..self.links.len() {
+            if self.links[i].out.pending() {
+                flush_link(self, i);
             }
         }
     }
-    if c.read_closed && !c.dead {
-        if c.discarding {
-            c.discarding = false;
-            c.read_buf.clear();
-            reject_unframed(st, &mut c, too_large());
-        } else if !c.read_buf.is_empty() {
-            let bytes = std::mem::take(&mut c.read_buf);
-            let text = String::from_utf8_lossy(&bytes).into_owned();
-            handle_client_line(st, shutting, &mut c, text.trim());
-        }
-    }
-    st.conns[slot] = Some(c);
-}
 
-fn consume_client_bytes(st: &mut Loop, shutting: bool, c: &mut ClientConn, mut bytes: &[u8]) {
-    while !bytes.is_empty() {
-        match bytes.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                let (head, rest) = bytes.split_at(pos);
-                bytes = &rest[1..];
-                if c.discarding {
-                    c.discarding = false;
-                    c.read_buf.clear();
-                    reject_unframed(st, c, too_large());
-                    continue;
-                }
-                if c.read_buf.len() + head.len() > MAX_LINE_BYTES {
-                    c.read_buf.clear();
-                    reject_unframed(st, c, too_large());
-                    continue;
-                }
-                if c.read_buf.is_empty() {
-                    // Whole line inside this read: hand the borrowed
-                    // bytes straight down, no copy into the stash.
-                    let text = String::from_utf8_lossy(head);
-                    handle_client_line(st, shutting, c, text.trim());
-                } else {
-                    c.read_buf.extend_from_slice(head);
-                    let buf = std::mem::take(&mut c.read_buf);
-                    let text = String::from_utf8_lossy(&buf);
-                    handle_client_line(st, shutting, c, text.trim());
-                }
-                if c.dead {
-                    return;
-                }
-            }
-            None => {
-                if c.discarding {
-                    return;
-                }
-                if c.read_buf.len() + bytes.len() > MAX_LINE_BYTES {
-                    c.read_buf.clear();
-                    c.discarding = true;
-                    return;
-                }
-                c.read_buf.extend_from_slice(bytes);
-                return;
-            }
-        }
+    fn completions(&mut self) -> Vec<Completion> {
+        std::mem::take(&mut self.completions)
+    }
+
+    /// Upstream work left on a dead link is abandoned, and everything is
+    /// cut off at the deadline.
+    fn drained(&self, flushed: bool, expired: bool) -> bool {
+        let upstream_done = self
+            .links
+            .iter()
+            .all(|l| (l.inflight.is_empty() && l.queued.is_empty()) || !l.up);
+        (upstream_done && flushed) || expired
     }
 }
 
-fn reject_unframed(st: &mut Loop, c: &mut ClientConn, err: SvcError) {
-    let (rid, ticket) = c.admit();
-    st.errors += 1;
-    c.complete(ticket, render_err(0, Some(rid), None, &err));
-}
-
-fn handle_client_line(st: &mut Loop, shutting: bool, c: &mut ClientConn, text: &str) {
-    if text.is_empty() {
-        return;
-    }
-    let (rid, ticket) = c.admit();
-    if c.outstanding > st.pipeline_cap {
-        st.errors += 1;
-        let err = SvcError::new(
-            "too_many_requests",
-            format!(
-                "connection has {} unanswered requests (pipeline cap {}); read responses before sending more",
-                c.outstanding - 1,
-                st.pipeline_cap
-            ),
-        );
-        c.complete(ticket, render_err(0, Some(rid), None, &err));
-        return;
-    }
+fn handle_client_line(st: &mut Loop, c: &mut Conn, to: ReplyTo, text: &str) {
+    let rid = to.rid;
     let req = match parse_request(text) {
         Ok(r) => r,
         Err(e) => {
             st.errors += 1;
-            c.complete(ticket, render_err(e.id, Some(rid), e.verb, &e.error));
+            c.complete(to, render_err(e.id, Some(rid), e.verb, &e.error));
             return;
         }
     };
+    let control = |result: String| render_ok(req.id, Some(rid), req.verb, false, &result);
     match req.verb {
-        Verb::Healthz => {
-            let result = render_router_healthz(st, shutting);
-            c.complete(
-                ticket,
-                render_ok(req.id, Some(rid), Verb::Healthz, false, &result),
-            );
-        }
-        Verb::Metrics => {
-            let result = render_router_stats(st);
-            c.complete(
-                ticket,
-                render_ok(req.id, Some(rid), Verb::Metrics, false, &result),
-            );
-        }
+        Verb::Healthz => c.complete(to, control(render_router_healthz(st))),
+        Verb::Metrics => c.complete(to, control(render_router_stats(st))),
         Verb::Stats => {
             let result = if matches!(req.payload, Payload::Stats { prometheus: true }) {
                 Obj::new()
@@ -834,10 +498,7 @@ fn handle_client_line(st: &mut Loop, shutting: bool, c: &mut ClientConn, text: &
             } else {
                 render_router_stats(st)
             };
-            c.complete(
-                ticket,
-                render_ok(req.id, Some(rid), Verb::Stats, false, &result),
-            );
+            c.complete(to, control(result));
         }
         Verb::Shutdown => {
             // The cluster drains as one unit: the router forwards the
@@ -853,45 +514,31 @@ fn handle_client_line(st: &mut Loop, shutting: bool, c: &mut ClientConn, text: &
                 .u64("queued", 0)
                 .u64("in_flight", in_flight as u64)
                 .finish();
-            c.complete(
-                ticket,
-                render_ok(req.id, Some(rid), Verb::Shutdown, false, &result),
-            );
+            c.complete(to, control(result));
             st.shutdown_requested = true;
         }
+        _ if st.shutting || st.shutdown_requested => {
+            st.errors += 1;
+            let err = SvcError::new(
+                "shutting_down",
+                "server is draining and accepts no new work",
+            );
+            c.complete(to, render_err(req.id, Some(rid), Some(req.verb), &err));
+        }
         Verb::Batch => {
-            if shutting || st.shutdown_requested {
-                reject_shutting(st, c, &req, rid, ticket);
-                return;
-            }
             let Payload::Batch(spec) = req.payload else {
                 unreachable!("batch request with non-batch payload");
             };
-            route_batch(st, c, text, req.id, spec.items, rid, ticket);
+            route_batch(st, c, text, req.id, spec.items, to);
         }
         Verb::Compile | Verb::Simulate | Verb::Stream | Verb::CachePut => {
-            if shutting || st.shutdown_requested {
-                reject_shutting(st, c, &req, rid, ticket);
-                return;
-            }
             let key = match &req.payload {
-                Payload::CachePut { key, .. } => {
-                    CacheKey::from_hex(key).expect("parse_request validated the hex key")
-                }
+                Payload::CachePut { key, .. } => *key,
                 _ => request_key(st.cfg_hash, &req).expect("work verbs always derive a key"),
             };
-            route_single(st, c, text, &req, key, rid, ticket);
+            route_single(st, c, text, &req, key, to);
         }
     }
-}
-
-fn reject_shutting(st: &mut Loop, c: &mut ClientConn, req: &Request, rid: RequestId, ticket: u64) {
-    st.errors += 1;
-    let err = SvcError::new(
-        "shutting_down",
-        "server is draining and accepts no new work",
-    );
-    c.complete(ticket, render_err(req.id, Some(rid), Some(req.verb), &err));
 }
 
 /// Picks the live shard owning `key`: the best-ranked rendezvous shard
@@ -939,9 +586,8 @@ fn try_connect(link: &mut ShardLink) -> bool {
             let _ = s.set_nodelay(true);
             link.stream = Some(s);
             link.up = true;
-            link.rbuf.clear();
-            link.wbuf.clear();
-            link.wpos = 0;
+            link.reader = LineReader::default();
+            link.out = WriteBuf::default();
             true
         }
         Err(_) => false,
@@ -949,8 +595,7 @@ fn try_connect(link: &mut ShardLink) -> bool {
 }
 
 /// Forwards one already-rendered line to shard `idx` and records what is
-/// in flight. Opportunistically flushes so single-request latency does
-/// not pay an extra poll round trip.
+/// in flight.
 fn forward_to(st: &mut Loop, idx: usize, line: &str, fwd: Forward) {
     let link = &mut st.links[idx];
     link.forwarded += 1;
@@ -961,7 +606,7 @@ fn forward_to(st: &mut Loop, idx: usize, line: &str, fwd: Forward) {
         link.queued.push_back((line.to_string(), fwd));
         return;
     }
-    link.push_line(line);
+    link.out.push_line(line);
     link.inflight.push_back(fwd);
     // No flush here: the loop flushes every link with pending bytes once
     // per iteration, batching pipelined forwards into one write.
@@ -980,22 +625,23 @@ fn pump_link_queue(st: &mut Loop, idx: usize) {
         let Some((line, fwd)) = link.queued.pop_front() else {
             break;
         };
-        link.push_line(&line);
+        link.out.push_line(&line);
         link.inflight.push_back(fwd);
     }
 }
 
 fn route_single(
     st: &mut Loop,
-    c: &mut ClientConn,
+    c: &mut Conn,
     text: &str,
     req: &Request,
     key: CacheKey,
-    rid: RequestId,
-    ticket: u64,
+    to: ReplyTo,
 ) {
     let Some(idx) = pick_shard(st, key) else {
-        answer_no_shards(st, c, req.id, Some(req.verb), rid, ticket);
+        st.errors += 1;
+        let line = render_err(req.id, Some(to.rid), Some(req.verb), &no_shards());
+        c.complete(to, line);
         return;
     };
     forward_to(
@@ -1003,10 +649,7 @@ fn route_single(
         idx,
         text,
         Forward::Single {
-            slot: c.slot,
-            token: c.token,
-            ticket,
-            rid,
+            to,
             id: req.id,
             verb: req.verb,
             key,
@@ -1015,53 +658,40 @@ fn route_single(
     );
 }
 
-fn answer_no_shards(
-    st: &mut Loop,
-    c: &mut ClientConn,
-    id: u64,
-    verb: Option<Verb>,
-    rid: RequestId,
-    ticket: u64,
-) {
-    st.errors += 1;
-    let err = SvcError::new(
+fn no_shards() -> SvcError {
+    SvcError::new(
         "no_shards",
         "no backend shard is reachable; check ICED_SVC_SHARDS and shard health",
-    );
-    c.complete(ticket, render_err(id, Some(rid), verb, &err));
+    )
 }
 
 fn route_batch(
     st: &mut Loop,
-    c: &mut ClientConn,
+    c: &mut Conn,
     text: &str,
     id: u64,
     slots: Vec<BatchSlot>,
-    rid: RequestId,
-    ticket: u64,
+    to: ReplyTo,
 ) {
-    if slots.is_empty() {
-        let result = render_batch_result(0, 0, &[]);
-        c.complete(
-            ticket,
-            render_ok(id, Some(rid), Verb::Batch, false, &result),
-        );
-        return;
-    }
-    let raw = split_items_raw(text);
+    let rid = to.rid;
+    // The same parser and duplicate-key rule as `parse_request`, so the
+    // raw items are exactly the ones the slots were parsed from.
+    let raw = Fields::read(text)
+        .and_then(|f| json::elements(f.get("items")?))
+        .unwrap_or_default();
     if raw.len() != slots.len() {
         // Cannot happen for JSON that just parsed; answer structurally
         // rather than panic on a hostile line.
         st.errors += 1;
         let err = SvcError::new("internal", "batch item framing mismatch");
-        c.complete(ticket, render_err(id, Some(rid), Some(Verb::Batch), &err));
+        c.complete(to, render_err(id, Some(rid), Some(Verb::Batch), &err));
         return;
     }
     let mut items: Vec<Option<String>> = vec![None; slots.len()];
-    // Group valid slots by owning shard, preserving slot order within
-    // each group (the shard answers its sub-batch in that order).
-    let mut groups: HashMap<usize, (Vec<usize>, Vec<String>, CacheKey)> = HashMap::new();
-    let mut group_order: Vec<usize> = Vec::new();
+    // Per shard: the slots it owns in slot order (it answers its
+    // sub-batch in that order), their raw items, and the first slot's key.
+    let mut groups: Vec<(Vec<usize>, Vec<&str>, Option<CacheKey>)> =
+        vec![Default::default(); st.links.len()];
     for (i, slot) in slots.iter().enumerate() {
         match slot {
             BatchSlot::Invalid { verb, error } => {
@@ -1070,77 +700,54 @@ fn route_batch(
             BatchSlot::Elem(elem) => {
                 let key = elem_key(st.cfg_hash, elem);
                 let Some(idx) = pick_shard(st, key) else {
-                    answer_no_shards(st, c, id, Some(Verb::Batch), rid, ticket);
+                    st.errors += 1;
+                    let line = render_err(id, Some(rid), Some(Verb::Batch), &no_shards());
+                    c.complete(to, line);
                     return;
                 };
-                let entry = groups.entry(idx).or_insert_with(|| {
-                    group_order.push(idx);
-                    (Vec::new(), Vec::new(), key)
-                });
-                entry.0.push(i);
-                entry.1.push(raw[i].clone());
+                let group = &mut groups[idx];
+                group.0.push(i);
+                group.1.push(raw[i]);
+                group.2.get_or_insert(key);
             }
         }
     }
-    if groups.is_empty() {
-        // Every slot was invalid: answer locally, exactly as a shard
-        // would (count = slots, nothing unique).
-        let rendered: Vec<String> = items.into_iter().map(Option::unwrap).collect();
-        let result = render_batch_result(rendered.len(), 0, &rendered);
-        c.complete(
-            ticket,
-            render_ok(id, Some(rid), Verb::Batch, false, &result),
-        );
-        return;
-    }
-    let asm_id = st.next_assembly;
-    st.next_assembly += 1;
-    let mut asm = Assembly {
-        slot: c.slot,
-        token: c.token,
-        ticket,
-        rid,
-        id,
-        items,
-        unique_sum: 0,
-        parts: Vec::new(),
-        parts_outstanding: group_order.len(),
-    };
-    // Build every part before forwarding any: forwarding can trigger a
-    // synchronous failover replay, which looks the assembly up by id.
-    let mut sends: Vec<(usize, usize, String)> = Vec::new();
-    for idx in &group_order {
-        let (slot_idxs, raws, first_key) = groups.remove(idx).expect("group exists");
+    // `forward_to` only queues, so parts may go out before the assembly
+    // they belong to is recorded.
+    let assembly = st.next_assembly;
+    let mut parts = Vec::new();
+    for (idx, (slot_idxs, raws, first_key)) in groups.into_iter().enumerate() {
+        let Some(first_key) = first_key else { continue };
         let line = format!(
             "{{\"id\":{id},\"verb\":\"batch\",\"items\":[{}]}}",
             raws.join(",")
         );
-        let part = asm.parts.len();
-        asm.parts.push(AsmPart {
-            line: line.clone(),
+        let part = parts.len();
+        forward_to(st, idx, &line, Forward::BatchPart { assembly, part });
+        parts.push(AsmPart {
+            line,
             slot_idxs,
             first_key,
-            done: false,
         });
-        sends.push((*idx, part, line));
     }
-    st.assemblies.insert(asm_id, asm);
-    for (idx, part, line) in sends {
-        // The replay path may already have answered (and removed) the
-        // assembly; later parts are then pointless.
-        if !st.assemblies.contains_key(&asm_id) {
-            break;
-        }
-        forward_to(
-            st,
-            idx,
-            &line,
-            Forward::BatchPart {
-                assembly: asm_id,
-                part,
-            },
-        );
+    if parts.is_empty() {
+        // Every slot was invalid: answer locally, exactly as a shard
+        // would (count = slots, nothing unique).
+        let rendered: Vec<String> = items.into_iter().map(Option::unwrap).collect();
+        let result = render_batch_result(rendered.len(), 0, &rendered);
+        c.complete(to, render_ok(id, Some(rid), Verb::Batch, false, &result));
+        return;
     }
+    st.next_assembly += 1;
+    let asm = Assembly {
+        to,
+        id,
+        items,
+        unique_sum: 0,
+        parts_outstanding: parts.len(),
+        parts,
+    };
+    st.assemblies.insert(assembly, asm);
 }
 
 /// Forwards `shutdown` once to every live shard so the cluster drains as
@@ -1153,118 +760,74 @@ fn forward_shutdown_to_shards(st: &mut Loop) {
     }
 }
 
-fn flush_link(st: &mut Loop, shutting: bool, idx: usize) {
+fn flush_link(st: &mut Loop, idx: usize) {
     let link = &mut st.links[idx];
-    let Some(stream) = link.stream.as_mut() else {
+    let Some(stream) = &link.stream else {
         return;
     };
-    let mut died = false;
-    while link.wpos < link.wbuf.len() {
-        match stream.write(&link.wbuf[link.wpos..]) {
-            Ok(0) => {
-                died = true;
-                break;
-            }
-            Ok(n) => link.wpos += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                died = true;
-                break;
-            }
-        }
-    }
-    if died {
-        shard_died(st, shutting, idx);
-        return;
-    }
-    let link = &mut st.links[idx];
-    if link.wpos == link.wbuf.len() {
-        link.wbuf.clear();
-        link.wpos = 0;
-    } else if link.wpos > WRITE_COMPACT_BYTES {
-        link.wbuf.drain(..link.wpos);
-        link.wpos = 0;
+    if !link.out.flush(stream) {
+        shard_died(st, idx);
     }
 }
 
-fn read_link(st: &mut Loop, shutting: bool, idx: usize, scratch: &mut [u8]) {
-    let mut died = false;
+fn read_link(st: &mut Loop, idx: usize, scratch: &mut [u8]) {
     for _ in 0..READ_ROUNDS {
-        let link = &mut st.links[idx];
-        let Some(stream) = link.stream.as_mut() else {
+        let Some(stream) = st.links[idx].stream.as_mut() else {
             return;
         };
         match stream.read(scratch) {
-            Ok(0) => {
-                died = true;
-                break;
-            }
-            Ok(n) => {
-                link.rbuf.extend_from_slice(&scratch[..n]);
-                drain_link_lines(st, shutting, idx);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Ok(n) if n > 0 => drain_link_lines(st, idx, &scratch[..n]),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                died = true;
-                break;
-            }
+            // EOF or a read error: the shard is gone.
+            _ => return shard_died(st, idx),
         }
-    }
-    if died {
-        shard_died(st, shutting, idx);
     }
 }
 
-/// Splits complete lines out of a link's read buffer and matches each to
-/// the front of the in-flight FIFO.
-fn drain_link_lines(st: &mut Loop, shutting: bool, idx: usize) {
-    // The buffer is taken out of the link so each line can be handled as
-    // a borrowed slice — no per-line Vec + String round trip. Handlers
-    // never touch this link's read buffer (a response only completes
-    // client state or forwards to *other* links), so the take is safe.
-    let mut rbuf = std::mem::take(&mut st.links[idx].rbuf);
-    let mut consumed = 0usize;
-    while let Some(pos) = rbuf[consumed..].iter().position(|&b| b == b'\n') {
-        let end = consumed + pos;
-        let line_cow = String::from_utf8_lossy(&rbuf[consumed..end]);
-        consumed = end + 1;
-        let line = line_cow.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Some(fwd) = st.links[idx].inflight.pop_front() else {
-            // An unsolicited line is a protocol violation; treat the
-            // link as poisoned. `shard_died` already cleared the link's
-            // (empty) buffer; the taken bytes are dropped with it.
-            shard_died(st, shutting, idx);
-            return;
+/// Frames freshly read link bytes into response lines and matches each
+/// to the front of the in-flight FIFO.
+fn drain_link_lines(st: &mut Loop, idx: usize, bytes: &[u8]) {
+    // The reader is taken out of the link so each line can be handled as
+    // a borrowed slice. Handlers never touch this link's reader (a
+    // response only completes client state or forwards to *other* links),
+    // so the take is safe. Responses are unbounded: a large batch answer
+    // may exceed the request line bound.
+    let mut reader = std::mem::take(&mut st.links[idx].reader);
+    let mut poisoned = false;
+    reader.feed(bytes, usize::MAX, |frame| {
+        let next = match frame {
+            Frame::Line(line) => st.links[idx].inflight.pop_front().map(|f| (f, line)),
+            Frame::TooLarge => None,
         };
-        handle_shard_response(st, shutting, idx, fwd, line);
+        let Some((fwd, line)) = next else {
+            // An unsolicited line is a protocol violation; treat the
+            // link as poisoned. The taken bytes are dropped with it.
+            shard_died(st, idx);
+            poisoned = true;
+            return false;
+        };
+        handle_shard_response(st, idx, fwd, line);
+        true
+    });
+    if !poisoned {
+        st.links[idx].reader = reader;
+        pump_link_queue(st, idx);
     }
-    rbuf.drain(..consumed);
-    st.links[idx].rbuf = rbuf;
-    pump_link_queue(st, idx);
 }
 
-fn handle_shard_response(st: &mut Loop, shutting: bool, idx: usize, fwd: Forward, line: &str) {
+fn handle_shard_response(st: &mut Loop, idx: usize, fwd: Forward, line: &str) {
     match fwd {
         Forward::Internal => {}
-        Forward::Single {
-            slot,
-            token,
-            ticket,
-            rid,
-            verb,
-            key,
-            ..
-        } => {
-            let rewritten = rewrite_req_token(line, rid);
-            if verb.cacheable() && line.contains("\"ok\":true") {
-                note_hot_hit(st, shutting, idx, key, line);
+        Forward::Single { to, verb, key, .. } => {
+            let env = Fields::read(line);
+            if let Some(env) = env.as_ref().filter(|e| e.is_true("ok")) {
+                if let (true, Some(result)) = (verb.cacheable(), env.get("result")) {
+                    note_hot_hit(st, idx, key, result);
+                }
             }
-            complete_client(st, slot, token, ticket, rewritten);
+            let line = rewrite_req_token(line, env.and_then(|e| e.span("req")), to.rid);
+            st.completions.push(Completion { to, line });
         }
         Forward::BatchPart { assembly, part } => {
             let Some(asm) = st.assemblies.get_mut(&assembly) else {
@@ -1272,43 +835,26 @@ fn handle_shard_response(st: &mut Loop, shutting: bool, idx: usize, fwd: Forward
                 // shard-level error); drop the straggler.
                 return;
             };
-            if !line.contains("\"ok\":true") {
+            let env = Fields::read(line);
+            let Some(env) = env.as_ref().filter(|e| e.is_true("ok")) else {
                 // Shard-level failure (queue_full/shutting_down/internal):
                 // the whole batch answers with it, preserving the
                 // client's whole-batch retry contract.
-                let asm = st.assemblies.remove(&assembly).expect("checked above");
-                let err = extract_error(line);
-                st.errors += 1;
-                complete_client(
-                    st,
-                    asm.slot,
-                    asm.token,
-                    asm.ticket,
-                    render_err(asm.id, Some(asm.rid), Some(Verb::Batch), &err),
-                );
+                fail_assembly(st, assembly, shard_error(env.as_ref()));
                 return;
-            }
-            let part_items = crate::client::split_results(line);
-            let part_unique = field_u64_after(line, "\"unique\":").unwrap_or(0) as usize;
-            if part_items.len() != asm.parts[part].slot_idxs.len() {
-                let asm = st.assemblies.remove(&assembly).expect("checked above");
-                st.errors += 1;
+            };
+            let answer = env.get("result").and_then(read_batch_result);
+            let Some((part_unique, part_items)) =
+                answer.filter(|(_, items)| items.len() == asm.parts[part].slot_idxs.len())
+            else {
                 let err = SvcError::new("internal", "shard answered a mis-sized batch part");
-                complete_client(
-                    st,
-                    asm.slot,
-                    asm.token,
-                    asm.ticket,
-                    render_err(asm.id, Some(asm.rid), Some(Verb::Batch), &err),
-                );
+                fail_assembly(st, assembly, err);
                 return;
+            };
+            for (&slot_idx, item) in asm.parts[part].slot_idxs.iter().zip(part_items) {
+                asm.items[slot_idx] = Some(item.to_string());
             }
-            for (k, item) in part_items.into_iter().enumerate() {
-                let slot_idx = asm.parts[part].slot_idxs[k];
-                asm.items[slot_idx] = Some(item);
-            }
-            asm.unique_sum += part_unique;
-            asm.parts[part].done = true;
+            asm.unique_sum += part_unique as usize;
             asm.parts_outstanding -= 1;
             if asm.parts_outstanding == 0 {
                 let asm = st.assemblies.remove(&assembly).expect("checked above");
@@ -1318,40 +864,26 @@ fn handle_shard_response(st: &mut Loop, shutting: bool, idx: usize, fwd: Forward
                     .map(|i| i.expect("every slot answered"))
                     .collect();
                 let result = render_batch_result(rendered.len(), asm.unique_sum, &rendered);
-                complete_client(
-                    st,
-                    asm.slot,
-                    asm.token,
-                    asm.ticket,
-                    render_ok(asm.id, Some(asm.rid), Verb::Batch, false, &result),
-                );
+                let line = render_ok(asm.id, Some(asm.to.rid), Verb::Batch, false, &result);
+                st.completions.push(Completion { to: asm.to, line });
             }
         }
     }
 }
 
-/// Routes a finished response line to its client connection. Parked in
-/// a side buffer because the target connection may be checked out of
-/// the slab (a synchronous failover replay triggered from its own read
-/// path); [`drain_completions`] delivers generation-checked.
-fn complete_client(st: &mut Loop, slot: usize, token: u64, ticket: u64, line: String) {
-    st.completions.push((slot, token, ticket, line));
+/// Answers a split batch with one error and forgets it; parts still in
+/// flight are dropped as stragglers.
+fn fail_assembly(st: &mut Loop, assembly: u64, err: SvcError) {
+    let asm = st.assemblies.remove(&assembly).expect("assembly is live");
+    st.errors += 1;
+    let line = render_err(asm.id, Some(asm.to.rid), Some(Verb::Batch), &err);
+    st.completions.push(Completion { to: asm.to, line });
 }
 
-fn drain_completions(st: &mut Loop) {
-    for (slot, token, ticket, line) in std::mem::take(&mut st.completions) {
-        if let Some(c) = st.conns.get_mut(slot).and_then(Option::as_mut) {
-            if c.token == token {
-                c.complete(ticket, line);
-            }
-        }
-    }
-}
-
-/// Counts a warm-able hit and replicates the rendered result to the
-/// key's successor shard once the threshold is crossed.
-fn note_hot_hit(st: &mut Loop, shutting: bool, owner_idx: usize, key: CacheKey, line: &str) {
-    if st.replicate_hot == 0 || shutting {
+/// Counts a warm-able hit and replicates the rendered `result` object to
+/// the key's successor shard once the threshold is crossed.
+fn note_hot_hit(st: &mut Loop, owner_idx: usize, key: CacheKey, result: &str) {
+    if st.replicate_hot == 0 || st.shutting {
         return;
     }
     if st.hot.len() >= HOT_TABLE_CAP {
@@ -1371,9 +903,6 @@ fn note_hot_hit(st: &mut Loop, shutting: bool, owner_idx: usize, key: CacheKey, 
     if entry.hits < st.replicate_hot || entry.replicated_to.is_some() {
         return;
     }
-    let Some(result) = extract_result_object(line) else {
-        return;
-    };
     // Successor: the best-ranked live shard other than the one that just
     // answered.
     let owner_id = st.shard_ids[owner_idx];
@@ -1388,7 +917,7 @@ fn note_hot_hit(st: &mut Loop, shutting: bool, owner_idx: usize, key: CacheKey, 
         .u64("id", 0)
         .str("verb", "cache_put")
         .str("key", &key.hex())
-        .str("value", &result)
+        .str("value", result)
         .finish();
     st.hot
         .get_mut(&key)
@@ -1400,16 +929,15 @@ fn note_hot_hit(st: &mut Loop, shutting: bool, owner_idx: usize, key: CacheKey, 
 
 /// Handles a shard death: marks the link down, replays its in-flight
 /// client work onto survivors, and drops its internal traffic.
-fn shard_died(st: &mut Loop, shutting: bool, idx: usize) {
+fn shard_died(st: &mut Loop, idx: usize) {
     let link = &mut st.links[idx];
     if let Some(s) = link.stream.take() {
         let _ = s.shutdown(Shutdown::Both);
     }
     let was_up = link.up;
     link.up = false;
-    link.rbuf.clear();
-    link.wbuf.clear();
-    link.wpos = 0;
+    link.reader = LineReader::default();
+    link.out = WriteBuf::default();
     link.last_probe = Some(Instant::now());
     let mut orphans: Vec<Forward> = link.inflight.drain(..).collect();
     orphans.extend(link.queued.drain(..).map(|(_, f)| f));
@@ -1423,7 +951,7 @@ fn shard_died(st: &mut Loop, shutting: bool, idx: usize) {
             entry.replicated_to = None;
         }
     }
-    if shutting {
+    if st.shutting {
         // Shards closing their sockets during a cluster drain is the
         // expected end of life, not a failover.
         return;
@@ -1435,10 +963,7 @@ fn shard_died(st: &mut Loop, shutting: bool, idx: usize) {
         match fwd {
             Forward::Internal => {}
             Forward::Single {
-                slot,
-                token,
-                ticket,
-                rid,
+                to,
                 id,
                 verb,
                 key,
@@ -1453,10 +978,7 @@ fn shard_died(st: &mut Loop, shutting: bool, idx: usize) {
                         new_idx,
                         &line.clone(),
                         Forward::Single {
-                            slot,
-                            token,
-                            ticket,
-                            rid,
+                            to,
                             id,
                             verb,
                             key,
@@ -1465,17 +987,8 @@ fn shard_died(st: &mut Loop, shutting: bool, idx: usize) {
                     ),
                     None => {
                         st.errors += 1;
-                        let err = SvcError::new(
-                            "no_shards",
-                            "no backend shard is reachable; check ICED_SVC_SHARDS and shard health",
-                        );
-                        complete_client(
-                            st,
-                            slot,
-                            token,
-                            ticket,
-                            render_err(id, Some(rid), Some(verb), &err),
-                        );
+                        let line = render_err(id, Some(to.rid), Some(verb), &no_shards());
+                        st.completions.push(Completion { to, line });
                     }
                 }
             }
@@ -1489,211 +1002,54 @@ fn shard_died(st: &mut Loop, shutting: bool, idx: usize) {
                     Some(new_idx) => {
                         forward_to(st, new_idx, &line, Forward::BatchPart { assembly, part })
                     }
-                    None => {
-                        let asm = st.assemblies.remove(&assembly).expect("checked above");
-                        st.errors += 1;
-                        let err = SvcError::new(
-                            "no_shards",
-                            "no backend shard is reachable; check ICED_SVC_SHARDS and shard health",
-                        );
-                        complete_client(
-                            st,
-                            asm.slot,
-                            asm.token,
-                            asm.ticket,
-                            render_err(asm.id, Some(asm.rid), Some(Verb::Batch), &err),
-                        );
-                    }
+                    None => fail_assembly(st, assembly, no_shards()),
                 }
             }
         }
     }
 }
 
-/// Replaces the shard's `"req":"cX-Y"` token with the router's own.
-/// Everything else — including the `cached` flag and result bytes — is
-/// passed through verbatim, which is what makes router responses
-/// byte-identical to single-daemon responses after `req` normalization.
-fn rewrite_req_token(line: &str, rid: RequestId) -> String {
-    let Some(start) = line.find("\"req\":\"") else {
+/// Replaces the shard's top-level `"req"` token (the value at `span`)
+/// with the router's own. Everything else — including the `cached` flag
+/// and result bytes — is passed through verbatim, which is what makes
+/// router responses byte-identical to single-daemon responses after
+/// `req` normalization.
+fn rewrite_req_token(line: &str, span: Option<std::ops::Range<usize>>, rid: RequestId) -> String {
+    let Some(span) = span else {
         return line.to_string();
     };
-    let vstart = start + "\"req\":\"".len();
-    let Some(vlen) = line[vstart..].find('"') else {
-        return line.to_string();
-    };
-    let mut out = String::with_capacity(line.len() + 8);
-    out.push_str(&line[..vstart]);
-    out.push_str(&rid.token());
-    out.push_str(&line[vstart + vlen..]);
+    let token = rid.token();
+    let mut out = String::with_capacity(line.len() + token.len());
+    out.push_str(&line[..span.start]);
+    out.push('"');
+    out.push_str(&token);
+    out.push('"');
+    out.push_str(&line[span.end..]);
     out
-}
-
-/// Extracts the rendered result object from a success envelope: the
-/// bytes between `"result":` and the envelope's closing brace (`result`
-/// is always the last envelope field).
-fn extract_result_object(line: &str) -> Option<String> {
-    let start = line.find(",\"result\":")? + ",\"result\":".len();
-    if line.ends_with('}') && start < line.len() {
-        Some(line[start..line.len() - 1].to_string())
-    } else {
-        None
-    }
 }
 
 /// Recovers a structured error from a shard's error envelope (best
 /// effort: unknown shapes degrade to `internal`).
-fn extract_error(line: &str) -> SvcError {
-    let code: &'static str = if line.contains("\"code\":\"queue_full\"") {
-        "queue_full"
-    } else if line.contains("\"code\":\"shutting_down\"") {
-        "shutting_down"
-    } else {
-        "internal"
+fn shard_error(env: Option<&Fields<'_>>) -> SvcError {
+    let error = env.and_then(|e| Fields::read(e.get("error")?));
+    let text = |key| Some(error.as_ref()?.value(key)?.as_str()?.to_string());
+    let code: &'static str = match text("code").as_deref() {
+        Some("queue_full") => "queue_full",
+        Some("shutting_down") => "shutting_down",
+        _ => "internal",
     };
-    let message = line
-        .find("\"message\":\"")
-        .and_then(|i| {
-            let s = i + "\"message\":\"".len();
-            line[s..].find('"').map(|e| line[s..s + e].to_string())
-        })
-        .unwrap_or_else(|| "shard error".to_string());
-    SvcError::new(code, message)
+    SvcError::new(
+        code,
+        text("message").unwrap_or_else(|| "shard error".into()),
+    )
 }
 
-/// Reads the integer after `marker` (e.g. `"unique":`), stopping at the
-/// first non-digit.
-fn field_u64_after(line: &str, marker: &str) -> Option<u64> {
-    let start = line.find(marker)? + marker.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Splits the raw text of a batch request's top-level `items` array into
-/// one string per element (objects, arrays, and scalars alike), so valid
-/// slots forward byte-identically and the element count always matches
-/// what `parse_request` saw. String-aware: an `"items":[` appearing
-/// inside a string (say, an inline DFG) is never mistaken for the array.
-fn split_items_raw(line: &str) -> Vec<String> {
-    let Some(body_start) = find_items_array(line) else {
-        return Vec::new();
-    };
-    let body = &line[body_start..];
-    let mut items = Vec::new();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut elem_start: Option<usize> = None;
-    for (i, ch) in body.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        if in_str {
-            match ch {
-                '\\' => escaped = true,
-                '"' => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match ch {
-            '"' => {
-                in_str = true;
-                if elem_start.is_none() {
-                    elem_start = Some(i);
-                }
-            }
-            '{' | '[' => {
-                if elem_start.is_none() {
-                    elem_start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => depth = depth.saturating_sub(1),
-            ']' => {
-                if depth == 0 {
-                    if let Some(s) = elem_start.take() {
-                        items.push(body[s..i].trim_end().to_string());
-                    }
-                    break;
-                }
-                depth -= 1;
-            }
-            ',' if depth == 0 => {
-                if let Some(s) = elem_start.take() {
-                    items.push(body[s..i].trim_end().to_string());
-                }
-            }
-            c if !c.is_whitespace() && elem_start.is_none() => {
-                elem_start = Some(i);
-            }
-            _ => {}
-        }
-    }
-    items
-}
-
-/// Finds the byte offset just past `[` of the request's top-level
-/// `"items"` key, tracking strings and nesting so payload content cannot
-/// spoof it.
-fn find_items_array(line: &str) -> Option<usize> {
-    let b = line.as_bytes();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut str_start = 0usize;
-    let mut last_string: Option<(usize, usize)> = None;
-    let mut i = 0;
-    while i < b.len() {
-        let c = b[i];
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == b'\\' {
-                escaped = true;
-            } else if c == b'"' {
-                in_str = false;
-                last_string = Some((str_start, i));
-            }
-        } else {
-            match c {
-                b'"' => {
-                    in_str = true;
-                    str_start = i + 1;
-                }
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' => depth -= 1,
-                b':' if depth == 1 => {
-                    if let Some((s, e)) = last_string {
-                        if &line[s..e] == "items" {
-                            let mut j = i + 1;
-                            while j < b.len() && b[j].is_ascii_whitespace() {
-                                j += 1;
-                            }
-                            if j < b.len() && b[j] == b'[' {
-                                return Some(j + 1);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-fn render_router_healthz(st: &Loop, shutting: bool) -> String {
+fn render_router_healthz(st: &Loop) -> String {
     let shards_up = st.links.iter().filter(|l| l.up).count();
     Obj::new()
         .str("status", "ok")
         .str("role", "router")
-        .str("state", if shutting { "draining" } else { "running" })
+        .str("state", if st.shutting { "draining" } else { "running" })
         .str("version", env!("CARGO_PKG_VERSION"))
         .u64("uptime_s", st.started.elapsed().as_secs())
         .u64("uptime_ms", st.started.elapsed().as_millis() as u64)
@@ -1801,68 +1157,36 @@ mod tests {
     #[test]
     fn req_token_rewriting_touches_only_the_envelope_token() {
         let rid = RequestId { conn: 9, seq: 4 };
-        let line = r#"{"id":5,"req":"c3-7","ok":true,"verb":"compile","cached":true,"result":{"note":"req stays \"c3-7\" in payload"}}"#;
-        let out = rewrite_req_token(line, rid);
+        let line = r#"{"id":5,"req":"c3-7","ok":true,"verb":"compile","cached":true,"result":{"note":"req stays \"c3-7\" in payload","req":"c3-7"}}"#;
+        let span = Fields::read(line).and_then(|f| f.span("req"));
         assert_eq!(
-            out,
-            r#"{"id":5,"req":"c9-4","ok":true,"verb":"compile","cached":true,"result":{"note":"req stays \"c3-7\" in payload"}}"#
+            rewrite_req_token(line, span, rid),
+            r#"{"id":5,"req":"c9-4","ok":true,"verb":"compile","cached":true,"result":{"note":"req stays \"c3-7\" in payload","req":"c3-7"}}"#
         );
         // No req field: passthrough.
         let plain = r#"{"id":5,"ok":true}"#;
-        assert_eq!(rewrite_req_token(plain, rid), plain);
-    }
-
-    #[test]
-    fn raw_item_splitting_matches_parsed_slot_counts() {
-        let line = r#"{"id":9,"verb":"batch","items":[{"verb":"compile","kernel":"fir"},7,"x",{"verb":"simulate","kernel":"fir","iterations":10},[1,2],{"verb":"compile","dfg":"dfg t\nnode n0 add a\nhas ] and , and \" inside"}]}"#;
-        let items = split_items_raw(line);
-        assert_eq!(items.len(), 6, "{items:?}");
-        assert_eq!(items[0], r#"{"verb":"compile","kernel":"fir"}"#);
-        assert_eq!(items[1], "7");
-        assert_eq!(items[2], "\"x\"");
-        assert_eq!(items[4], "[1,2]");
-        assert!(items[5].contains("has ] and , and"));
-    }
-
-    #[test]
-    fn items_key_inside_a_string_is_not_the_array() {
-        let line = r#"{"id":1,"verb":"batch","note":"\"items\":[fake]","items":[{"a":1}]}"#;
-        let items = split_items_raw(line);
-        assert_eq!(items, vec![r#"{"a":1}"#.to_string()]);
-        assert!(split_items_raw(r#"{"verb":"healthz"}"#).is_empty());
-        assert!(split_items_raw(r#"{"verb":"batch","items":[]}"#).is_empty());
-    }
-
-    #[test]
-    fn result_object_extraction_takes_the_tail_field() {
-        let line = r#"{"id":5,"req":"c1-1","ok":true,"verb":"compile","cached":false,"result":{"ii":2,"nested":{"a":[1,2]}}}"#;
-        assert_eq!(
-            extract_result_object(line).as_deref(),
-            Some(r#"{"ii":2,"nested":{"a":[1,2]}}"#)
-        );
-        assert_eq!(extract_result_object(r#"{"ok":false}"#), None);
+        let span = Fields::read(plain).and_then(|f| f.span("req"));
+        assert_eq!(rewrite_req_token(plain, span, rid), plain);
     }
 
     #[test]
     fn shard_error_recovery_preserves_the_retry_contract() {
-        let e = extract_error(
+        let read = |line| shard_error(Fields::read(line).as_ref());
+        let e = read(
             r#"{"id":1,"ok":false,"verb":"batch","error":{"code":"queue_full","message":"request queue at capacity (64); retry later","entity":"batch"}}"#,
         );
         assert_eq!(e.code, "queue_full");
-        assert!(e.message.contains("capacity"));
-        let e =
-            extract_error(r#"{"id":1,"ok":false,"error":{"code":"shutting_down","message":"x"}}"#);
+        assert_eq!(e.message, "request queue at capacity (64); retry later");
+        let e = read(r#"{"id":1,"ok":false,"error":{"code":"shutting_down","message":"x"}}"#);
         assert_eq!(e.code, "shutting_down");
-        let e = extract_error("garbage");
+        // A code that only appears inside the message is not the code.
+        let e = read(
+            r#"{"ok":false,"error":{"code":"bad_request","message":"\"code\":\"queue_full\""}}"#,
+        );
         assert_eq!(e.code, "internal");
-    }
-
-    #[test]
-    fn unique_field_parsing_reads_the_envelope_header() {
-        let line = r#"{"id":9,"ok":true,"verb":"batch","cached":false,"result":{"count":6,"unique":2,"deduped":4,"results":[]}}"#;
-        assert_eq!(field_u64_after(line, "\"unique\":"), Some(2));
-        assert_eq!(field_u64_after(line, "\"count\":"), Some(6));
-        assert_eq!(field_u64_after(line, "\"missing\":"), None);
+        assert_eq!(e.message, r#""code":"queue_full""#);
+        let e = read("garbage");
+        assert_eq!(e.code, "internal");
     }
 
     #[test]

@@ -59,6 +59,7 @@ use iced_hash::StableHasher;
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::chaos::ChaosInjector;
+use crate::conn::{Completion, ReplyTo};
 use crate::log::{EventLog, Level};
 use crate::metrics::Metrics;
 use crate::poll::Waker;
@@ -105,7 +106,9 @@ pub struct ServiceConfig {
     pub cgra: CgraConfig,
 }
 
-fn env_usize(key: &str, default: usize, lo: usize, hi: usize) -> usize {
+/// Reads a clamped `usize` setting, falling back to `default` when the
+/// variable is unset or not a number.
+pub(crate) fn env_usize(key: &str, default: usize, lo: usize, hi: usize) -> usize {
     std::env::var(key)
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -186,10 +189,8 @@ pub(crate) enum JobKind {
 /// connection slot, its generation token, and the response-order ticket.
 pub(crate) struct Job {
     pub(crate) kind: JobKind,
-    pub(crate) rid: RequestId,
-    pub(crate) slot: usize,
-    pub(crate) token: u64,
-    pub(crate) ticket: u64,
+    /// Where the response goes.
+    pub(crate) to: ReplyTo,
     pub(crate) accepted_at: Instant,
 }
 
@@ -207,15 +208,6 @@ impl Job {
             JobKind::Batch { id, .. } => *id,
         }
     }
-}
-
-/// A finished response line, handed from a worker back to the reactor.
-pub(crate) struct Completion {
-    pub(crate) slot: usize,
-    pub(crate) token: u64,
-    pub(crate) ticket: u64,
-    pub(crate) rid: RequestId,
-    pub(crate) line: String,
 }
 
 /// State shared by the reactor and the workers.
@@ -438,7 +430,7 @@ fn worker_loop(shared: &Shared) {
         shared.in_flight.fetch_add(1, Ordering::SeqCst);
         let verb = job.verb();
         let id = job.id();
-        let rid = job.rid;
+        let rid = job.to.rid;
         let queue_wait = job.accepted_at.elapsed();
         let _flight = shared.metrics.flight(verb);
         // Everything the worker does for this request — including mapper
@@ -535,10 +527,7 @@ fn worker_loop(shared: &Shared) {
         shared.metrics.observe(verb, job.accepted_at.elapsed());
         shared.metrics.observe_split(verb, queue_wait, service_time);
         shared.push_completion(Completion {
-            slot: job.slot,
-            token: job.token,
-            ticket: job.ticket,
-            rid,
+            to: job.to,
             line: response,
         });
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);

@@ -10,6 +10,7 @@ use std::time::Duration;
 use iced::arch::{CgraConfig, IslandId};
 use iced::fault::FaultPlan;
 use iced_hash::{rendezvous_rank, shard_id};
+use iced_service::json::Obj;
 use iced_service::proto::parse_request;
 use iced_service::{request_key, Router, RouterConfig, Server, ServiceConfig};
 
@@ -82,6 +83,34 @@ fn strip_req(line: &str) -> String {
     format!("{}{}", &line[..start], &line[end..])
 }
 
+/// Envelope text planted in DFG names and labels: a response that echoes
+/// them must still be read by structure, never by substring.
+const ENVELOPE_BAIT: &str =
+    r#""req":"c9-9","ok":true,"code":"queue_full","items":[{"unique":7}],"results":[] , \""#;
+
+/// An inline DFG whose name and labels carry [`ENVELOPE_BAIT`]: a chain
+/// of `adds` add nodes between a load and a store, so each length is a
+/// distinct graph with its own cache key.
+fn bait_dfg(adds: usize) -> String {
+    // The text format escapes backslashes in names and labels.
+    let bait = ENVELOPE_BAIT.replace('\\', "\\\\");
+    let mut text = format!("dfg {bait}\nnode n0 ld {bait}\n");
+    for i in 1..=adds {
+        text.push_str(&format!("node n{i} add {bait} {i}\nedge n{} n{i}\n", i - 1));
+    }
+    let last = adds + 1;
+    text.push_str(&format!("node n{last} st {bait}\nedge n{adds} n{last}\n"));
+    text
+}
+
+/// A compile spec (no id) for [`bait_dfg`].
+fn bait_compile(adds: usize) -> String {
+    Obj::new()
+        .str("verb", "compile")
+        .str("dfg", &bait_dfg(adds))
+        .finish()
+}
+
 /// Every request verb, cold then warm, answered byte-identically by a
 /// 2-shard cluster and a standalone daemon.
 #[test]
@@ -90,15 +119,20 @@ fn router_matches_single_daemon_byte_for_byte() {
     let (shards, addrs) = start_shards(2);
     let router = start_router(addrs, 0);
 
-    let requests = [
+    let mut requests: Vec<String> = [
         r#"{"id":1,"verb":"compile","kernel":"fir"}"#,
         r#"{"id":2,"verb":"compile","kernel":"fft","unroll":2,"strategy":"baseline"}"#,
         r#"{"id":3,"verb":"simulate","kernel":"fir","iterations":1000,"seed":3}"#,
         r#"{"id":4,"verb":"stream","pipeline":"gcn","policy":"iced","inputs":20,"seed":5}"#,
-    ];
+    ]
+    .map(String::from)
+    .into();
+    // Results that echo envelope text in the kernel name.
+    requests.push(bait_compile(1).replacen('{', r#"{"id":5,"#, 1));
+    requests.push(bait_compile(2).replacen('{', r#"{"id":6,"#, 1));
     let mut a = Client::connect(single.local_addr());
     let mut b = Client::connect(router.local_addr());
-    for req in requests {
+    for req in &requests {
         // Cold, then warm: the replay must be byte-identical too, with
         // the warm `"cached":true` marker preserved through the router.
         for pass in 0..2 {
@@ -131,7 +165,7 @@ fn router_matches_single_daemon_byte_for_byte() {
 fn split_batches_reassemble_byte_identically() {
     let single = Server::start(ServiceConfig::default()).expect("bind single");
     let (shards, addrs) = start_shards(3);
-    let router = start_router(addrs, 0);
+    let router = start_router(addrs.clone(), 0);
 
     let batch = concat!(
         r#"{"id":7,"verb":"batch","items":["#,
@@ -156,6 +190,56 @@ fn split_batches_reassemble_byte_identically() {
         );
         assert!(routed.contains("\"count\":6"), "all slots answered");
     }
+
+    // Inline DFGs whose names and labels carry envelope text, split over
+    // at least two shards: items are forwarded and answers reassembled
+    // by structure. Chain lengths are picked until two owners appear
+    // (shard ids hash the ephemeral shard addresses).
+    let cfg = CgraConfig::iced_prototype().canonical_hash();
+    let ids: Vec<u64> = addrs.iter().map(|a| shard_id(a)).collect();
+    let owner = |spec: &str| {
+        let req = parse_request(spec).expect("valid spec");
+        let key = request_key(cfg, &req).expect("compile has a cache key");
+        rendezvous_rank(key.0, key.1, &ids)[0]
+    };
+    let mut specs: Vec<String> = Vec::new();
+    let mut owners: Vec<usize> = Vec::new();
+    for adds in 1.. {
+        let spec = bait_compile(adds);
+        owners.push(owner(&spec));
+        specs.push(spec);
+        if specs.len() >= 3 && owners.iter().any(|&o| o != owners[0]) {
+            break;
+        }
+    }
+    let bait_batch = format!(
+        r#"{{"id":9,"verb":"batch","items":[{},{{"verb":"compile","kernel":"fir"}}]}}"#,
+        specs.join(",")
+    );
+    for pass in 0..2 {
+        let lone = a.round_trip(&bait_batch);
+        let routed = b.round_trip(&bait_batch);
+        assert!(lone.contains("\"ok\":true"), "bait batch: {lone}");
+        assert_eq!(
+            strip_req(&lone),
+            strip_req(&routed),
+            "bait batch pass {pass} diverged"
+        );
+    }
+
+    // A repeated top-level key: the JSON parser keeps the last `items`,
+    // so the router must forward the items it routed by, not the first.
+    let duplicate = concat!(
+        r#"{"id":10,"verb":"batch","items":[{"verb":"compile","kernel":"fir"}],"#,
+        r#""items":[{"verb":"compile","kernel":"fft"}]}"#
+    );
+    let lone = a.round_trip(duplicate);
+    assert!(
+        lone.contains("\"kernel\":\"fft\""),
+        "last items win: {lone}"
+    );
+    assert_eq!(strip_req(&lone), strip_req(&b.round_trip(duplicate)));
+
     // The empty batch short-circuits locally; it must still match.
     let empty = r#"{"id":8,"verb":"batch","items":[]}"#;
     assert_eq!(

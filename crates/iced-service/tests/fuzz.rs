@@ -1,9 +1,11 @@
 //! Parser fuzzing: the protocol layer must never panic, whatever bytes
 //! arrive. Valid requests are mutated (bit flips, truncations, splices)
 //! and raw byte soup is thrown at both the JSON parser and the request
-//! parser; every rejection must itself render as well-formed JSON.
+//! parser; every rejection must itself render as well-formed JSON. The
+//! span reader the router and client read envelopes with must agree with
+//! the parser on every input.
 
-use iced_service::json;
+use iced_service::json::{self, Layout, Value};
 use iced_service::proto::{parse_request, render_err};
 use proptest::prelude::*;
 
@@ -72,6 +74,58 @@ fn assert_total(line: &str) {
     }
 }
 
+/// The span reader and the JSON parser agree on `line`: one accepts it
+/// exactly when the other does, and every top-level span re-parses to the
+/// value the parser holds there — including for repeated keys, where both
+/// keep the last.
+fn assert_layout_agrees(line: &str) {
+    let parsed = json::parse(line);
+    let layout = json::layout(line);
+    assert_eq!(
+        parsed.is_ok(),
+        layout.is_ok(),
+        "accept/reject differs on {line:?}"
+    );
+    let (Ok(value), Ok(layout)) = (parsed, layout) else {
+        return;
+    };
+    let reparse = |span: &std::ops::Range<usize>| {
+        json::parse(&line[span.clone()]).expect("every span re-parses")
+    };
+    match (&value, &layout) {
+        (Value::Obj(fields), Layout::Obj(spans)) => {
+            assert!(fields.keys().eq(spans.keys()), "keys differ on {line:?}");
+            for (key, span) in spans {
+                assert_eq!(Some(&reparse(span)), value.get(key), "{key} in {line:?}");
+            }
+        }
+        (Value::Arr(items), Layout::Arr(spans)) => {
+            assert_eq!(items.len(), spans.len(), "element count on {line:?}");
+            for (item, span) in items.iter().zip(spans) {
+                assert_eq!(&reparse(span), item, "element in {line:?}");
+            }
+        }
+        (Value::Obj(_) | Value::Arr(_), _) | (_, Layout::Obj(_) | Layout::Arr(_)) => {
+            panic!("shape differs on {line:?}: {layout:?}")
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn span_reader_keeps_the_last_duplicate_key_like_the_parser() {
+    let line = r#"{"items":[1],"x":{"items":[]},"items":[2,3]}"#;
+    assert_layout_agrees(line);
+    let fields = json::Fields::read(line).expect("an object");
+    assert_eq!(fields.get("items"), Some("[2,3]"));
+    assert_eq!(json::elements("[2,3]"), Some(vec!["2", "3"]));
+    let deep = "[".repeat(40) + &"]".repeat(40);
+    assert!(
+        json::layout(&deep).is_err(),
+        "same depth bound as the parser"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -81,6 +135,7 @@ proptest! {
         mutate(&mut bytes, seed);
         let line = String::from_utf8_lossy(&bytes).into_owned();
         assert_total(&line);
+        assert_layout_agrees(&line);
     }
 
     #[test]
@@ -89,6 +144,27 @@ proptest! {
         let bytes: Vec<u8> = (0..len).map(|_| (next(&mut s) % 256) as u8).collect();
         let line = String::from_utf8_lossy(&bytes).into_owned();
         assert_total(&line);
+        assert_layout_agrees(&line);
+    }
+
+    #[test]
+    fn span_reader_accepts_exactly_what_the_parser_accepts(t in 0usize..8, seed in any::<u64>()) {
+        // JSON-shaped soup: structural bytes and a few keys, so objects,
+        // arrays, nesting and repeated keys all turn up.
+        const ALPHABET: [&str; 16] = [
+            "{", "}", "[", "]", ",", ":", "\"a\"", "\"b\"", "1", "-2.5e3", "true", "null",
+            " ", "\"\\\"x\"", "\"items\"", "\"\\u00e9\"",
+        ];
+        let mut s = seed | 1;
+        let soup: String = (0..next(&mut s) % 48)
+            .map(|_| ALPHABET[(next(&mut s) % 16) as usize])
+            .collect();
+        assert_layout_agrees(&soup);
+        // And a valid template with a mutated tail spliced back in.
+        let mut bytes = TEMPLATES[t].as_bytes().to_vec();
+        mutate(&mut bytes, seed);
+        let line = format!("[{},{}]", TEMPLATES[t], String::from_utf8_lossy(&bytes));
+        assert_layout_agrees(&line);
     }
 
     #[test]
