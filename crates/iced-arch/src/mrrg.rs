@@ -25,7 +25,7 @@ use crate::error::ArchError;
 use crate::tile::{Dir, TileId};
 
 /// Occupancy state of a CGRA's resources over one modulo period.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mrrg {
     ii: u32,
     tiles: usize,

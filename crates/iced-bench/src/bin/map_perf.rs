@@ -1,9 +1,11 @@
 //! Mapper performance benchmark: maps the 10-kernel standalone suite
 //! (baseline + DVFS-aware) at several portfolio thread counts and emits
 //! `BENCH_mapper.json` — per-kernel wall time, `ii_attempts` and
-//! `dijkstra_expansions` — so the mapper's speed trajectory is tracked
-//! across PRs. Every parallel mapping is checked bit-identical against the
-//! serial reference; the process exits non-zero on divergence.
+//! `dijkstra_expansions`, plus per-run totals of the router's search
+//! passes and of the expansions spent on routes that failed — so the
+//! mapper's speed trajectory is tracked across PRs. Every parallel mapping
+//! is checked bit-identical against the serial reference; the process
+//! exits non-zero on divergence.
 //!
 //! ```sh
 //! cargo run --release -p iced-bench --bin map_perf -- [--quick] [--out PATH]
@@ -33,6 +35,8 @@ struct RunRow {
     mode: &'static str,
     threads: usize,
     kernels: Vec<KernelRow>,
+    failed_route_expansions: u64,
+    route_passes: u64,
 }
 
 fn mode_opts(mode: &str) -> MapperOptions {
@@ -51,6 +55,8 @@ fn bench_run(
 ) -> (RunRow, Vec<Mapping>) {
     let mut kernels = Vec::new();
     let mut mappings = Vec::new();
+    let failed_before = collector.counter_total(Phase::Router, "failed_route_expansions");
+    let passes_before = collector.counter_total(Phase::Router, "route_passes");
     for (i, kernel) in Kernel::STANDALONE.iter().enumerate() {
         let dfg = kernel.dfg(UnrollFactor::X1);
         let opts = MapperOptions {
@@ -85,6 +91,10 @@ fn bench_run(
             mode,
             threads,
             kernels,
+            failed_route_expansions: collector
+                .counter_total(Phase::Router, "failed_route_expansions")
+                - failed_before,
+            route_passes: collector.counter_total(Phase::Router, "route_passes") - passes_before,
         },
         mappings,
     )
@@ -106,8 +116,9 @@ fn emit_json(runs: &[RunRow], thread_counts: &[usize]) -> String {
         let _ = writeln!(
             out,
             "    {{\"mode\": \"{}\", \"threads\": {}, \"total_wall_us\": {}, \
-             \"total_dijkstra_expansions\": {}, \"kernels\": [",
-            run.mode, run.threads, wall, exp
+             \"total_dijkstra_expansions\": {}, \"failed_route_expansions\": {}, \
+             \"route_passes\": {}, \"kernels\": [",
+            run.mode, run.threads, wall, exp, run.failed_route_expansions, run.route_passes
         );
         for (j, k) in run.kernels.iter().enumerate() {
             let _ = writeln!(

@@ -20,7 +20,7 @@
 use iced_arch::{CgraConfig, Dir, DvfsLevel, Mrrg, TileId};
 use iced_dfg::{Dfg, NodeId};
 use iced_fault::FaultMask;
-use iced_mapper::engine_internals::{route, FoundRoute, RouterScratch, Txn};
+use iced_mapper::engine_internals::{in_route_horizon, route, FoundRoute, RouterScratch, Txn};
 use iced_mapper::{Hop, MapError, Mapping, Placement, Route};
 use iced_trace::Phase;
 
@@ -266,10 +266,7 @@ impl<'a> Search<'a> {
                 };
                 has_placed_pred = true;
                 let ready = p.ready();
-                let horizon = ready
-                    + 4 * self.cfg.manhattan(p.tile, tile) as u64
-                    + 6 * u64::from(self.ii)
-                    + 32;
+                let horizon = in_route_horizon(self.cfg, p.tile, ready, tile, self.ii);
                 let Some(found) = route(
                     self.cfg,
                     &mut self.mrrg,

@@ -28,7 +28,7 @@ use iced_trace::Phase;
 use crate::error::MapError;
 use crate::labeling::label_dvfs_levels;
 use crate::mapping::{Mapping, Placement, Route};
-use crate::router::{route, RouterScratch, Txn};
+use crate::router::{in_route_horizon, route, RouterScratch, Txn};
 
 /// Options controlling the mapping engine.
 #[derive(Debug, Clone)]
@@ -973,8 +973,7 @@ impl<'a> Engine<'a> {
                 continue; // carried edge from a not-yet-placed node
             };
             let ready = p.ready();
-            let horizon =
-                ready + 4 * self.cfg.manhattan(p.tile, tile) as u64 + 6 * self.ii as u64 + 32;
+            let horizon = in_route_horizon(self.cfg, p.tile, ready, tile, self.ii);
             let Some(found) = route(
                 self.cfg,
                 self.mrrg,

@@ -26,7 +26,25 @@
 //!   `BinaryHeap<Reverse<((primary, secondary), idx)>>`, making the rewrite
 //!   bit-identical to the heap version;
 //! * arena, bitvec, and buckets live in a caller-owned [`RouterScratch`]
-//!   reused across the thousands of `route` calls of one mapping attempt.
+//!   reused across the thousands of `route` calls of one mapping attempt;
+//! * the search is **goal-bounded**. Every hop after the overlapped first
+//!   one takes a base cycle or more, so a state `(tile, t)` with
+//!   `t + manhattan(tile, dst)` past the pass's limit lies on no route
+//!   within it and is never pushed; a route whose Manhattan lower bound
+//!   `ready + manhattan(src, dst) − overlap` is already past
+//!   `min(deadline, horizon)` is rejected before any search. Deadness
+//!   depends only on `(tile, t)` and is closed under successors, so
+//!   pruning leaves the visited bits, parent chains, and relative arena
+//!   order of the live states — hence their pop order — unchanged. Open
+//!   routes *deepen*: a first pass is bounded by the lower bound, each
+//!   failed pass raises the limit to the smallest bound among the states
+//!   it pruned (any limit below that repeats the pass), and after
+//!   [`DEEPENING_PASSES`] one pass runs at the full limit. A pass whose
+//!   limit is below the earliest arrival `T` finds nothing (its states
+//!   are a subset of the full search's); the first pass at or above `T`
+//!   pops the same goal as the unbounded search. Deadline routes run one
+//!   pass at their full limit: their primary key is aux, and a smaller
+//!   limit could drop a lower-aux route that arrives later but on time.
 
 use iced_arch::{CgraConfig, Dir, Mrrg, TileId};
 use iced_trace::Phase;
@@ -181,6 +199,23 @@ impl<'a> BucketQueue<'a> {
     }
 }
 
+/// Bounded passes an open route may run below its full limit before the
+/// one pass at the full limit. Chosen by a scan of total expansions
+/// (standalone suite, both option sets; cold-compile benchmark at seed 1):
+/// 0 → 535k / 2.11M, 1 → 504k / 918k, 2 → 493k / 835k, 4 → 475k / 779k,
+/// 6 → 475k / 763k, 8 → 479k / 771k. Beyond four, failing routes pay for
+/// extra passes about as much as succeeding ones save.
+const DEEPENING_PASSES: usize = 4;
+
+/// Time window an in-edge route may search when its consumer is not yet
+/// scheduled: four base cycles per mesh hop of detour and waiting, six
+/// modulo periods of link contention, and a fixed margin. Shared by the
+/// heuristic placer and the exact search so both route over the same
+/// window.
+pub fn in_route_horizon(cfg: &CgraConfig, src: TileId, ready: u64, dst: TileId, ii: u32) -> u64 {
+    ready + 4 * cfg.manhattan(src, dst) as u64 + 6 * u64::from(ii) + 32
+}
+
 /// Finds the earliest-arrival route from (`src`, `ready`) to `dst`.
 ///
 /// `rates[tile]` is each tile's DVFS rate divisor (1/2/4). `deadline`
@@ -210,7 +245,7 @@ pub fn route(
     txn: &mut Txn,
     scratch: &mut RouterScratch,
 ) -> Option<FoundRoute> {
-    let mut expansions = 0u64;
+    let mut effort = Effort::default();
     let found = search(
         cfg,
         mrrg,
@@ -223,17 +258,50 @@ pub fn route(
         horizon,
         txn,
         scratch,
-        &mut expansions,
+        &mut effort,
     );
     if iced_trace::enabled() {
         iced_trace::counter(Phase::Router, "routes_requested", 1);
-        iced_trace::counter(Phase::Router, "dijkstra_expansions", expansions);
+        iced_trace::counter(Phase::Router, "dijkstra_expansions", effort.expansions);
+        iced_trace::counter(Phase::Router, "route_passes", effort.passes);
         match &found {
             Some(fr) => iced_trace::counter(Phase::Router, "hops_committed", fr.hops.len() as u64),
-            None => iced_trace::counter(Phase::Router, "route_failures", 1),
+            None => {
+                iced_trace::counter(Phase::Router, "route_failures", 1);
+                iced_trace::counter(Phase::Router, "failed_route_expansions", effort.expansions);
+            }
         }
     }
     found
+}
+
+/// Search effort of one `route` call, summed over its passes.
+#[derive(Debug, Default)]
+struct Effort {
+    expansions: u64,
+    passes: u64,
+}
+
+/// The fixed inputs of one route search.
+struct Query<'a> {
+    cfg: &'a CgraConfig,
+    rates: &'a [u32],
+    virgin: &'a [bool],
+    src: TileId,
+    ready: u64,
+    dst: TileId,
+    deadline: Option<u64>,
+    horizon: u64,
+}
+
+/// How a search pass ended.
+enum Pass {
+    /// The goal was popped at this arena index.
+    Found(usize),
+    /// No route within the pass's limit. Carries the smallest goal bound
+    /// `t + manhattan(tile, dst)` among the states the limit pruned, or
+    /// `None` when the pass pruned nothing (no limit can do better).
+    Failed(Option<u64>),
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -249,7 +317,7 @@ fn search(
     horizon: u64,
     txn: &mut Txn,
     scratch: &mut RouterScratch,
-    expansions: &mut u64,
+    effort: &mut Effort,
 ) -> Option<FoundRoute> {
     if src == dst {
         if deadline.is_some_and(|d| ready > d) {
@@ -260,10 +328,73 @@ fn search(
             hops: Vec::new(),
         });
     }
-    if ready > horizon {
-        // No hop can complete inside the window (and src != dst).
+    // Every route arrives by `limit`. The overlapped first hop reaches a
+    // neighbour at `ready` itself; every later hop takes a base cycle or
+    // more, so no route arrives before `lb`.
+    let limit = deadline.map_or(horizon, |d| d.min(horizon));
+    let overlap = u64::from(ready >= u64::from(rates[src.index()]));
+    let lb = ready + cfg.manhattan(src, dst) as u64 - overlap;
+    if lb > limit {
         return None;
     }
+    let q = Query {
+        cfg,
+        rates,
+        virgin,
+        src,
+        ready,
+        dst,
+        deadline,
+        horizon,
+    };
+    // Deadline routes minimise aux, not arrival, so a limit below the
+    // deadline could drop their answer: one pass at the full limit. Open
+    // routes deepen from the lower bound; every pass below the earliest
+    // arrival fails, and the first at or above it pops the same goal as
+    // the full pass would.
+    let mut bound = if deadline.is_some() { limit } else { lb };
+    let mut deeper = DEEPENING_PASSES;
+    loop {
+        let last = bound >= limit || deeper == 0;
+        if last {
+            bound = limit;
+        }
+        effort.passes += 1;
+        match search_pass(&q, mrrg, scratch, bound, !last, &mut effort.expansions) {
+            Pass::Found(goal) => return Some(commit(cfg, mrrg, src, &scratch.arena, goal, txn)),
+            // A pass whose pruned states all miss the limit is the full
+            // pass already.
+            Pass::Failed(Some(next)) if next <= limit => {
+                bound = next;
+                deeper -= 1;
+            }
+            Pass::Failed(_) => return None,
+        }
+    }
+}
+
+/// One Dijkstra pass that pushes only states `(tile, t)` with
+/// `t + manhattan(tile, dst) <= bound` (the root excepted). With `deepen`
+/// set, it also finds the smallest goal bound among the states it pruned,
+/// so the caller can skip every limit that would repeat this pass.
+fn search_pass(
+    q: &Query,
+    mrrg: &Mrrg,
+    scratch: &mut RouterScratch,
+    bound: u64,
+    deepen: bool,
+    expansions: &mut u64,
+) -> Pass {
+    let Query {
+        cfg,
+        rates,
+        virgin,
+        src,
+        ready,
+        dst,
+        deadline,
+        horizon,
+    } = *q;
     let hop_aux = |from: TileId| -> u64 {
         let mut a = 1;
         if virgin[from.index()] {
@@ -285,7 +416,16 @@ fn search(
             ((time - ready) as usize, aux)
         }
     };
-    let span = (horizon - ready + 1) as usize;
+    let dist = |tile: TileId| -> u64 { cfg.manhattan(tile, dst) as u64 };
+    // Smallest pruned goal bound. A pass that does not deepen starts it at
+    // `bound + 1`, so it never scans link slots past the bound.
+    let mut next = if deepen {
+        u64::MAX
+    } else {
+        bound.saturating_add(1)
+    };
+    // Pushed states end by `bound`, so the visited window does too.
+    let span = (bound - ready + 1) as usize;
     let vis = |tile: TileId, time: u64| -> usize { tile.index() * span + (time - ready) as usize };
     let RouterScratch {
         arena,
@@ -316,8 +456,12 @@ fn search(
     if ready >= r_src {
         let window = ready - r_src;
         for (dir, nbr) in cfg.neighbors(src) {
-            if mrrg.link_free(src, dir, window, r_src as u32) && deadline.is_none_or(|d| ready <= d)
-            {
+            if mrrg.link_free(src, dir, window, r_src as u32) {
+                let goal_bound = ready + dist(nbr);
+                if goal_bound > bound {
+                    next = next.min(goal_bound);
+                    continue;
+                }
                 let aux = hop_aux(src);
                 arena.push(SearchNode {
                     tile: nbr,
@@ -340,10 +484,11 @@ fn search(
             continue;
         }
         if node.tile == dst {
-            if deadline.is_some_and(|d| time > d) {
-                return None; // earliest arrival already misses the deadline
-            }
-            return Some(commit(cfg, mrrg, src, arena, idx, txn));
+            debug_assert!(
+                deadline.is_none_or(|d| time <= d),
+                "pruning admits no late arrival"
+            );
+            return Pass::Found(idx);
         }
         let r = rates[node.tile.index()] as u64;
         for (dir, nbr) in cfg.neighbors(node.tile) {
@@ -351,18 +496,23 @@ fn search(
             // link, holding the value in registers while waiting. The
             // producer's own tile holds its result in the FU output latch,
             // so waiting there is free and shared across fan-out edges.
+            // `next > bound` always, and a slot whose goal bound reaches
+            // `next` can neither be pushed nor lower it: the scan stops.
+            let d_nbr = dist(nbr);
             let mut w = time.div_ceil(r) * r;
-            while w + r <= horizon {
+            while w + r <= horizon && w + r + d_nbr < next {
                 if node.tile != src && !mrrg.reg_available(node.tile, time, w.saturating_sub(time))
                 {
                     break; // cannot hold the value this long here
                 }
                 if mrrg.link_free(node.tile, dir, w, r as u32) {
                     let arrive = w + r;
-                    // States past the deadline can never lead to an on-time
-                    // arrival (time only grows).
-                    let on_time = deadline.is_none_or(|d| arrive <= d);
-                    if on_time && !bit_test(visited, vis(nbr, arrive)) {
+                    // A state that cannot reach `dst` by `bound` (every
+                    // hop takes a base cycle or more) is on no route
+                    // within this pass.
+                    if arrive + d_nbr > bound {
+                        next = next.min(arrive + d_nbr);
+                    } else if !bit_test(visited, vis(nbr, arrive)) {
                         let aux = node.aux + hop_aux(node.tile);
                         arena.push(SearchNode {
                             tile: nbr,
@@ -380,7 +530,7 @@ fn search(
             }
         }
     }
-    None
+    Pass::Failed((deepen && next != u64::MAX).then_some(next))
 }
 
 /// Walks the parent chain, committing link occupancy and wait-holds.
@@ -427,8 +577,12 @@ fn commit(
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashSet};
+
     use super::*;
     use iced_arch::CgraConfig;
+    use proptest::test_runner::TestRng;
 
     fn setup(n: usize) -> (CgraConfig, Mrrg, Vec<u32>, Vec<bool>) {
         let cfg = CgraConfig::square(n).unwrap();
@@ -666,5 +820,289 @@ mod tests {
         .unwrap();
         assert_eq!(a.arrival, b.arrival);
         assert_eq!(a.hops, b.hops);
+    }
+
+    /// Textbook reference for `route`: one Dijkstra pass over the whole
+    /// `[ready, horizon]` window with a `BinaryHeap` keyed
+    /// `((primary, secondary), idx)` and a hash set of visited states, no
+    /// pruning and no deepening. Commits its own reservations.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_route(
+        cfg: &CgraConfig,
+        mrrg: &mut Mrrg,
+        rates: &[u32],
+        virgin: &[bool],
+        src: TileId,
+        ready: u64,
+        dst: TileId,
+        deadline: Option<u64>,
+        horizon: u64,
+    ) -> Option<FoundRoute> {
+        if src == dst {
+            return deadline.is_none_or(|d| ready <= d).then(|| FoundRoute {
+                arrival: ready,
+                hops: Vec::new(),
+            });
+        }
+        let on_time = |t: u64| t <= horizon && deadline.is_none_or(|d| t <= d);
+        let key = |time: u64, aux: u64| match deadline {
+            Some(_) => (aux, time),
+            None => (time, aux),
+        };
+        let step_aux = |from: TileId| {
+            1 + if virgin[from.index()] { 8 } else { 0 }
+                + if from != src && rates[from.index()] > 1 {
+                    4
+                } else {
+                    0
+                }
+        };
+        // (tile, time, aux, parent, hop)
+        let mut nodes = vec![(src, ready, 0u64, usize::MAX, None)];
+        let mut heap = BinaryHeap::new();
+        heap.push(Reverse((key(ready, 0), 0usize)));
+        let r_src = u64::from(rates[src.index()]);
+        if ready >= r_src && on_time(ready) {
+            for (dir, nbr) in cfg.neighbors(src) {
+                if mrrg.link_free(src, dir, ready - r_src, r_src as u32) {
+                    let aux = step_aux(src);
+                    nodes.push((nbr, ready, aux, 0, Some((src, dir, ready - r_src))));
+                    heap.push(Reverse((key(ready, aux), nodes.len() - 1)));
+                }
+            }
+        }
+        let mut visited = HashSet::new();
+        let goal = loop {
+            let Reverse((_, idx)) = heap.pop()?;
+            let (tile, time, aux, _, _) = nodes[idx];
+            if !visited.insert((tile, time)) {
+                continue;
+            }
+            if tile == dst {
+                break idx;
+            }
+            let r = u64::from(rates[tile.index()]);
+            for (dir, nbr) in cfg.neighbors(tile) {
+                let mut w = time.div_ceil(r) * r;
+                while w + r <= horizon {
+                    if tile != src && !mrrg.reg_available(tile, time, w - time) {
+                        break;
+                    }
+                    if mrrg.link_free(tile, dir, w, r as u32) {
+                        if on_time(w + r) {
+                            let a = aux + step_aux(tile);
+                            nodes.push((nbr, w + r, a, idx, Some((tile, dir, w))));
+                            heap.push(Reverse((key(w + r, a), nodes.len() - 1)));
+                        }
+                        break;
+                    }
+                    w += r;
+                }
+            }
+        };
+        let mut chain = Vec::new();
+        let mut idx = goal;
+        while let (to, arrive, _, parent, Some((from, dir, depart))) = nodes[idx] {
+            chain.push((from, to, dir, depart, arrive, nodes[parent].1));
+            idx = parent;
+        }
+        chain.reverse();
+        let mut hops = Vec::new();
+        for (from, to, dir, depart, arrive, held_from) in chain {
+            if from != src && depart > held_from {
+                mrrg.occupy_reg(from, held_from, depart - held_from);
+            }
+            mrrg.occupy_link(from, dir, depart, rates[from.index()]);
+            hops.push(Hop {
+                from,
+                to,
+                dir,
+                depart,
+                arrive,
+            });
+        }
+        Some(FoundRoute {
+            arrival: nodes[goal].1,
+            hops,
+        })
+    }
+
+    /// Runs `route` and the oracle on copies of `mrrg`; asserts the same
+    /// answer and the same occupancy, then keeps the routed copy.
+    #[allow(clippy::too_many_arguments)]
+    fn route_matches_oracle(
+        cfg: &CgraConfig,
+        mrrg: &mut Mrrg,
+        rates: &[u32],
+        virgin: &[bool],
+        src: TileId,
+        ready: u64,
+        dst: TileId,
+        deadline: Option<u64>,
+        horizon: u64,
+        scratch: &mut RouterScratch,
+    ) -> Option<FoundRoute> {
+        let mut expected_mrrg = mrrg.clone();
+        let expected = oracle_route(
+            cfg,
+            &mut expected_mrrg,
+            rates,
+            virgin,
+            src,
+            ready,
+            dst,
+            deadline,
+            horizon,
+        );
+        let mut txn = Txn::default();
+        let got = route(
+            cfg, mrrg, rates, virgin, src, ready, dst, deadline, horizon, &mut txn, scratch,
+        );
+        let summary = |r: &Option<FoundRoute>| r.as_ref().map(|f| (f.arrival, f.hops.clone()));
+        let case = format!(
+            "{src:?}@{ready} -> {dst:?}, deadline {deadline:?}, horizon {horizon}, rates {rates:?}"
+        );
+        assert_eq!(summary(&got), summary(&expected), "{case}");
+        assert!(*mrrg == expected_mrrg, "occupancy differs: {case}");
+        got
+    }
+
+    #[test]
+    fn route_matches_textbook_dijkstra_on_random_congestion() {
+        let mut rng = TestRng::for_test("router::route_matches_textbook_dijkstra");
+        let mut pick = |n: u64| rng.next_u64() % n;
+        let mut scratch = RouterScratch::default();
+        let (mut open, mut deadline_routes, mut found) = (0, 0, 0);
+        for case in 0..400 {
+            let cfg = if case % 2 == 0 {
+                CgraConfig::square(4).unwrap()
+            } else {
+                CgraConfig::iced_prototype()
+            };
+            let n = cfg.tile_count();
+            let ii = [4u32, 8][pick(2) as usize];
+            let mut mrrg = Mrrg::new(&cfg, ii).unwrap();
+            let rates: Vec<u32> = (0..n).map(|_| [1, 1, 2, 4][pick(4) as usize]).collect();
+            let virgin: Vec<bool> = (0..n).map(|_| pick(3) == 0).collect();
+            // Pre-occupy links and fill register slots at a random density.
+            let density = [0, 20, 45, 70][pick(4) as usize];
+            for t in cfg.tiles() {
+                for c in 0..u64::from(ii) {
+                    for dir in Dir::ALL {
+                        if pick(100) < density {
+                            mrrg.occupy_link(t, dir, c, 1);
+                        }
+                    }
+                    if pick(100) < density / 2 {
+                        while mrrg.reg_available(t, c, 1) {
+                            mrrg.occupy_reg(t, c, 1);
+                        }
+                    }
+                }
+            }
+            // A few routes in sequence, so later ones see earlier ones.
+            for _ in 0..4 {
+                let src = TileId(pick(n as u64) as u16);
+                let dst = TileId(pick(n as u64) as u16);
+                let ready = pick(24);
+                let dist = cfg.manhattan(src, dst) as u64;
+                let horizon = match pick(3) {
+                    0 => (ready + dist + pick(6)).saturating_sub(2),
+                    1 => ready + dist + pick(24),
+                    _ => in_route_horizon(&cfg, src, ready, dst, ii),
+                };
+                let deadline = (pick(2) == 0)
+                    .then(|| (ready + dist + pick(3 * u64::from(ii) + 4)).saturating_sub(2));
+                if deadline.is_some() {
+                    deadline_routes += 1;
+                } else {
+                    open += 1;
+                }
+                let r = route_matches_oracle(
+                    &cfg,
+                    &mut mrrg,
+                    &rates,
+                    &virgin,
+                    src,
+                    ready,
+                    dst,
+                    deadline,
+                    horizon,
+                    &mut scratch,
+                );
+                found += usize::from(r.is_some());
+            }
+        }
+        // The cases exercise both route kinds and both outcomes.
+        assert!(
+            open > 400 && deadline_routes > 400,
+            "{open} / {deadline_routes}"
+        );
+        assert!(found > 400 && found < 1400, "{found} of 1600 routed");
+    }
+
+    #[test]
+    fn deadline_one_below_manhattan_is_met_by_the_overlapped_first_hop() {
+        let (cfg, mut mrrg, rates, virgin) = setup(4);
+        let mut scratch = RouterScratch::default();
+        let src = cfg.tile_at(0, 0);
+        let dst = cfg.tile_at(0, 3);
+        // dist 3: the first hop lands at `ready` = 1, then 2 and 3.
+        let r = route_matches_oracle(
+            &cfg,
+            &mut mrrg,
+            &rates,
+            &virgin,
+            src,
+            1,
+            dst,
+            Some(3),
+            3,
+            &mut scratch,
+        )
+        .expect("ready + dist - 1 is reachable through the overlapped hop");
+        assert_eq!(r.arrival, 3);
+        assert_eq!(r.hops.len(), 3);
+        assert_eq!(r.hops[0].arrive, 1);
+    }
+
+    #[test]
+    fn deadline_route_keeps_the_lowest_aux_path_over_the_earliest() {
+        let (cfg, mut mrrg, rates, mut virgin) = setup(4);
+        let mut scratch = RouterScratch::default();
+        let src = cfg.tile_at(0, 0);
+        let dst = cfg.tile_at(0, 2);
+        // Routing out of (0,1) would pin its island: the direct path
+        // arrives first but costs more than the detour through row 1.
+        virgin[cfg.tile_at(0, 1).index()] = true;
+        let earliest = route_matches_oracle(
+            &cfg,
+            &mut mrrg.clone(),
+            &rates,
+            &virgin,
+            src,
+            1,
+            dst,
+            None,
+            16,
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(earliest.arrival, 2);
+        let r = route_matches_oracle(
+            &cfg,
+            &mut mrrg,
+            &rates,
+            &virgin,
+            src,
+            1,
+            dst,
+            Some(6),
+            6,
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(r.arrival, 4, "the on-time detour, not the earliest path");
+        assert!(r.hops.iter().all(|h| h.from != cfg.tile_at(0, 1)));
     }
 }
