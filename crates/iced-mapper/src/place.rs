@@ -485,7 +485,8 @@ impl CancelToken<'_> {
 
 /// Per-worker attempt driver owning the reusable allocations: one `Mrrg`
 /// (reset in place between rungs at the same II instead of reallocated)
-/// and the router's scratch buffers (arena, visited bitvec, bucket spine).
+/// and the router's scratch buffers (arena, earliest-pop table, bucket
+/// spine).
 #[derive(Default)]
 struct AttemptRunner {
     mrrg: Option<Mrrg>,

@@ -16,8 +16,10 @@
 //! cache-friendly flat structures (the mapper spends most of its wall time
 //! here):
 //!
-//! * the **visited set** is a flat bitvec indexed
-//!   `tile · span + (time − ready)` instead of a `HashSet<(TileId, u64)>`;
+//! * the **visited set** is an earliest-pop table indexed
+//!   `tile · II + t mod II` instead of a `HashSet<(TileId, u64)>`: the
+//!   smallest time at which each (tile, phase) was expanded in the current
+//!   pass (see *modulo-phase dominance* below);
 //! * the **frontier** is a monotone bucket queue keyed on the primary cost
 //!   (arrival time for open routes, island-pinning aux for deadline
 //!   routes). Every expansion strictly increases the primary key, so each
@@ -25,17 +27,38 @@
 //!   order — exactly the pop order of the former
 //!   `BinaryHeap<Reverse<((primary, secondary), idx)>>`, making the rewrite
 //!   bit-identical to the heap version;
-//! * arena, bitvec, and buckets live in a caller-owned [`RouterScratch`]
-//!   reused across the thousands of `route` calls of one mapping attempt;
+//! * arena, earliest-pop table, and buckets live in a caller-owned
+//!   [`RouterScratch`] reused across the thousands of `route` calls of one
+//!   mapping attempt;
+//! * the search applies **modulo-phase dominance**. The MRRG is modulo II:
+//!   link and FU probes and `reg_available` depend only on `t mod II` (and
+//!   the wait length), every rate divides II so the phase-aligned departure
+//!   `⌈t/r⌉·r` shifts with `t`, and a hop's aux depends only on its tile.
+//!   So the successors of `(tile, t + k·II)` are exactly those of
+//!   `(tile, t)` shifted by `k·II`; horizon, deadline, and pass bound are
+//!   upper limits only, so they cut the later copy no less. Any path through
+//!   the later copy maps to one through the earlier copy that arrives
+//!   `k·II` sooner with the same suffix aux. A state is therefore skipped
+//!   when its tile was already expanded at an earlier time of the same
+//!   phase. For open routes (key: arrival, then aux) the earlier copy always
+//!   pops first and the mapped path is strictly better. For deadline routes
+//!   (key: aux, then arrival) the earlier copy pops first only when its aux
+//!   is at most the later copy's — exactly when the mapped path is no worse
+//!   in aux and strictly earlier; otherwise both copies are expanded. Either
+//!   way no state on the first goal's parent chain is ever skipped, so the
+//!   goal, its chain, and the committed occupancy are those of the full
+//!   search, and a failed pass expands each (tile, phase) at most once
+//!   whatever the horizon;
 //! * the search is **goal-bounded**. Every hop after the overlapped first
 //!   one takes a base cycle or more, so a state `(tile, t)` with
 //!   `t + manhattan(tile, dst)` past the pass's limit lies on no route
 //!   within it and is never pushed; a route whose Manhattan lower bound
 //!   `ready + manhattan(src, dst) − overlap` is already past
 //!   `min(deadline, horizon)` is rejected before any search. Deadness
-//!   depends only on `(tile, t)` and is closed under successors, so
-//!   pruning leaves the visited bits, parent chains, and relative arena
-//!   order of the live states — hence their pop order — unchanged. Open
+//!   depends only on `(tile, t)` and is closed under successors, and an
+//!   earlier copy of a live state is live, so pruning leaves the skip
+//!   decisions, parent chains, and relative arena order of the live states
+//!   — hence their pop order — unchanged. Open
 //!   routes *deepen*: a first pass is bounded by the lower bound, each
 //!   failed pass raises the limit to the smallest bound among the states
 //!   it pruned (any limit below that repeats the pass), and after
@@ -115,29 +138,15 @@ struct SearchNode {
     hop: Option<(TileId, Dir, u64, u32)>, // (from, dir, depart, len) that led here
 }
 
-/// Reusable search buffers: the node arena, the visited bitvec, and the
-/// bucket-queue spine. One instance serves every `route` call of a mapping
-/// attempt, so steady-state routing allocates nothing.
+/// Reusable search buffers: the node arena, the earliest-pop table (the
+/// smallest expanded time per `tile · II + t mod II`, `u64::MAX` when
+/// none), and the bucket-queue spine. One instance serves every `route`
+/// call of a mapping attempt, so steady-state routing allocates nothing.
 #[derive(Debug, Default)]
 pub struct RouterScratch {
     arena: Vec<SearchNode>,
-    visited: Vec<u64>,
+    earliest: Vec<u64>,
     buckets: Vec<Vec<(u64, usize)>>,
-}
-
-/// Tests and sets bit `idx`; returns whether it was already set.
-#[inline]
-fn bit_test_set(words: &mut [u64], idx: usize) -> bool {
-    let mask = 1u64 << (idx % 64);
-    let w = &mut words[idx / 64];
-    let was = *w & mask != 0;
-    *w |= mask;
-    was
-}
-
-#[inline]
-fn bit_test(words: &[u64], idx: usize) -> bool {
-    words[idx / 64] & (1u64 << (idx % 64)) != 0
 }
 
 /// Monotone bucket queue over `(primary, secondary, arena idx)`.
@@ -424,17 +433,23 @@ fn search_pass(
     } else {
         bound.saturating_add(1)
     };
-    // Pushed states end by `bound`, so the visited window does too.
-    let span = (bound - ready + 1) as usize;
-    let vis = |tile: TileId, time: u64| -> usize { tile.index() * span + (time - ready) as usize };
+    // Modulo-phase dominance: a state whose tile was expanded at an
+    // earlier time of the same phase is skipped. The shift lemma behind it
+    // needs every phase-aligned departure to shift with the period.
+    let ii = u64::from(mrrg.ii());
+    debug_assert!(
+        rates.iter().all(|&r| ii.is_multiple_of(u64::from(r))),
+        "every rate divides II"
+    );
+    let phase = |tile: TileId, time: u64| tile.index() * ii as usize + (time % ii) as usize;
     let RouterScratch {
         arena,
-        visited,
+        earliest,
         buckets,
     } = scratch;
     arena.clear();
-    visited.clear();
-    visited.resize((cfg.tile_count() * span).div_ceil(64), 0);
+    earliest.clear();
+    earliest.resize(cfg.tile_count() * ii as usize, u64::MAX);
     let mut queue = BucketQueue::new(buckets);
 
     arena.push(SearchNode {
@@ -480,9 +495,11 @@ fn search_pass(
         *expansions += 1;
         let node = arena[idx];
         let time = node.time;
-        if bit_test_set(visited, vis(node.tile, time)) {
+        let first = &mut earliest[phase(node.tile, time)];
+        if *first <= time {
             continue;
         }
+        *first = time;
         if node.tile == dst {
             debug_assert!(
                 deadline.is_none_or(|d| time <= d),
@@ -512,7 +529,7 @@ fn search_pass(
                     // within this pass.
                     if arrive + d_nbr > bound {
                         next = next.min(arrive + d_nbr);
-                    } else if !bit_test(visited, vis(nbr, arrive)) {
+                    } else if earliest[phase(nbr, arrive)] > arrive {
                         let aux = node.aux + hop_aux(node.tile);
                         arena.push(SearchNode {
                             tile: nbr,
@@ -980,9 +997,17 @@ mod tests {
                 CgraConfig::iced_prototype()
             };
             let n = cfg.tile_count();
-            let ii = [4u32, 8][pick(2) as usize];
+            // Short periods and long horizons make later copies of a
+            // (tile, phase) common, so modulo-phase dominance fires often.
+            let ii = [2u32, 4, 6, 8][pick(4) as usize];
             let mut mrrg = Mrrg::new(&cfg, ii).unwrap();
-            let rates: Vec<u32> = (0..n).map(|_| [1, 1, 2, 4][pick(4) as usize]).collect();
+            let divisors: Vec<u32> = [1, 1, 2, 4]
+                .into_iter()
+                .filter(|r| ii.is_multiple_of(*r))
+                .collect();
+            let rates: Vec<u32> = (0..n)
+                .map(|_| divisors[pick(divisors.len() as u64) as usize])
+                .collect();
             let virgin: Vec<bool> = (0..n).map(|_| pick(3) == 0).collect();
             // Pre-occupy links and fill register slots at a random density.
             let density = [0, 20, 45, 70][pick(4) as usize];
@@ -1006,9 +1031,10 @@ mod tests {
                 let dst = TileId(pick(n as u64) as u16);
                 let ready = pick(24);
                 let dist = cfg.manhattan(src, dst) as u64;
-                let horizon = match pick(3) {
+                let horizon = match pick(4) {
                     0 => (ready + dist + pick(6)).saturating_sub(2),
                     1 => ready + dist + pick(24),
+                    2 => ready + dist + 8 * u64::from(ii),
                     _ => in_route_horizon(&cfg, src, ready, dst, ii),
                 };
                 let deadline = (pick(2) == 0)
@@ -1104,5 +1130,123 @@ mod tests {
         .unwrap();
         assert_eq!(r.arrival, 4, "the on-time detour, not the earliest path");
         assert!(r.hops.iter().all(|h| h.from != cfg.tile_at(0, 1)));
+    }
+
+    #[test]
+    fn failed_route_effort_is_bounded_by_the_period_not_the_horizon() {
+        let (cfg, mut mrrg, rates, virgin) = setup(4);
+        let ii = u64::from(mrrg.ii());
+        let src = cfg.tile_at(0, 0);
+        let dst = cfg.tile_at(2, 2);
+        // Wall off `dst`: every link into it is busy for the whole period.
+        for t in cfg.tiles() {
+            for (dir, nbr) in cfg.neighbors(t) {
+                if nbr == dst {
+                    for c in 0..ii {
+                        mrrg.occupy_link(t, dir, c, 1);
+                    }
+                }
+            }
+        }
+        let effort_at = |horizon: u64| {
+            let mut effort = Effort::default();
+            let found = search(
+                &cfg,
+                &mut mrrg.clone(),
+                &rates,
+                &virgin,
+                src,
+                1,
+                dst,
+                None,
+                horizon,
+                &mut Txn::default(),
+                &mut RouterScratch::default(),
+                &mut effort,
+            );
+            assert!(found.is_none(), "horizon {horizon}: dst is walled off");
+            effort
+        };
+        let (short, long) = (effort_at(64), effort_at(640));
+        assert_eq!(short.expansions, long.expansions);
+        // Each (tile, phase) is expanded at most once per pass and pushes at
+        // most four successors; the root adds itself and its overlapped hops.
+        let per_pass = 4 * cfg.tile_count() as u64 * ii + 5;
+        assert!(
+            long.expansions <= long.passes * per_pass,
+            "{} expansions over {} passes",
+            long.expansions,
+            long.passes
+        );
+    }
+
+    #[test]
+    fn routes_that_wait_out_a_period_or_revisit_a_tile_match_the_oracle() {
+        let (cfg, mut mrrg, rates, virgin) = setup(4);
+        let ii = u64::from(mrrg.ii());
+        let mut scratch = RouterScratch::default();
+        let src = cfg.tile_at(0, 0);
+        let x = cfg.tile_at(0, 1);
+        let y = cfg.tile_at(1, 1);
+        let dst = cfg.tile_at(0, 2);
+        // `dst` is reachable only over x's east link, and only at phase 0.
+        // Every way into x arrives at phase 1 except y's north link, which
+        // is free only at phase 3: the value leaves x at phase 0 or waits
+        // out the period there.
+        for c in 0..ii {
+            mrrg.occupy_link(cfg.tile_at(0, 3), Dir::West, c, 1);
+            mrrg.occupy_link(cfg.tile_at(1, 2), Dir::North, c, 1);
+            mrrg.occupy_link(cfg.tile_at(1, 0), Dir::East, c, 1);
+            if c != 0 {
+                mrrg.occupy_link(x, Dir::East, c, 1);
+                mrrg.occupy_link(src, Dir::East, c, 1);
+            }
+            if c != 3 {
+                mrrg.occupy_link(y, Dir::North, c, 1);
+            }
+        }
+        let long = 1 + 2 + 8 * ii;
+        // x holds the value from 1 to 4, a full period less one cycle.
+        let waits = route_matches_oracle(
+            &cfg,
+            &mut mrrg.clone(),
+            &rates,
+            &virgin,
+            src,
+            1,
+            dst,
+            None,
+            long,
+            &mut scratch,
+        )
+        .expect("x can hold the value");
+        assert_eq!(waits.arrival, 5);
+        assert_eq!(waits.hops.len(), 2);
+        assert_eq!(waits.hops[1].depart - waits.hops[0].arrive, ii - 1);
+        // With x's registers full it cannot wait: the only on-time route
+        // leaves x for y and re-enters x at phase 0, about a period later.
+        for c in 0..ii {
+            while mrrg.reg_available(x, c, 1) {
+                mrrg.occupy_reg(x, c, 1);
+            }
+        }
+        for deadline in [None, Some(long)] {
+            let revisits = route_matches_oracle(
+                &cfg,
+                &mut mrrg.clone(),
+                &rates,
+                &virgin,
+                src,
+                1,
+                dst,
+                deadline,
+                long,
+                &mut scratch,
+            )
+            .expect("the detour through y is on time");
+            let tiles: Vec<TileId> = revisits.hops.iter().map(|h| h.to).collect();
+            assert_eq!(tiles, [x, y, x, dst], "deadline {deadline:?}");
+            assert_eq!(revisits.hops[2].arrive % ii, 0);
+        }
     }
 }
