@@ -2,8 +2,9 @@
 //!
 //! The compiled periodic-event-table engine must return an `EngineReport`
 //! **equal** to the preserved naive engine (`run_oracle`) for every
-//! standalone kernel, both mappers, and both unroll factors — cycles,
-//! per-tile busy vectors, fifo peak and op counts, bit for bit. A second
+//! standalone kernel, both mappers, the service's relaxed strategies, and
+//! both unroll factors — cycles, per-tile busy vectors, fifo peak and op
+//! counts, bit for bit. A second
 //! test pins the observed FIFO peak to the analytic per-edge capacity
 //! bound, and a third proves the engine's memory does not scale with the
 //! iteration count by completing a million-iteration run that would need
@@ -11,16 +12,25 @@
 
 use iced_arch::CgraConfig;
 use iced_kernels::{Kernel, UnrollFactor};
-use iced_mapper::{map_baseline, map_dvfs_aware, Mapping};
+use iced_mapper::{
+    map_baseline, map_dvfs_aware, power_gate_idle, relax_islands, relax_per_tile, Mapping,
+};
 use iced_sim::{edge_fifo_depths, run_engine, run_oracle};
 
 fn suite_mappings(cfg: &CgraConfig, uf: UnrollFactor) -> Vec<(String, iced_dfg::Dfg, Mapping)> {
     let mut out = Vec::new();
     for k in Kernel::STANDALONE {
         let dfg = k.dfg(uf);
+        let base = map_baseline(&dfg, cfg).unwrap();
+        let dvfs = map_dvfs_aware(&dfg, cfg).unwrap();
+        // The service's strategies: the relaxed post-passes over the two
+        // mappers, which the cluster-churn workload simulates.
         for (policy, mapping) in [
-            ("baseline", map_baseline(&dfg, cfg).unwrap()),
-            ("dvfs", map_dvfs_aware(&dfg, cfg).unwrap()),
+            ("relax_islands", relax_islands(&dfg, &dvfs)),
+            ("relax_per_tile", relax_per_tile(&dfg, &base)),
+            ("power_gate_idle", power_gate_idle(&dfg, &base)),
+            ("baseline", base),
+            ("dvfs", dvfs),
         ] {
             out.push((
                 format!("{} {uf:?} {policy}", k.name()),
