@@ -25,21 +25,32 @@
 //! `i` happens exactly `i·II` base cycles after its iteration-0 time. The
 //! engine exploits that instead of materialising one event per
 //! (occurrence × iteration): the mapping is compiled **once** into a
-//! per-period event table — each event stored as `(phase, shift)` with
+//! per-period program — each event stored as `(phase, shift)` with
 //! `offset = shift·II + phase` — and the run iterates periods `k`, firing
-//! every table entry whose iteration `i = k − shift` lies in
-//! `0..iterations`. Prologue and epilogue fall out of that range check; no
-//! per-iteration timeline ever exists.
+//! every event whose iteration `i = k − shift` lies in `0..iterations`.
+//! Prologue and epilogue fall out of that range check; no per-iteration
+//! timeline ever exists.
 //!
-//! All machine state is flat-indexed: dense per-node placement and in-edge
-//! tables, per-edge token FIFOs preallocated to the
-//! [`crate::edge_fifo_depths`] bound, tile×direction link-occupancy arrays,
-//! a node-value ring covering the in-flight iteration window, and a
+//! The program keeps three homogeneous lists per phase, run in this order
+//! within a cycle: deliveries (edge order), firings (node order), hops
+//! (edge, then route order) — the oracle's per-cycle order, so both
+//! machines report the same first error. Each record is precomputed: a
+//! firing carries its tile, rate, opcode, value-ring slot and a range
+//! into one flat operand table; a delivery carries its producer's slot; a
+//! hop its link, tile and length. The loop never looks up the mapping or
+//! the DFG per event. Periods `k ∈ [max_shift, iterations)` have every
+//! event live, so they run a copy of the loop without the liveness and
+//! horizon tests; every machine check below still runs on every event.
+//!
+//! All machine state is flat-indexed: per-edge token FIFOs preallocated to
+//! the [`crate::edge_fifo_depths`] bound, tile×direction link-occupancy
+//! arrays, a node-value ring covering the in-flight iteration window, and a
 //! streaming [`crate::functional::ReferenceStream`] that retires reference
-//! frames as soon as the last consumer has used them. Memory is
-//! O(fabric + DFG) — **independent of the iteration count** — and busy
-//! cycles are accounted per event instead of by scanning every tile on
-//! every base cycle.
+//! frames as soon as the last consumer has used them. The value ring and
+//! the reference ring are rounded up to a power of two, so a slot is a
+//! mask, not a division. Memory is O(fabric + DFG) — **independent of the
+//! iteration count** — and busy cycles are accounted per event instead of
+//! by scanning every tile on every base cycle.
 //!
 //! The original naive engine survives as [`crate::oracle::run_oracle`]; the
 //! test-suite proves this compiled path returns an equal [`EngineReport`]
@@ -195,41 +206,190 @@ impl FaultSimReport {
     }
 }
 
-/// What a periodic event does when it fires.
+/// A value landing in the consumer-side FIFO of an edge.
 #[derive(Debug, Clone, Copy)]
-enum EvKind {
-    /// A value lands in the consumer-side FIFO of an edge.
-    Deliver {
-        /// Dense edge index (the FIFO) — the value comes from the edge's
-        /// producer slot in the value ring.
-        edge: u32,
-    },
-    /// A hop starts driving a link for `len` base cycles.
-    Hop {
-        /// Driving tile (dense index, for busy accounting).
-        tile: u32,
-        /// Driving tile id (for error reports).
-        tile_id: TileId,
-        /// Flat `tile·4 + dir` link index.
-        link: u32,
-        /// Base cycles the transfer occupies.
-        len: u64,
-    },
-    /// A node fires on its tile's FU.
-    Fire {
-        /// Dense node index.
-        node: u32,
-    },
+struct Delivery {
+    /// Dense edge index: the FIFO.
+    edge: u32,
+    /// The producer's first slot in the value ring (`node · win`).
+    src_slot: usize,
 }
 
-/// One compiled periodic occurrence: its iteration-0 time is
-/// `shift·II + phase`, so iteration `i` fires at base cycle
-/// `(shift + i)·II + phase` — i.e. in period `k = shift + i` at `phase`.
+/// A node firing on its tile's FU.
 #[derive(Debug, Clone, Copy)]
-struct PeriodicEvent {
-    phase: u64,
-    shift: u64,
-    kind: EvKind,
+struct Firing {
+    /// Base cycles the op holds the FU.
+    rate: u64,
+    tile: TileId,
+    /// Dense node index.
+    node: u32,
+    /// The node's first slot in the value ring (`node · win`).
+    slot: usize,
+    /// The node's operands: `operands[first..end]`.
+    first: u32,
+    end: u32,
+    op: Opcode,
+}
+
+/// A hop starting to drive a link.
+#[derive(Debug, Clone, Copy)]
+struct HopStart {
+    /// Base cycles the transfer occupies.
+    len: u64,
+    /// The driving tile.
+    tile: TileId,
+    /// Flat `tile·4 + dir` link index.
+    link: u32,
+}
+
+/// One operand of a firing: the FIFO it pops and the edge's carried
+/// distance.
+#[derive(Debug, Clone, Copy)]
+struct Operand {
+    edge: u32,
+    distance: u32,
+}
+
+/// One kind of periodic event, grouped by phase. Each item is
+/// `(shift, event)`: the event of iteration `i` fires at base cycle
+/// `(shift + i)·II + phase`, i.e. in period `k = shift + i`.
+#[derive(Debug)]
+struct PhaseList<T> {
+    items: Vec<(u64, T)>,
+    /// Phase `p`'s events are `items[starts[p]..starts[p + 1]]`.
+    starts: Vec<u32>,
+}
+
+impl<T> PhaseList<T> {
+    /// Groups `(iteration-0 offset, event)` pairs by phase, keeping their
+    /// order within a phase.
+    fn new(ii: u64, mut events: Vec<(u64, T)>) -> Self {
+        events.sort_by_key(|&(offset, _)| offset % ii);
+        let starts = (0..=ii)
+            .map(|p| events.partition_point(|&(offset, _)| offset % ii < p) as u32)
+            .collect();
+        let items = events
+            .into_iter()
+            .map(|(offset, ev)| (offset / ii, ev))
+            .collect();
+        PhaseList { items, starts }
+    }
+
+    fn phase(&self, p: usize) -> &[(u64, T)] {
+        &self.items[self.starts[p] as usize..self.starts[p + 1] as usize]
+    }
+
+    fn max_shift(&self) -> u64 {
+        self.items
+            .iter()
+            .map(|&(shift, _)| shift)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// The mapping compiled into one period of the schedule. Within a cycle
+/// the machine runs deliveries (in edge order), then firings (in node
+/// order), then hops (in edge, then route order): a consumer may fire in
+/// the cycle a value lands (the overlapped first hop produces exactly that
+/// pattern), and the order matches the oracle's, so both report the same
+/// first error.
+#[derive(Debug)]
+struct Program {
+    ii: u64,
+    deliveries: PhaseList<Delivery>,
+    firings: PhaseList<Firing>,
+    hops: PhaseList<HopStart>,
+    /// Operands of every firing, back to back, each node's in edge-id
+    /// order (the operand order of the reference interpreter).
+    operands: Vec<Operand>,
+    /// The largest in-degree: the size of the operand buffer.
+    arity: usize,
+    /// Largest shift of any event: from period `max_shift` on, every
+    /// event is live until the last iteration has started.
+    max_shift: u64,
+}
+
+impl Program {
+    /// Compiles `mapping`; `win` is the value ring's per-node window.
+    fn compile(dfg: &Dfg, mapping: &Mapping, win: usize) -> Program {
+        let ii = u64::from(mapping.ii());
+        let mut operands = Vec::with_capacity(dfg.edge_count());
+        let firings = dfg
+            .node_ids()
+            .map(|node| {
+                let p = mapping.placement(node);
+                let first = operands.len() as u32;
+                operands.extend(
+                    functional::operand_edges(dfg, node)
+                        .iter()
+                        .map(|e| Operand {
+                            edge: e.id().index() as u32,
+                            distance: e.kind().distance(),
+                        }),
+                );
+                let firing = Firing {
+                    rate: u64::from(p.rate),
+                    tile: p.tile,
+                    node: node.index() as u32,
+                    slot: node.index() * win,
+                    first,
+                    end: operands.len() as u32,
+                    op: dfg.node(node).op(),
+                };
+                (p.start, firing)
+            })
+            .collect();
+        let mut routed: Vec<Option<&iced_mapper::Route>> = vec![None; dfg.edge_count()];
+        for r in mapping.routes() {
+            routed[r.edge.index()] = Some(r);
+        }
+        let mut deliveries = Vec::with_capacity(dfg.edge_count());
+        let mut hops = Vec::new();
+        for e in dfg.edges() {
+            // Same-tile edges deliver directly at producer-ready time.
+            let arrival = match routed[e.id().index()] {
+                Some(route) => {
+                    hops.extend(route.hops.iter().map(|h| {
+                        let hop = HopStart {
+                            len: h.arrive - h.depart,
+                            tile: h.from,
+                            link: (h.from.index() * Dir::ALL.len() + h.dir.index()) as u32,
+                        };
+                        (h.depart, hop)
+                    }));
+                    route.arrival
+                }
+                None => mapping.placement(e.src()).ready(),
+            };
+            let delivery = Delivery {
+                edge: e.id().index() as u32,
+                src_slot: e.src().index() * win,
+            };
+            deliveries.push((arrival, delivery));
+        }
+        let deliveries = PhaseList::new(ii, deliveries);
+        let firings = PhaseList::new(ii, firings);
+        let hops = PhaseList::new(ii, hops);
+        let arity = dfg
+            .node_ids()
+            .map(|n| dfg.in_edges(n).count())
+            .max()
+            .unwrap_or(0);
+        let max_shift = deliveries
+            .max_shift()
+            .max(firings.max_shift())
+            .max(hops.max_shift());
+        Program {
+            ii,
+            deliveries,
+            firings,
+            hops,
+            operands,
+            arity,
+            max_shift,
+        }
+    }
 }
 
 /// Runs `iterations` loop iterations of `mapping` on the compiled
@@ -319,265 +479,63 @@ fn run_inner(
     let makespan = mapping.makespan();
     let horizon = makespan + iterations * ii + 1;
 
-    // --- Compile the mapping into the periodic event table. ---
-    // Insertion order mirrors the oracle's per-cycle order (all node
-    // firings in id order, then hops and deliveries per edge); the stable
-    // sort below keeps it for same-cycle events.
-    let mut events: Vec<PeriodicEvent> = Vec::new();
-    let mut push = |offset: u64, kind: EvKind| {
-        events.push(PeriodicEvent {
-            phase: offset % ii,
-            shift: offset / ii,
-            kind,
-        });
-    };
-    for node in dfg.node_ids() {
-        push(
-            mapping.placement(node).start,
-            EvKind::Fire {
-                node: node.index() as u32,
-            },
-        );
-    }
-    let mut routed: Vec<Option<&iced_mapper::Route>> = vec![None; dfg.edge_count()];
-    for r in mapping.routes() {
-        routed[r.edge.index()] = Some(r);
-    }
-    for e in dfg.edges() {
-        match routed[e.id().index()] {
-            Some(route) => {
-                for h in &route.hops {
-                    push(
-                        h.depart,
-                        EvKind::Hop {
-                            tile: h.from.index() as u32,
-                            tile_id: h.from,
-                            link: (h.from.index() * Dir::ALL.len() + h.dir.index()) as u32,
-                            len: h.arrive - h.depart,
-                        },
-                    );
-                }
-                push(
-                    route.arrival,
-                    EvKind::Deliver {
-                        edge: e.id().index() as u32,
-                    },
-                );
-            }
-            None => {
-                push(
-                    mapping.placement(e.src()).ready(),
-                    EvKind::Deliver {
-                        edge: e.id().index() as u32,
-                    },
-                );
-            }
-        }
-    }
-    // Period order: ascending phase; deliveries before anything else at the
-    // same cycle (a consumer may fire in the same cycle a value lands — the
-    // overlapped first hop produces exactly that pattern).
-    events.sort_by_key(|ev| (ev.phase, !matches!(ev.kind, EvKind::Deliver { .. })));
-    let max_shift = events.iter().map(|ev| ev.shift).max().unwrap_or(0);
-
-    // Per-node operand table: (edge index, carried distance) in edge-id
-    // order — the operand order the reference interpreter uses.
-    let node_inputs: Vec<Vec<(u32, u64)>> = dfg
-        .node_ids()
-        .map(|n| {
-            let mut es: Vec<_> = dfg.in_edges(n).collect();
-            es.sort_by_key(|e| e.id());
-            es.iter()
-                .map(|e| (e.id().index() as u32, u64::from(e.kind().distance())))
-                .collect()
-        })
-        .collect();
-    let edge_src: Vec<u32> = dfg.edges().map(|e| e.src().index() as u32).collect();
-
-    // --- Flat machine state, all O(fabric + DFG). ---
-    let mut fu_free_at = vec![0u64; tiles]; // next base cycle each FU is free
-    let mut link_free_at = vec![0u64; tiles * Dir::ALL.len()];
-    // Per-tile end of the busiest transfer seen so far: events arrive in
-    // time order, so the union of transfer intervals (what the oracle
-    // counts cycle by cycle) accumulates incrementally.
-    let mut link_cover_until = vec![0u64; tiles];
-    let mut fu_busy = vec![0u64; tiles];
-    let mut link_busy = vec![0u64; tiles];
-    let mut token_wait = vec![0u64; tiles];
-    // FIFO entries: (iteration, value, base cycle the token landed) — the
-    // delivery cycle feeds the per-tile token-wait counters. Capacities
-    // come from the analytic per-edge bound; `VecDeque` still grows if an
-    // invalid schedule overshoots it.
-    let mut fifos: Vec<VecDeque<(u64, i64, u64)>> = crate::validate::edge_fifo_depths(dfg, mapping)
-        .iter()
-        .map(|&d| VecDeque::with_capacity(d as usize + 1))
-        .collect();
-    let mut fifo_peak = 0usize;
-    let mut ops_executed = 0u64;
-
-    // Resilience accounting (stays zero on the fault-free path).
-    let mut upsets_injected = 0u64;
-    let mut rollbacks = 0u64;
-    let mut recovery_cycles = 0u64;
-
-    // Value ring: slot `node·win + i % win` holds the node's iteration-`i`
-    // value from its firing until every delivery has read it. A delivery
-    // trails its producer's firing by at most one makespan plus the edge's
-    // carried distance in periods (arrival ≤ consume = dst.start + d·II),
-    // and within a cycle delivers run before fires, so `win` periods of
-    // slack guarantee the slot is only recycled after its last reader.
+    // Value ring: slot `node·win + (i & (win − 1))` holds the node's
+    // iteration-`i` value from its firing until every delivery has read
+    // it. A delivery trails its producer's firing by at most one makespan
+    // plus the edge's carried distance in periods (arrival ≤ consume =
+    // dst.start + d·II), and within a cycle delivers run before fires, so
+    // `makespan/II + 2 + maxd` periods of slack guarantee the slot is only
+    // recycled after its last reader; the window is rounded up to a power
+    // of two so a slot is a mask, not a division.
     let maxd = dfg
         .edges()
         .map(|e| u64::from(e.kind().distance()))
         .max()
         .unwrap_or(0);
-    let win = (makespan / ii + 2 + maxd) as usize;
-    let mut values = vec![0i64; dfg.node_count() * win];
-    let mut reference = ReferenceStream::new(dfg, seed, win as u64);
-    let mut inputs: Vec<i64> = Vec::new();
+    let win = (makespan / ii + 2 + maxd).next_power_of_two();
+    let program = Program::compile(dfg, mapping, win as usize);
+
+    let mut m = Machine {
+        dfg,
+        mapping,
+        iterations,
+        horizon,
+        makespan,
+        faults,
+        detail: iced_trace::detail_enabled(),
+        fu_free_at: vec![0; tiles],
+        link_free_at: vec![0; tiles * Dir::ALL.len()],
+        link_cover_until: vec![0; tiles],
+        fu_busy: vec![0; tiles],
+        link_busy: vec![0; tiles],
+        token_wait: vec![0; tiles],
+        fifos: crate::validate::edge_fifo_depths(dfg, mapping)
+            .iter()
+            .map(|&d| VecDeque::with_capacity(d as usize + 1))
+            .collect(),
+        fifo_peak: 0,
+        ops_executed: 0,
+        upsets_injected: 0,
+        rollbacks: 0,
+        recovery_cycles: 0,
+        values: vec![0; dfg.node_count() * win as usize],
+        mask: win - 1,
+        // Period `k` fires iterations `k − max_shift ..= k`, so no frame
+        // older than `max_shift` behind the newest is ever read.
+        reference: ReferenceStream::new(dfg, seed, program.max_shift),
+        args: vec![0; program.arity],
+    };
 
     let periods = if iterations == 0 {
         0
     } else {
-        max_shift + iterations
+        program.max_shift + iterations
     };
     for k in 0..periods {
-        for ev in &events {
-            // Iteration firing in this period, if the event is live.
-            let Some(i) = k.checked_sub(ev.shift) else {
-                continue;
-            };
-            if i >= iterations {
-                continue;
-            }
-            let cycle = k * ii + ev.phase;
-            // The run stops at the horizon: epilogue deliveries/hops of
-            // far-carried edges (distance ≥ 2) can land past it and then
-            // simply never happen. FU firings always finish in bounds.
-            if cycle >= horizon {
-                continue;
-            }
-            match ev.kind {
-                EvKind::Deliver { edge } => {
-                    let e = edge as usize;
-                    let v = values[edge_src[e] as usize * win + (i % win as u64) as usize];
-                    let q = &mut fifos[e];
-                    q.push_back((i, v, cycle));
-                    fifo_peak = fifo_peak.max(q.len());
-                }
-                EvKind::Hop {
-                    tile,
-                    tile_id,
-                    link,
-                    len,
-                } => {
-                    if link_free_at[link as usize] > cycle {
-                        return Err(EngineError::LinkCollision {
-                            tile: tile_id,
-                            cycle,
-                        });
-                    }
-                    link_free_at[link as usize] = cycle + len;
-                    let t = tile as usize;
-                    // Busy cycles past the horizon are never stepped.
-                    let end = (cycle + len).min(horizon);
-                    let covered = link_cover_until[t];
-                    if cycle >= covered {
-                        link_busy[t] += len;
-                    } else if end > covered {
-                        link_busy[t] += end - covered;
-                    }
-                    link_cover_until[t] = covered.max(end);
-                }
-                EvKind::Fire { node } => {
-                    let n = node as usize;
-                    let node_id = NodeId::from_index(n);
-                    let p = mapping.placement(node_id);
-                    let t = p.tile.index();
-                    if fu_free_at[t] > cycle {
-                        return Err(EngineError::FuCollision {
-                            tile: p.tile,
-                            cycle,
-                        });
-                    }
-                    fu_free_at[t] = cycle + p.rate as u64;
-                    // Firings on one FU never overlap, so each contributes
-                    // exactly its rate to the tile's busy count.
-                    fu_busy[t] += p.rate as u64;
-                    // Gather operand tokens: pop one per in-edge; iterations
-                    // below the carried distance read the 0-init prologue
-                    // value without consuming a token.
-                    inputs.clear();
-                    for &(eidx, d) in &node_inputs[n] {
-                        if i < d {
-                            inputs.push(0);
-                            continue;
-                        }
-                        match fifos[eidx as usize].pop_front() {
-                            Some((it, v, delivered)) => {
-                                debug_assert_eq!(it, i - d, "fifo order");
-                                token_wait[t] += cycle - delivered;
-                                inputs.push(v);
-                            }
-                            None => {
-                                return Err(EngineError::TokenNotReady {
-                                    edge: EdgeId::from_index(eidx as usize),
-                                    cycle,
-                                });
-                            }
-                        }
-                    }
-                    let op = dfg.node(node_id).op();
-                    let rv = reference.value(node_id, i);
-                    let mut v = if op == Opcode::Load {
-                        rv
-                    } else {
-                        functional::eval_public(op, &inputs)
-                    };
-                    // Seeded SEU: flip one bit of the produced value. The
-                    // flip is pure in (plan seed, tile, cycle), so the
-                    // whole recovery trace replays under the same plan.
-                    let mut injected = false;
-                    if let Some(plan) = faults {
-                        if let Some(bit) = plan.upset(p.tile, mapping.tile_level(p.tile), cycle) {
-                            v ^= 1i64 << bit;
-                            injected = true;
-                            upsets_injected += 1;
-                        }
-                    }
-                    if v != rv {
-                        if injected {
-                            // The checker caught the upset at the firing:
-                            // roll the iteration back and re-execute. The
-                            // pipeline refills from this iteration, so the
-                            // recovery costs one makespan; the re-executed
-                            // value is the reference value by definition.
-                            rollbacks += 1;
-                            recovery_cycles += makespan;
-                            v = rv;
-                        } else {
-                            return Err(EngineError::ValueMismatch {
-                                node: node_id,
-                                iteration: i,
-                            });
-                        }
-                    }
-                    values[n * win + (i % win as u64) as usize] = v;
-                    ops_executed += 1;
-                    if iced_trace::detail_enabled() {
-                        // One virtual-time record per firing, laned by tile,
-                        // for timeline replay in Perfetto.
-                        iced_trace::complete(
-                            Phase::Sim,
-                            &p.tile.to_string(),
-                            dfg.node(node_id).label(),
-                            cycle,
-                            p.rate as u64,
-                            &[("iter", i.into())],
-                        );
-                    }
-                }
-            }
+        if k >= program.max_shift && k < iterations {
+            m.period::<true>(&program, k)?;
+        } else {
+            m.period::<false>(&program, k)?;
         }
     }
 
@@ -585,18 +543,18 @@ fn run_inner(
         emit_run_counters(
             mapping,
             horizon,
-            ops_executed,
-            &fu_busy,
-            &link_busy,
-            &token_wait,
+            m.ops_executed,
+            &m.fu_busy,
+            &m.link_busy,
+            &m.token_wait,
         );
         // Resilience counters only exist on the fault path, so the
         // fault-free trace surface (checked by the oracle-equivalence
         // suite) is untouched.
         if faults.is_some() {
-            iced_trace::counter(Phase::Sim, "sim_upsets_injected", upsets_injected);
-            iced_trace::counter(Phase::Sim, "sim_rollbacks", rollbacks);
-            iced_trace::counter(Phase::Sim, "sim_recovery_cycles", recovery_cycles);
+            iced_trace::counter(Phase::Sim, "sim_upsets_injected", m.upsets_injected);
+            iced_trace::counter(Phase::Sim, "sim_rollbacks", m.rollbacks);
+            iced_trace::counter(Phase::Sim, "sim_recovery_cycles", m.recovery_cycles);
         }
     }
 
@@ -604,16 +562,226 @@ fn run_inner(
         report: EngineReport {
             cycles: horizon,
             iterations,
-            fu_busy,
-            link_busy,
-            fifo_peak,
-            ops_executed,
+            fu_busy: m.fu_busy,
+            link_busy: m.link_busy,
+            fifo_peak: m.fifo_peak,
+            ops_executed: m.ops_executed,
         },
-        upsets_injected,
-        upsets_detected: upsets_injected,
-        rollbacks,
-        recovery_cycles,
+        upsets_injected: m.upsets_injected,
+        upsets_detected: m.upsets_injected,
+        rollbacks: m.rollbacks,
+        recovery_cycles: m.recovery_cycles,
     })
+}
+
+/// The running machine: flat state, all O(fabric + DFG).
+struct Machine<'a> {
+    dfg: &'a Dfg,
+    mapping: &'a Mapping,
+    iterations: u64,
+    /// Base cycles stepped; nothing happens at or past it.
+    horizon: u64,
+    makespan: u64,
+    faults: Option<&'a FaultPlan>,
+    /// Whether to record one trace event per firing (read once per run).
+    detail: bool,
+    /// Next base cycle each FU is free.
+    fu_free_at: Vec<u64>,
+    /// Next base cycle each `tile·4 + dir` link is free.
+    link_free_at: Vec<u64>,
+    /// Per-tile end of the busiest transfer seen so far: events arrive in
+    /// time order, so the union of transfer intervals (what the oracle
+    /// counts cycle by cycle) accumulates incrementally.
+    link_cover_until: Vec<u64>,
+    fu_busy: Vec<u64>,
+    link_busy: Vec<u64>,
+    token_wait: Vec<u64>,
+    /// Per-edge FIFO entries: (iteration, value, base cycle the token
+    /// landed); the delivery cycle feeds the per-tile token-wait counters.
+    /// Capacities come from the analytic per-edge bound; `VecDeque` still
+    /// grows if an invalid schedule overshoots it.
+    fifos: Vec<VecDeque<(u64, i64, u64)>>,
+    fifo_peak: usize,
+    ops_executed: u64,
+    // Resilience accounting (stays zero on the fault-free path).
+    upsets_injected: u64,
+    rollbacks: u64,
+    recovery_cycles: u64,
+    /// The value ring (see `run_inner`), `win` slots per node.
+    values: Vec<i64>,
+    /// `win − 1`.
+    mask: u64,
+    reference: ReferenceStream<'a>,
+    /// Operand values of the firing in progress, sized to the largest
+    /// in-degree and written by index.
+    args: Vec<i64>,
+}
+
+impl Machine<'_> {
+    /// Runs period `k`: every phase's deliveries, firings and hops, in
+    /// that order. With `ALL_LIVE` the caller guarantees
+    /// `max_shift ≤ k < iterations`, where every event's iteration
+    /// `k − shift` is in `0..iterations` and every cycle is before the
+    /// horizon, so the liveness tests are skipped; every machine check
+    /// still runs.
+    fn period<const ALL_LIVE: bool>(
+        &mut self,
+        program: &Program,
+        k: u64,
+    ) -> Result<(), EngineError> {
+        for p in 0..program.ii as usize {
+            let cycle = k * program.ii + p as u64;
+            for &(shift, d) in program.deliveries.phase(p) {
+                let Some(i) = self.live::<ALL_LIVE>(k, shift, cycle) else {
+                    continue;
+                };
+                let v = self.values[d.src_slot + (i & self.mask) as usize];
+                let q = &mut self.fifos[d.edge as usize];
+                q.push_back((i, v, cycle));
+                self.fifo_peak = self.fifo_peak.max(q.len());
+            }
+            for (shift, f) in program.firings.phase(p) {
+                let Some(i) = self.live::<ALL_LIVE>(k, *shift, cycle) else {
+                    continue;
+                };
+                self.fire(&program.operands, f, i, cycle)?;
+            }
+            for &(shift, h) in program.hops.phase(p) {
+                if self.live::<ALL_LIVE>(k, shift, cycle).is_none() {
+                    continue;
+                }
+                self.hop(h, cycle)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The iteration an event of `shift` runs in period `k`, if it runs.
+    #[inline(always)]
+    fn live<const ALL_LIVE: bool>(&self, k: u64, shift: u64, cycle: u64) -> Option<u64> {
+        if ALL_LIVE {
+            debug_assert!(k >= shift && k - shift < self.iterations && cycle < self.horizon);
+            return Some(k - shift);
+        }
+        let i = k.checked_sub(shift)?;
+        // The run stops at the horizon: epilogue deliveries/hops of
+        // far-carried edges (distance ≥ 2) can land past it and then
+        // simply never happen. FU firings always finish in bounds.
+        (i < self.iterations && cycle < self.horizon).then_some(i)
+    }
+
+    #[inline(always)]
+    fn hop(&mut self, h: HopStart, cycle: u64) -> Result<(), EngineError> {
+        let link = h.link as usize;
+        if self.link_free_at[link] > cycle {
+            return Err(EngineError::LinkCollision {
+                tile: h.tile,
+                cycle,
+            });
+        }
+        self.link_free_at[link] = cycle + h.len;
+        let t = h.tile.index();
+        // Busy cycles past the horizon are never stepped.
+        let end = (cycle + h.len).min(self.horizon);
+        let covered = self.link_cover_until[t];
+        if cycle >= covered {
+            self.link_busy[t] += h.len;
+        } else if end > covered {
+            self.link_busy[t] += end - covered;
+        }
+        self.link_cover_until[t] = covered.max(end);
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn fire(
+        &mut self,
+        operands: &[Operand],
+        f: &Firing,
+        i: u64,
+        cycle: u64,
+    ) -> Result<(), EngineError> {
+        let t = f.tile.index();
+        if self.fu_free_at[t] > cycle {
+            return Err(EngineError::FuCollision {
+                tile: f.tile,
+                cycle,
+            });
+        }
+        self.fu_free_at[t] = cycle + f.rate;
+        // Firings on one FU never overlap, so each contributes exactly its
+        // rate to the tile's busy count.
+        self.fu_busy[t] += f.rate;
+        // Gather operand tokens: pop one per in-edge; iterations below the
+        // carried distance read the 0-init prologue value without
+        // consuming a token.
+        let operands = &operands[f.first as usize..f.end as usize];
+        for (arg, o) in self.args.iter_mut().zip(operands) {
+            let d = u64::from(o.distance);
+            if i < d {
+                *arg = 0;
+                continue;
+            }
+            match self.fifos[o.edge as usize].pop_front() {
+                Some((it, v, delivered)) => {
+                    debug_assert_eq!(it, i - d, "fifo order");
+                    self.token_wait[t] += cycle - delivered;
+                    *arg = v;
+                }
+                None => {
+                    return Err(EngineError::TokenNotReady {
+                        edge: EdgeId::from_index(o.edge as usize),
+                        cycle,
+                    });
+                }
+            }
+        }
+        let node = NodeId::from_index(f.node as usize);
+        let rv = self.reference.value(node, i);
+        let mut v = if f.op == Opcode::Load {
+            rv
+        } else {
+            functional::eval_public(f.op, &self.args[..operands.len()])
+        };
+        // Seeded SEU: flip one bit of the produced value. The flip is pure
+        // in (plan seed, tile, cycle), so the whole recovery trace replays
+        // under the same plan.
+        let mut injected = false;
+        if let Some(plan) = self.faults {
+            if let Some(bit) = plan.upset(f.tile, self.mapping.tile_level(f.tile), cycle) {
+                v ^= 1i64 << bit;
+                injected = true;
+                self.upsets_injected += 1;
+            }
+        }
+        if v != rv {
+            if !injected {
+                return Err(EngineError::ValueMismatch { node, iteration: i });
+            }
+            // The checker caught the upset at the firing: roll the
+            // iteration back and re-execute. The pipeline refills from
+            // this iteration, so the recovery costs one makespan; the
+            // re-executed value is the reference value by definition.
+            self.rollbacks += 1;
+            self.recovery_cycles += self.makespan;
+            v = rv;
+        }
+        self.values[f.slot + (i & self.mask) as usize] = v;
+        self.ops_executed += 1;
+        if self.detail {
+            // One virtual-time record per firing, laned by tile, for
+            // timeline replay in Perfetto.
+            iced_trace::complete(
+                Phase::Sim,
+                &f.tile.to_string(),
+                self.dfg.node(node).label(),
+                cycle,
+                f.rate,
+                &[("iter", i.into())],
+            );
+        }
+        Ok(())
+    }
 }
 
 /// End-of-run trace counters, shared by the compiled engine and the naive

@@ -22,8 +22,9 @@
 
 use std::error::Error;
 use std::fmt;
+use std::marker::PhantomData;
 
-use iced_dfg::{Dfg, EdgeId, NodeId, Opcode};
+use iced_dfg::{Dfg, Edge, EdgeId, NodeId, Opcode};
 use iced_mapper::Mapping;
 
 /// Value-level trace: `trace[iteration][node]`.
@@ -73,6 +74,7 @@ fn load_value(node: NodeId, iteration: u64, seed: u64) -> i64 {
 }
 
 /// Evaluates one opcode over its ordered inputs.
+#[inline]
 fn eval(op: Opcode, inputs: &[i64]) -> i64 {
     let a = inputs.first().copied().unwrap_or(0);
     let b = inputs.get(1).copied().unwrap_or(0);
@@ -115,15 +117,21 @@ fn eval(op: Opcode, inputs: &[i64]) -> i64 {
 
 /// Evaluates one opcode over ordered inputs — the engine's ALU. Exposed for
 /// the cycle-stepped engine; see [`eval`] for the semantics table.
+#[inline]
 pub(crate) fn eval_public(op: Opcode, inputs: &[i64]) -> i64 {
     eval(op, inputs)
 }
 
-/// Gathers the ordered input values of `node` at `iteration` from `trace`.
-fn gather(dfg: &Dfg, trace: &Trace, node: NodeId, iteration: u64) -> Vec<i64> {
+/// The in-edges of `node` in edge-id order: the operand order of [`eval`].
+pub(crate) fn operand_edges(dfg: &Dfg, node: NodeId) -> Vec<&Edge> {
     let mut edges: Vec<_> = dfg.in_edges(node).collect();
     edges.sort_by_key(|e| e.id());
     edges
+}
+
+/// Gathers the ordered input values of `node` at `iteration` from `trace`.
+fn gather(dfg: &Dfg, trace: &Trace, node: NodeId, iteration: u64) -> Vec<i64> {
+    operand_edges(dfg, node)
         .iter()
         .map(|e| {
             let d = e.kind().distance() as u64;
@@ -158,25 +166,58 @@ pub fn interpret(dfg: &Dfg, iterations: u64, seed: u64) -> Trace {
 /// Streaming reference interpreter: the same iteration frames as
 /// [`interpret`], produced one at a time into a fixed ring of recent frames.
 ///
+/// The DFG is compiled once into a flat program: one step per node in
+/// topological order, each holding its opcode and a range into one operand
+/// table of `(source node, carried distance)` pairs in edge-id order (the
+/// operand order [`interpret`] uses). Frames live in one frame-major ring,
+/// and each frame is computed in place: a distance-0 operand reads the
+/// current frame (its producer ran earlier in topological order), a carried
+/// one reads an older frame.
+///
 /// The ring holds the deepest loop-carried distance of the graph (what the
 /// interpreter itself must look back over) plus the caller's `lookback`
-/// (how far behind the newest frame the caller may still read), so memory
-/// is O(window × nodes) — independent of how many iterations are streamed.
+/// (how far behind the newest frame the caller may still read), rounded up
+/// to a power of two so a frame's slot is a mask, not a division. Memory is
+/// O(window × nodes) — independent of how many iterations are streamed.
 /// The compiled engine uses this to check a billion-iteration run without
-/// ever materialising a full trace.
+/// ever materialising a full trace. The stream never reads the machine's
+/// state: it is the independent side of the engine's value check.
 #[derive(Debug)]
 pub struct ReferenceStream<'a> {
-    dfg: &'a Dfg,
-    order: Vec<NodeId>,
-    /// Per node, its in-edges as `(src index, distance)` in edge-id order —
-    /// the operand order [`gather`] uses.
-    inputs: Vec<Vec<(usize, u64)>>,
+    /// One step per node, in topological order.
+    program: Vec<RefStep>,
+    /// Operands of every step, back to back.
+    operands: Vec<RefOperand>,
     seed: u64,
-    /// Frame `i` lives in `ring[i % cap]` while `next − cap ≤ i < next`.
-    ring: Vec<Vec<i64>>,
-    scratch: Vec<i64>,
-    operands: Vec<i64>,
+    /// Nodes per frame.
+    width: usize,
+    /// Frame `i` is `ring[(i & mask)·width..][..width]` while
+    /// `next − (mask + 1) ≤ i < next`.
+    ring: Vec<i64>,
+    mask: u64,
+    /// Operand values of the step being evaluated, sized to the largest
+    /// in-degree and written by index.
+    args: Vec<i64>,
     next: u64,
+    /// The frames borrow nothing, but the stream is tied to its graph.
+    _dfg: PhantomData<&'a Dfg>,
+}
+
+/// One node of the reference program.
+#[derive(Debug, Clone, Copy)]
+struct RefStep {
+    op: Opcode,
+    node: u32,
+    /// `operands[first..end]`.
+    first: u32,
+    end: u32,
+}
+
+/// One operand: the producing node and the edge's carried distance.
+#[derive(Debug, Clone, Copy)]
+struct RefOperand {
+    src: u32,
+    distance: u32,
 }
 
 impl<'a> ReferenceStream<'a> {
@@ -188,26 +229,33 @@ impl<'a> ReferenceStream<'a> {
             .map(|e| u64::from(e.kind().distance()))
             .max()
             .unwrap_or(0);
-        let cap = (maxdist.max(lookback) + 1) as usize;
-        let inputs = dfg
-            .node_ids()
-            .map(|n| {
-                let mut es: Vec<_> = dfg.in_edges(n).collect();
-                es.sort_by_key(|e| e.id());
-                es.iter()
-                    .map(|e| (e.src().index(), u64::from(e.kind().distance())))
-                    .collect()
-            })
-            .collect();
+        let cap = (maxdist.max(lookback) + 1).next_power_of_two();
+        let mut program = Vec::with_capacity(dfg.node_count());
+        let mut operands = Vec::with_capacity(dfg.edge_count());
+        for node in dfg.topological_order() {
+            let first = operands.len() as u32;
+            operands.extend(operand_edges(dfg, node).iter().map(|e| RefOperand {
+                src: e.src().index() as u32,
+                distance: e.kind().distance(),
+            }));
+            program.push(RefStep {
+                op: dfg.node(node).op(),
+                node: node.index() as u32,
+                first,
+                end: operands.len() as u32,
+            });
+        }
+        let arity = program.iter().map(|s| s.end - s.first).max().unwrap_or(0);
         ReferenceStream {
-            dfg,
-            order: dfg.topological_order(),
-            inputs,
+            program,
+            operands,
             seed,
-            ring: vec![vec![0; dfg.node_count()]; cap],
-            scratch: vec![0; dfg.node_count()],
-            operands: Vec::new(),
+            width: dfg.node_count(),
+            ring: vec![0; cap as usize * dfg.node_count()],
+            mask: cap - 1,
+            args: vec![0; arity as usize],
             next: 0,
+            _dfg: PhantomData,
         }
     }
 
@@ -218,6 +266,7 @@ impl<'a> ReferenceStream<'a> {
     ///
     /// Panics if `iteration` is older than the stream's lookback window
     /// (its frame has been retired).
+    #[inline]
     pub fn value(&mut self, node: NodeId, iteration: u64) -> i64 {
         self.frame(iteration)[node.index()]
     }
@@ -227,43 +276,51 @@ impl<'a> ReferenceStream<'a> {
     /// # Panics
     ///
     /// Panics if `iteration` is older than the stream's lookback window.
+    #[inline]
     pub fn frame(&mut self, iteration: u64) -> &[i64] {
         while self.next <= iteration {
             self.advance();
         }
-        let cap = self.ring.len() as u64;
         assert!(
-            iteration + cap >= self.next,
+            iteration + self.mask + 1 >= self.next,
             "reference frame {iteration} already retired (newest is {})",
             self.next - 1
         );
-        &self.ring[(iteration % cap) as usize]
+        let at = (iteration & self.mask) as usize * self.width;
+        &self.ring[at..at + self.width]
     }
 
-    /// Computes the next frame into the ring, retiring the oldest one.
+    /// Computes the next frame in place, over the oldest one.
     fn advance(&mut self) {
         let i = self.next;
-        let cap = self.ring.len() as u64;
-        for &node in &self.order {
-            let op = self.dfg.node(node).op();
-            let v = if op == Opcode::Load {
-                load_value(node, i, self.seed)
+        let Self {
+            program,
+            operands,
+            seed,
+            width,
+            ring,
+            mask,
+            args,
+            ..
+        } = self;
+        let frame = (i & *mask) as usize * *width;
+        for step in program.iter() {
+            let v = if step.op == Opcode::Load {
+                load_value(NodeId::from_index(step.node as usize), i, *seed)
             } else {
-                self.operands.clear();
-                for &(src, d) in &self.inputs[node.index()] {
-                    self.operands.push(if i < d {
+                let ops = &operands[step.first as usize..step.end as usize];
+                for (arg, o) in args.iter_mut().zip(ops) {
+                    let d = u64::from(o.distance);
+                    *arg = if i < d {
                         0 // prologue: predicated-invalid values read as 0
-                    } else if d == 0 {
-                        self.scratch[src] // same frame, earlier in topo order
                     } else {
-                        self.ring[((i - d) % cap) as usize][src]
-                    });
+                        ring[((i - d) & *mask) as usize * *width + o.src as usize]
+                    };
                 }
-                eval(op, &self.operands)
+                eval(step.op, &args[..ops.len()])
             };
-            self.scratch[node.index()] = v;
+            ring[frame + step.node as usize] = v;
         }
-        std::mem::swap(&mut self.scratch, &mut self.ring[(i % cap) as usize]);
         self.next = i + 1;
     }
 }

@@ -4,7 +4,7 @@
 //! to the kernel mapping" (§V-B) combined with the post-layout power model.
 //! This crate provides the equivalents:
 //!
-//! * [`FabricStats`] — per-tile activity extracted from a [`Mapping`]'s
+//! * [`FabricStats`] — per-tile activity extracted from a [`Mapping`](iced_mapper::Mapping)'s
 //!   modulo schedule: busy windows (FU + crossbar) in each tile's own clock
 //!   domain, the utilization and average-DVFS-level metrics of Figs. 9/10/12;
 //! * [`validate_schedule`] — an independent re-check that a mapping's
