@@ -4,7 +4,7 @@
 //! `Mapping::assemble`, so exactly one event breaks one machine rule, and
 //! every earlier event is still legal. The engine must return that
 //! rule's error variant, naming the exact tile or edge and the base cycle
-//! of the broken event; the naive oracle must fail on the same mapping.
+//! of the broken event. The naive oracle must return the same error.
 
 use iced_arch::CgraConfig;
 use iced_dfg::Dfg;
@@ -45,15 +45,13 @@ fn tampered(mapping: &Mapping, placements: Vec<Placement>, routes: Vec<Route>) -
     )
 }
 
-/// Runs both machines on a tampered mapping: the engine must return
-/// `expected`, and the oracle must also reject the mapping.
+/// Runs both machines on a tampered mapping: each must return `expected`.
 fn assert_first_error(label: &str, dfg: &Dfg, bad: &Mapping, expected: EngineError) {
     let got = run_engine(dfg, bad, ITERATIONS, 5);
     assert_eq!(got, Err(expected.clone()), "{label}: engine");
-    let oracle = run_oracle(dfg, bad, ITERATIONS, 5);
-    assert!(oracle.is_err(), "{label}: oracle accepted the mapping");
     // A single broken event leaves no same-cycle tie, so the oracle names
     // the same culprit.
+    let oracle = run_oracle(dfg, bad, ITERATIONS, 5);
     assert_eq!(oracle, Err(expected), "{label}: oracle");
 }
 
