@@ -6,10 +6,10 @@
 //! rule's error variant, naming the exact tile or edge and the base cycle
 //! of the broken event. The naive oracle must return the same error.
 
-use iced_arch::CgraConfig;
+use iced_arch::{CgraConfig, Dir};
 use iced_dfg::Dfg;
 use iced_kernels::{Kernel, UnrollFactor};
-use iced_mapper::{map_baseline, map_dvfs_aware, Mapping, Placement, Route};
+use iced_mapper::{map_baseline, map_dvfs_aware, Hop, Mapping, Placement, Route};
 use iced_sim::{run_engine, run_oracle, EngineError};
 
 const ITERATIONS: u64 = 8;
@@ -55,18 +55,21 @@ fn assert_first_error(label: &str, dfg: &Dfg, bad: &Mapping, expected: EngineErr
     assert_eq!(oracle, Err(expected), "{label}: oracle");
 }
 
+/// Node `a` and a later node `b` that starts no earlier: moving `b` onto
+/// `a`'s tile and start leaves every event before `a.start` untouched,
+/// and within that cycle `b` fires after `a`.
+fn colliding_pair(ps: &[Placement]) -> Option<(usize, usize)> {
+    (0..ps.len())
+        .flat_map(|a| (a + 1..ps.len()).map(move |b| (a, b)))
+        .find(|&(a, b)| ps[b].start >= ps[a].start)
+}
+
 #[test]
 fn two_firings_in_one_fu_window_is_a_fu_collision() {
     let mut cases = 0;
     for (label, dfg, mapping) in suite() {
-        // Node `a` and a later node `b` that starts no earlier: moving `b`
-        // onto `a`'s tile and start leaves every event before `a.start`
-        // untouched, and within that cycle `b` fires after `a`.
         let ps = mapping.placements();
-        let Some((a, b)) = (0..ps.len())
-            .flat_map(|a| (a + 1..ps.len()).map(move |b| (a, b)))
-            .find(|&(a, b)| ps[b].start >= ps[a].start)
-        else {
+        let Some((a, b)) = colliding_pair(ps) else {
             continue;
         };
         let mut placements = ps.to_vec();
@@ -156,4 +159,53 @@ fn a_consumer_firing_before_its_operand_lands_is_token_not_ready() {
         cases += 1;
     }
     assert!(cases >= 6, "only {cases} mappings have routed edges");
+}
+
+#[test]
+fn a_fu_and_a_link_collision_in_one_cycle_report_the_fu() {
+    let mut cases = 0;
+    for (label, dfg, mapping) in suite() {
+        // The FU collision of the first test, at cycle `a.start`...
+        let ps = mapping.placements();
+        let Some((a, b)) = colliding_pair(ps) else {
+            continue;
+        };
+        let mut placements = ps.to_vec();
+        placements[b] = placements[a];
+        // ...and two transfers on a link no route uses, in the same cycle.
+        let used: Vec<_> = mapping
+            .routes()
+            .iter()
+            .flat_map(|r| r.hops.iter().map(|h| (h.from, h.dir)))
+            .collect();
+        let cfg = mapping.config();
+        let Some((from, dir)) = cfg
+            .tiles()
+            .flat_map(|t| Dir::ALL.into_iter().map(move |d| (t, d)))
+            .find(|link| !used.contains(link))
+        else {
+            continue;
+        };
+        let mut routes = mapping.routes().to_vec();
+        let Some(route) = routes.first_mut() else {
+            continue;
+        };
+        let hop = Hop {
+            from,
+            to: from,
+            dir,
+            depart: ps[a].start,
+            arrive: ps[a].start + 1,
+        };
+        route.hops.extend([hop, hop]);
+        let bad = tampered(&mapping, placements, routes);
+        // Within a cycle firings run before hops, on both machines.
+        let expected = EngineError::FuCollision {
+            tile: ps[a].tile,
+            cycle: ps[a].start,
+        };
+        assert_first_error(&label, &dfg, &bad, expected);
+        cases += 1;
+    }
+    assert!(cases >= 6, "only {cases} mappings had a candidate pair");
 }
