@@ -16,11 +16,37 @@
 //! knobs can only truncate the search (turning a verdict into
 //! [`Verdict::Budget`]/[`Verdict::Deadline`]); they never change *which*
 //! mapping a completed search finds.
+//!
+//! Arithmetic window: before routing anything for a candidate tile, the
+//! search bounds the FU start cycles the tile could accept. No in-route
+//! arrives before [`arrival_lower_bound`], so no slot starts before
+//! `lo = max(asap, max over placed in-edges of (bound − d·II))`. A placed
+//! consumer read by `deadline` is out of reach from slot `s` when the
+//! bound from `(tile, s + 1)` exceeds the deadline; the router rejects
+//! that out-route before searching, and since the bound never decreases
+//! in `s`, from every later slot too. So a tile whose window is empty at
+//! `lo` is skipped whole, and the slot loop stops at the first slot whose
+//! window is empty. Both taint the conflict in place of the routing they
+//! skip, and the tree is unchanged:
+//!
+//! * every skipped path would have ended in a tainted `Fail` — an in-route
+//!   failure, a busy or unholdable slot on a tile with a placed
+//!   predecessor, or an out-route failure in `try_slot`;
+//! * `explored` is only counted once the out-routes succeed, so no skipped
+//!   path counted a node;
+//! * taint is sticky, and `max_level` is never read once a conflict is
+//!   tainted, so the `add_level` calls of skipped busy slots are moot.
+//!
+//! A tile with no placed predecessor is never skipped whole: its busy
+//! slots record `add_level` rather than taint, and a tile whose every
+//! slot is busy must keep that conflict attributable.
 
 use iced_arch::{CgraConfig, Dir, DvfsLevel, Mrrg, TileId};
-use iced_dfg::{Dfg, NodeId};
+use iced_dfg::{Dfg, EdgeId, NodeId};
 use iced_fault::FaultMask;
-use iced_mapper::engine_internals::{in_route_horizon, route, FoundRoute, RouterScratch, Txn};
+use iced_mapper::engine_internals::{
+    arrival_lower_bound, in_route_horizon, route, FoundRoute, RouterScratch, Txn,
+};
 use iced_mapper::{Hop, MapError, Mapping, Placement, Route};
 use iced_trace::Phase;
 
@@ -242,7 +268,24 @@ impl<'a> Search<'a> {
         let is_mem = op.is_memory();
         let needs_mul = op.class() == iced_dfg::OpcodeClass::Mul;
         let mut conflict = Conflict::none();
-        let span = (2 * u64::from(self.ii)).max(4);
+        let ii = u64::from(self.ii);
+        let span = (2 * ii).max(4);
+        // The out-routes every slot must make: edges to placed consumers,
+        // with the cycle by which each reads the value, tightest deadline
+        // first, exactly like the heuristic commit.
+        let mut consumers: Vec<(EdgeId, TileId, u64)> = self
+            .dfg
+            .out_edges(node)
+            .filter_map(|e| {
+                let p = self.placements[e.dst().index()]?;
+                Some((
+                    e.id(),
+                    p.tile,
+                    p.start + u64::from(e.kind().distance()) * ii,
+                ))
+            })
+            .collect();
+        consumers.sort_unstable_by_key(|&(id, _, deadline)| (deadline, id));
 
         for ti in 0..self.tiles.len() {
             let tile = self.tiles[ti];
@@ -252,6 +295,23 @@ impl<'a> Search<'a> {
             if needs_mul && !self.cfg.tile_has_multiplier(tile) {
                 continue;
             }
+            // Arithmetic window: no in-route arrives before its lower
+            // bound, so no slot starts before `lo`. If an out-route
+            // already misses its deadline from `lo`, every slot's would
+            // (see the module docs): skip the tile without routing.
+            let mut lo = self.asap[node.index()];
+            let mut has_placed_pred = false;
+            for e in self.dfg.in_edges(node) {
+                if let Some(p) = self.placements[e.src().index()] {
+                    has_placed_pred = true;
+                    let lb = arrival_lower_bound(self.cfg, &self.rates, p.tile, p.ready(), tile);
+                    lo = lo.max(lb.saturating_sub(u64::from(e.kind().distance()) * ii));
+                }
+            }
+            if has_placed_pred && self.misses_deadline(&consumers, tile, lo + 1) {
+                conflict.taint();
+                continue;
+            }
             // Route every placed-predecessor edge with the shared router
             // (earliest arrival, fixed edge order). Failures contend with
             // global link/register state — unattributable, so tainted.
@@ -259,12 +319,10 @@ impl<'a> Search<'a> {
             let mut in_routes: Vec<(usize, FoundRoute, u32)> = Vec::new();
             let mut in_ok = true;
             let mut min_start = self.asap[node.index()];
-            let mut has_placed_pred = false;
             for e in self.dfg.in_edges(node) {
                 let Some(p) = self.placements[e.src().index()] else {
                     continue;
                 };
-                has_placed_pred = true;
                 let ready = p.ready();
                 let horizon = in_route_horizon(self.cfg, p.tile, ready, tile, self.ii);
                 let Some(found) = route(
@@ -318,7 +376,13 @@ impl<'a> Search<'a> {
                     conflict.taint();
                     continue;
                 }
-                match self.try_slot(depth, node, tile, s, &in_routes, &mut conflict) {
+                if self.misses_deadline(&consumers, tile, s + 1) {
+                    // So does every later slot: the bound never
+                    // decreases as the value is ready later.
+                    conflict.taint();
+                    break;
+                }
+                match self.try_slot(depth, tile, s, &in_routes, &consumers, &mut conflict) {
                     Step::Found => {
                         // Leave reservations in place; `finish` reads them.
                         return Step::Found;
@@ -349,18 +413,34 @@ impl<'a> Search<'a> {
         Step::Fail(conflict)
     }
 
-    /// Commits `node` on `(tile, start)` — FU slot, deadline-bounded
-    /// out-routes to already-placed consumers, route/placement bookkeeping
-    /// — then recurses. On failure everything is rolled back.
+    /// Whether a value ready on `tile` at `ready` reaches some consumer
+    /// only after its deadline, by [`arrival_lower_bound`] alone. The
+    /// router rejects such an out-route before searching.
+    fn misses_deadline(
+        &self,
+        consumers: &[(EdgeId, TileId, u64)],
+        tile: TileId,
+        ready: u64,
+    ) -> bool {
+        consumers.iter().any(|&(_, dst, deadline)| {
+            arrival_lower_bound(self.cfg, &self.rates, tile, ready, dst) > deadline
+        })
+    }
+
+    /// Commits the node at `depth` on `(tile, start)` — FU slot,
+    /// deadline-bounded out-routes to `consumers` in their order,
+    /// route/placement bookkeeping — then recurses. On failure everything
+    /// is rolled back.
     fn try_slot(
         &mut self,
         depth: usize,
-        node: NodeId,
         tile: TileId,
         start: u64,
         in_routes: &[(usize, FoundRoute, u32)],
+        consumers: &[(EdgeId, TileId, u64)],
         conflict: &mut Conflict,
     ) -> Step {
+        let node = self.order[depth];
         let mut txn = Txn::default();
         txn.occupy_fu(&mut self.mrrg, tile, start, 1);
         let slot = tile.index() * self.ii as usize + (start % u64::from(self.ii)) as usize;
@@ -381,21 +461,8 @@ impl<'a> Search<'a> {
             ));
         }
 
-        // Out-edges whose consumer is already placed: tightest read
-        // deadline first, exactly like the heuristic commit.
         let ready = start + 1;
-        let mut out_edges: Vec<(iced_dfg::EdgeId, Placement, u64)> = self
-            .dfg
-            .out_edges(node)
-            .filter_map(|e| {
-                self.placements[e.dst().index()].map(|p| {
-                    let deadline = p.start + u64::from(e.kind().distance()) * u64::from(self.ii);
-                    (e.id(), p, deadline)
-                })
-            })
-            .collect();
-        out_edges.sort_unstable_by_key(|&(id, _, deadline)| (deadline, id));
-        for (eid, p, deadline) in out_edges {
+        for &(eid, dst, deadline) in consumers {
             let Some(found) = route(
                 self.cfg,
                 &mut self.mrrg,
@@ -403,7 +470,7 @@ impl<'a> Search<'a> {
                 &self.virgin,
                 tile,
                 ready,
-                p.tile,
+                dst,
                 Some(deadline),
                 deadline,
                 &mut txn,

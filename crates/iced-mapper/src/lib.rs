@@ -73,7 +73,9 @@ mod router;
 /// exempt from stability promises.
 #[doc(hidden)]
 pub mod engine_internals {
-    pub use crate::router::{in_route_horizon, route, FoundRoute, RouterScratch, Txn};
+    pub use crate::router::{
+        arrival_lower_bound, in_route_horizon, route, FoundRoute, RouterScratch, Txn,
+    };
 }
 
 pub use bitstream::{Bitstream, ConfigWord, LinkSource};

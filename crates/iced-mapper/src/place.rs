@@ -28,7 +28,7 @@ use iced_trace::Phase;
 use crate::error::MapError;
 use crate::labeling::label_dvfs_levels;
 use crate::mapping::{Mapping, Placement, Route};
-use crate::router::{in_route_horizon, route, RouterScratch, Txn};
+use crate::router::{arrival_lower_bound, in_route_horizon, route, RouterScratch, Txn};
 
 /// Options controlling the mapping engine.
 #[derive(Debug, Clone)]
@@ -967,8 +967,43 @@ impl<'a> Engine<'a> {
         } else {
             0
         };
+        let rate64 = rate as u64;
+        let ii = self.ii as i64;
+        let earliest_start = (self.asap[node.index()] + slack) as i64;
+
+        // Arithmetic window: no in-route arrives before its lower bound, so
+        // the slot search below starts no earlier than `lo` rounded up to
+        // the rate, and no value leaves this tile before that plus `rate`.
+        // An out-route that misses its consumer's deadline from there
+        // misses it from every later ready cycle too (the bound never
+        // decreases), so this candidate would abort on it: abort now,
+        // before routing anything.
+        let mut lo = earliest_start;
+        for e in self.dfg.in_edges(node) {
+            if let Some(p) = self.placements[e.src().index()] {
+                let lb = arrival_lower_bound(self.cfg, &self.rates, p.tile, p.ready(), tile);
+                lo = lo.max(lb as i64 - e.kind().distance() as i64 * ii);
+            }
+        }
+        let earliest_ready = (lo.max(0) as u64).div_ceil(rate64) * rate64 + rate64;
+        let window_empty = self.dfg.out_edges(node).any(|e| {
+            self.placements[e.dst().index()].is_some_and(|p| {
+                let deadline = p.start + e.kind().distance() as u64 * self.ii as u64;
+                arrival_lower_bound(self.cfg, &self.rates, tile, earliest_ready, p.tile) > deadline
+            })
+        });
+        if window_empty {
+            self.debug_abort(
+                node,
+                tile,
+                "out-route window empty",
+                iced_dfg::EdgeId::from_index(0),
+            );
+            return self.abort(txn, opened);
+        }
+
         let mut in_routes: Vec<(usize, crate::router::FoundRoute, u32)> = Vec::new();
-        let mut min_start: i64 = (self.asap[node.index()] + slack) as i64;
+        let mut min_start = earliest_start;
         for e in self.dfg.in_edges(node) {
             let Some(p) = self.placements[e.src().index()] else {
                 continue; // carried edge from a not-yet-placed node
@@ -993,12 +1028,11 @@ impl<'a> Engine<'a> {
             };
             self.pin_route_islands(&found, &mut opened);
             let d = e.kind().distance();
-            min_start = min_start.max(found.arrival as i64 - (d as i64 * self.ii as i64));
+            min_start = min_start.max(found.arrival as i64 - d as i64 * ii);
             in_routes.push((e.id().index(), found, d));
         }
 
         // Earliest phase-aligned FU slot with register holds extendable.
-        let rate64 = rate as u64;
         let base = (min_start.max(0) as u64).div_ceil(rate64) * rate64;
         let mut chosen_start = None;
         for k in 0..(6 * self.ii as u64).div_ceil(rate64).max(4) {

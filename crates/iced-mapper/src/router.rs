@@ -53,9 +53,11 @@
 //!   one takes a base cycle or more, so a state `(tile, t)` with
 //!   `t + manhattan(tile, dst)` past the pass's limit lies on no route
 //!   within it and is never pushed; a route whose Manhattan lower bound
-//!   `ready + manhattan(src, dst) − overlap` is already past
-//!   `min(deadline, horizon)` is rejected before any search. Deadness
-//!   depends only on `(tile, t)` and is closed under successors, and an
+//!   [`arrival_lower_bound`] (`ready + manhattan(src, dst) − overlap`) is
+//!   already past `min(deadline, horizon)` is rejected before any search
+//!   (the placer and the exact search apply the same bound to skip
+//!   candidates before routing at all). Deadness depends only on
+//!   `(tile, t)` and is closed under successors, and an
 //!   earlier copy of a live state is live, so pruning leaves the skip
 //!   decisions, parent chains, and relative arena order of the live states
 //!   — hence their pop order — unchanged. Open
@@ -225,6 +227,34 @@ pub fn in_route_horizon(cfg: &CgraConfig, src: TileId, ready: u64, dst: TileId, 
     ready + 4 * cfg.manhattan(src, dst) as u64 + 6 * u64::from(ii) + 32
 }
 
+/// A lower bound on the arrival at `dst` of any route of a value ready
+/// on `src` at `ready`: `ready` itself on the same tile, otherwise
+/// `ready + manhattan(src, dst) − overlap`. The overlapped first hop
+/// (`overlap = 1` once `ready >= rates[src]`) reaches a neighbour at
+/// `ready`; every other hop takes a base cycle or more.
+///
+/// The bound never decreases as `ready` grows. Within either side of the
+/// overlap step it grows one for one, and at the step (`ready = rate − 1`
+/// to `ready = rate`) the `+1` and the `−1` cancel. So once it exceeds a
+/// deadline at some `ready`, it does so at every later `ready` too: the
+/// placer and the exact search use that to rule out whole windows of
+/// start cycles without routing. `route` returns `None` whenever the bound
+/// exceeds `min(deadline, horizon)`, except that a same-tile route needs
+/// no search and is bounded by its deadline alone.
+pub fn arrival_lower_bound(
+    cfg: &CgraConfig,
+    rates: &[u32],
+    src: TileId,
+    ready: u64,
+    dst: TileId,
+) -> u64 {
+    if src == dst {
+        return ready;
+    }
+    let overlap = u64::from(ready >= u64::from(rates[src.index()]));
+    ready + cfg.manhattan(src, dst) as u64 - overlap
+}
+
 /// Finds the earliest-arrival route from (`src`, `ready`) to `dst`.
 ///
 /// `rates[tile]` is each tile's DVFS rate divisor (1/2/4). `deadline`
@@ -337,12 +367,9 @@ fn search(
             hops: Vec::new(),
         });
     }
-    // Every route arrives by `limit`. The overlapped first hop reaches a
-    // neighbour at `ready` itself; every later hop takes a base cycle or
-    // more, so no route arrives before `lb`.
+    // Every route arrives by `limit`, and none before `lb`.
     let limit = deadline.map_or(horizon, |d| d.min(horizon));
-    let overlap = u64::from(ready >= u64::from(rates[src.index()]));
-    let lb = ready + cfg.manhattan(src, dst) as u64 - overlap;
+    let lb = arrival_lower_bound(cfg, rates, src, ready, dst);
     if lb > limit {
         return None;
     }
@@ -989,7 +1016,7 @@ mod tests {
         let mut rng = TestRng::for_test("router::route_matches_textbook_dijkstra");
         let mut pick = |n: u64| rng.next_u64() % n;
         let mut scratch = RouterScratch::default();
-        let (mut open, mut deadline_routes, mut found) = (0, 0, 0);
+        let (mut open, mut deadline_routes, mut found, mut bounded_out) = (0, 0, 0, 0);
         for case in 0..400 {
             let cfg = if case % 2 == 0 {
                 CgraConfig::square(4).unwrap()
@@ -1057,6 +1084,22 @@ mod tests {
                     &mut scratch,
                 );
                 found += usize::from(r.is_some());
+                // The bound is a true lower bound, and `route` rejects
+                // whatever it puts past the limit (a same-tile route
+                // needs no search: only its deadline bounds it).
+                let lb = arrival_lower_bound(&cfg, &rates, src, ready, dst);
+                if let Some(f) = &r {
+                    assert!(f.arrival >= lb, "arrival {} below bound {lb}", f.arrival);
+                }
+                let limit = if src == dst {
+                    deadline.unwrap_or(u64::MAX)
+                } else {
+                    deadline.map_or(horizon, |d| d.min(horizon))
+                };
+                if lb > limit {
+                    assert!(r.is_none(), "bound {lb} past limit {limit} but routed");
+                    bounded_out += 1;
+                }
             }
         }
         // The cases exercise both route kinds and both outcomes.
@@ -1065,6 +1108,24 @@ mod tests {
             "{open} / {deadline_routes}"
         );
         assert!(found > 400 && found < 1400, "{found} of 1600 routed");
+        assert!(bounded_out > 50, "{bounded_out} routes past the bound");
+        // The bound never decreases in `ready`, also across the overlap
+        // step from `ready = rate − 1` to `ready = rate`.
+        let cfg = CgraConfig::iced_prototype();
+        for rate in [1u32, 2, 4] {
+            let rates = vec![rate; cfg.tile_count()];
+            for src in cfg.tiles() {
+                for dst in cfg.tiles() {
+                    for ready in 0..3 * u64::from(rate) {
+                        let at = |t| arrival_lower_bound(&cfg, &rates, src, t, dst);
+                        assert!(
+                            at(ready + 1) >= at(ready),
+                            "{src:?} -> {dst:?} at rate {rate}: bound falls after {ready}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -210,10 +210,25 @@ fn shutdown_drains_in_flight_work_before_closing() {
     let mut a = Client::connect(addr);
     let mut b = Client::connect(addr);
 
-    // A's job occupies the single worker for a while.
+    // A's job occupies the single worker for a while. Wait until the
+    // worker has picked it up, as the daemon's own in-flight gauge says.
     a.send(r#"{"id":1,"verb":"simulate","kernel":"fir","iterations":300000}"#);
-    // Give the worker a moment to pick it up.
-    std::thread::sleep(Duration::from_millis(100));
+    let give_up = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let metrics = b.round_trip(r#"{"id":9,"verb":"metrics"}"#);
+        let in_flight = metrics
+            .split_once("\"in_flight\":{")
+            .and_then(|(_, rest)| rest.split_once('}'))
+            .map_or("", |(obj, _)| obj);
+        if in_flight.contains("\"simulate\":1") {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < give_up,
+            "simulate never went in flight: {metrics}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
 
     // B asks for shutdown and is answered immediately.
     let bye = b.round_trip(r#"{"id":2,"verb":"shutdown"}"#);
