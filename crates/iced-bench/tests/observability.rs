@@ -2,8 +2,7 @@
 //! the JSONL event log enabled serves mixed cold/warm/erroring traffic,
 //! and every response's request id must be found again in the event log
 //! with the matching verb and outcome; the `stats` verb must report
-//! ordered quantiles whose counts agree with the lifetime histogram; and
-//! `svc_load` must emit client-side percentiles into `BENCH_service.json`.
+//! ordered quantiles whose counts agree with the lifetime histogram.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -229,33 +228,4 @@ fn request_ids_correlate_responses_with_the_event_log() {
     assert!(events.contains("\"event\":\"server_start\""), "{events}");
     assert!(events.contains("\"event\":\"server_stop\""), "{events}");
     let _ = std::fs::remove_file(&log);
-}
-
-#[test]
-fn svc_load_reports_client_side_percentiles() {
-    let out = std::env::temp_dir().join(format!("BENCH_service-obs-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&out);
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_svc_load"))
-        .args(["--tiny", "--out", out.to_str().expect("utf8 path")])
-        .status()
-        .expect("run svc_load");
-    assert!(status.success(), "svc_load failed: {status}");
-
-    let report = std::fs::read_to_string(&out).expect("report written");
-    // (c) Both latency phases carry client-side percentile fields.
-    for phase in ["cold", "warm"] {
-        let line = report
-            .lines()
-            .find(|l| l.contains(&format!("\"phase\": \"{phase}\"")))
-            .unwrap_or_else(|| panic!("no {phase} phase in report:\n{report}"));
-        for field in ["\"p50_us\":", "\"p95_us\":", "\"p99_us\":"] {
-            assert!(line.contains(field), "{phase} lacks {field}: {line}");
-        }
-    }
-    // The server-side expositions ride along in the same report.
-    assert!(report.contains("\"server_metrics\":"), "{report}");
-    assert!(report.contains("\"server_stats\":"), "{report}");
-    assert!(report.contains("\"server_prometheus\":"), "{report}");
-    assert!(report.contains("iced_svc_requests_total"), "{report}");
-    let _ = std::fs::remove_file(&out);
 }

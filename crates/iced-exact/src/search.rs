@@ -45,9 +45,10 @@ use iced_arch::{CgraConfig, Dir, DvfsLevel, Mrrg, TileId};
 use iced_dfg::{Dfg, EdgeId, NodeId};
 use iced_fault::FaultMask;
 use iced_mapper::engine_internals::{
-    arrival_lower_bound, in_route_horizon, route, FoundRoute, RouterScratch, Txn,
+    arrival_lower_bound, cycle_first_order, in_route_horizon, recurrence_nodes, route, FoundRoute,
+    RouterScratch, Txn,
 };
-use iced_mapper::{Hop, MapError, Mapping, Placement, Route};
+use iced_mapper::{MapError, Mapping, Placement, Route};
 use iced_trace::Phase;
 
 /// Search knobs threaded down from `ExactOptions`.
@@ -164,7 +165,9 @@ impl<'a> Search<'a> {
             .tiles()
             .filter(|&t| mask.is_none_or(|m| m.fu_usable(t)))
             .collect();
-        let order = placement_order(dfg);
+        // The heuristic's placement order keeps the exact tree's first
+        // leaf close to the heuristic's mapping.
+        let order = cycle_first_order(dfg, &recurrence_nodes(dfg));
         let asap = asap_times(dfg, ii);
         let n = dfg.node_count();
         let mut mem_suffix = vec![0u32; n + 1];
@@ -454,7 +457,7 @@ impl<'a> Search<'a> {
                 Route {
                     edge: iced_dfg::EdgeId::from_index(*eid),
                     hops: fr.hops.clone(),
-                    src_ready: fr.arrival.saturating_sub(hops_latency(fr)),
+                    src_ready: fr.src_ready(),
                     arrival: fr.arrival,
                     consume_at: consume,
                 },
@@ -540,33 +543,6 @@ impl<'a> Search<'a> {
             tile_levels,
         )
     }
-}
-
-fn hops_latency(fr: &FoundRoute) -> u64 {
-    fr.hops
-        .first()
-        .map(|h: &Hop| fr.arrival.saturating_sub(h.depart))
-        .unwrap_or(0)
-}
-
-/// The heuristic's placement order: recurrence-cycle nodes first (in
-/// topological order), then the rest topologically. Sharing the order
-/// keeps the exact tree's first leaf close to the heuristic's mapping.
-fn placement_order(dfg: &Dfg) -> Vec<NodeId> {
-    let topo = dfg.topological_order();
-    let mut on_cycle = vec![false; dfg.node_count()];
-    for cycle in iced_dfg::recurrence::enumerate_cycles(dfg) {
-        for n in cycle.nodes() {
-            on_cycle[n.index()] = true;
-        }
-    }
-    let mut order: Vec<NodeId> = topo
-        .iter()
-        .copied()
-        .filter(|n| on_cycle[n.index()])
-        .collect();
-    order.extend(topo.iter().copied().filter(|n| !on_cycle[n.index()]));
-    order
 }
 
 /// Admissible modulo-scheduling ASAP times over the all-normal schedule:

@@ -671,13 +671,7 @@ impl<'a> Engine<'a> {
             virgin: vec![true; cfg.tile_count()],
             spread,
         };
-        let mut on_cycle = vec![false; dfg.node_count()];
-        for cycle in iced_dfg::recurrence::enumerate_cycles(dfg) {
-            for n in cycle.nodes() {
-                on_cycle[n.index()] = true;
-            }
-        }
-        engine.on_cycle = on_cycle;
+        engine.on_cycle = recurrence_nodes(dfg);
         engine.asap = engine.asap_times();
         engine
     }
@@ -695,23 +689,14 @@ impl<'a> Engine<'a> {
         Some(self.finish())
     }
 
-    /// Placement order: recurrence-cycle nodes first (in topological order),
-    /// then the remaining nodes topologically. Placing the II-critical
-    /// cycles before their feeders lets the engine keep each cycle tight;
-    /// feeders then route *towards* fixed consumers under a deadline instead
-    /// of painting the cycle into a corner.
+    /// Placement order: [`cycle_first_order`], or plain topological order
+    /// when `cycle_first` is off.
     fn placement_order(&self) -> Vec<NodeId> {
-        let topo = self.dfg.topological_order();
-        if !self.opts.cycle_first {
-            return topo;
+        if self.opts.cycle_first {
+            cycle_first_order(self.dfg, &self.on_cycle)
+        } else {
+            self.dfg.topological_order()
         }
-        let mut order: Vec<NodeId> = topo
-            .iter()
-            .copied()
-            .filter(|n| self.on_cycle[n.index()])
-            .collect();
-        order.extend(topo.iter().copied().filter(|n| !self.on_cycle[n.index()]));
-        order
     }
 
     /// Modulo-scheduling ASAP times: the longest-path fixpoint of
@@ -1066,7 +1051,7 @@ impl<'a> Engine<'a> {
                 Route {
                     edge: iced_dfg::EdgeId::from_index(*eid),
                     hops: fr.hops.clone(),
-                    src_ready: fr.arrival.saturating_sub(hops_latency(fr)),
+                    src_ready: fr.src_ready(),
                     arrival: fr.arrival,
                     consume_at: consume,
                 },
@@ -1209,11 +1194,32 @@ impl<'a> Engine<'a> {
     }
 }
 
-fn hops_latency(fr: &crate::router::FoundRoute) -> u64 {
-    fr.hops
-        .first()
-        .map(|h| fr.arrival.saturating_sub(h.depart))
-        .unwrap_or(0)
+/// Marks every node that lies on some recurrence cycle.
+pub fn recurrence_nodes(dfg: &Dfg) -> Vec<bool> {
+    let mut on_cycle = vec![false; dfg.node_count()];
+    for cycle in iced_dfg::recurrence::enumerate_cycles(dfg) {
+        for n in cycle.nodes() {
+            on_cycle[n.index()] = true;
+        }
+    }
+    on_cycle
+}
+
+/// Cycle-first placement order: recurrence-cycle nodes (`on_cycle`, from
+/// [`recurrence_nodes`]) first in topological order, then the remaining
+/// nodes topologically. Placing the II-critical cycles before their
+/// feeders lets the engine keep each cycle tight; feeders then route
+/// *towards* fixed consumers under a deadline instead of painting the
+/// cycle into a corner.
+pub fn cycle_first_order(dfg: &Dfg, on_cycle: &[bool]) -> Vec<NodeId> {
+    let topo = dfg.topological_order();
+    let mut order: Vec<NodeId> = topo
+        .iter()
+        .copied()
+        .filter(|n| on_cycle[n.index()])
+        .collect();
+    order.extend(topo.iter().copied().filter(|n| !on_cycle[n.index()]));
+    order
 }
 
 /// The label sets attempted at one II, most aggressive first: `(full,

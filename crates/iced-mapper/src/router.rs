@@ -129,6 +129,16 @@ pub struct FoundRoute {
     pub hops: Vec<Hop>,
 }
 
+impl FoundRoute {
+    /// Base cycle the value left its source: the first hop's departure,
+    /// or the arrival itself for a same-tile route.
+    pub fn src_ready(&self) -> u64 {
+        self.hops
+            .first()
+            .map_or(self.arrival, |h| h.depart.min(self.arrival))
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct SearchNode {
     tile: TileId,

@@ -106,7 +106,7 @@ fn main() {
         }
     };
     // Stdout line protocol for supervisors: the bound address, flushed
-    // before any request is served (svc_load waits for this). A
+    // before any request is served (supervisors and tests wait for it). A
     // supervisor may close its end of the pipe once it has read what it
     // needs, so every status line ignores write errors: a clean drain
     // must still exit 0.

@@ -1,7 +1,7 @@
 //! Resilient line-protocol client for the daemon.
 //!
 //! One shared implementation of the retry discipline every caller of the
-//! service needs — the load generator, the chaos suite, CI smoke scripts —
+//! service needs — the chaos suite, the daemon and cluster tests —
 //! instead of each growing its own ad-hoc connect loop:
 //!
 //! * **per-request timeout** via the socket read deadline;
@@ -121,7 +121,7 @@ impl Client {
     }
 
     /// Decorrelates this client's backoff jitter from its siblings'
-    /// (give each load-generator thread a distinct salt).
+    /// (give each concurrent client thread a distinct salt).
     #[must_use]
     pub fn with_salt(mut self, salt: u64) -> Client {
         self.salt = salt;

@@ -24,15 +24,15 @@
 //! * `reactor` (internal) — the shard's readiness loop and line handler
 //!   over that core: control verbs, warm hits, batch planning, and the
 //!   hand-off to the worker pool.
-//! * [`poll`] — `libc`-free `poll(2)` (direct syscall on Linux, portable
-//!   degradation elsewhere) plus the loopback wake token the reactor
-//!   sleeps on.
+//! * `poll` (internal) — `libc`-free `poll(2)` (direct syscall on Linux,
+//!   portable degradation elsewhere) plus the loopback wake token the
+//!   reactor sleeps on.
 //! * [`chaos`] — deterministic fault injection (`ICED_SVC_CHAOS`): worker
 //!   panics, torn response writes, spill-file corruption; the daemon must
 //!   convert all of it into structured errors and keep serving.
 //! * [`client`] — reconnecting protocol client with per-request timeouts
 //!   and jittered-backoff retries on transient failures, shared by the
-//!   load generator and the chaos suite.
+//!   test suites.
 //! * [`proto`] — verbs, typed request parsing, structured errors, and
 //!   deterministic per-request ids (`c<conn>-<seq>`) echoed as `req`.
 //! * [`json`] — defensive std-only JSON parsing and deterministic
@@ -65,7 +65,7 @@ pub mod json;
 pub mod log;
 pub mod metrics;
 #[allow(unsafe_code)]
-pub mod poll;
+mod poll;
 pub mod proto;
 pub mod queue;
 mod reactor;

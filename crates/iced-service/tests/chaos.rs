@@ -151,13 +151,25 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The envelope with its `req` token removed and the `cached` flag
+/// normalised: the only fields a replay may change.
+fn canonical(resp: &str) -> String {
+    let s = resp.replace("\"cached\":false", "\"cached\":true");
+    let Some(start) = s.find(",\"req\":\"") else {
+        return s;
+    };
+    let end = start + 8 + s[start + 8..].find('"').expect("req id is terminated");
+    format!("{}{}", &s[..start], &s[end + 1..])
+}
+
 #[test]
 fn daemon_survives_a_corpus_driven_storm() {
     // The fuzzer's corpus hits the daemon: seeded generator kernels plus
     // every committed regression repro, shipped as inline-DFG compile
     // requests while the chaos layer injects worker panics and torn
     // writes. The daemon must answer each with a success or a structured
-    // typed error — untrusted DFG text must never crash the service.
+    // typed error — untrusted DFG text must never crash the service — and
+    // replay the same bytes when the corpus is sent again.
     let dir = std::env::temp_dir().join(format!("iced-svc-chaos-corpus-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = chaos_server(0xF0CC, &dir);
@@ -180,14 +192,21 @@ fn daemon_survives_a_corpus_driven_storm() {
     let mut c = Client::connect_retry(&addr, Duration::from_secs(10))
         .expect("daemon reachable")
         .with_limits(Duration::from_secs(60), 16);
+    let lines: Vec<String> = bodies
+        .iter()
+        .enumerate()
+        .map(|(r, body)| {
+            format!(
+                "{{\"id\":{r},\"verb\":\"compile\",\"dfg\":\"{}\"}}",
+                json_escape(body)
+            )
+        })
+        .collect();
     let (mut ok, mut structured) = (0usize, 0usize);
-    for (r, body) in bodies.iter().enumerate() {
-        let line = format!(
-            "{{\"id\":{r},\"verb\":\"compile\",\"dfg\":\"{}\"}}",
-            json_escape(body)
-        );
+    let mut first_pass = Vec::with_capacity(lines.len());
+    for (r, line) in lines.iter().enumerate() {
         let resp = c
-            .request(&line)
+            .request(line)
             .unwrap_or_else(|e| panic!("corpus req {r} exhausted: {e}"));
         if resp.contains("\"ok\":true") {
             ok += 1;
@@ -197,8 +216,22 @@ fn daemon_survives_a_corpus_driven_storm() {
             assert!(resp.contains("\"message\":\""), "{resp}");
             structured += 1;
         }
+        first_pass.push(canonical(&resp));
     }
     assert_eq!(ok + structured, bodies.len(), "every request answered");
+    // A second pass replays the same answers: cache hits, spill
+    // recoveries and recomputes after chaos all return the first pass's
+    // bytes, apart from the `req` token and the `cached` flag.
+    for (r, line) in lines.iter().enumerate() {
+        let resp = c
+            .request(line)
+            .unwrap_or_else(|e| panic!("corpus replay {r} exhausted: {e}"));
+        assert_eq!(
+            canonical(&resp),
+            first_pass[r],
+            "corpus req {r} replayed different bytes"
+        );
+    }
     // The deliberately-broken payload must be a structured parse error,
     // and the well-formed kernels must dominate.
     assert!(structured >= 1, "the broken payload must fail structurally");

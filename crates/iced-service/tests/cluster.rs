@@ -3,6 +3,7 @@
 //! per-connection ordering under heavy pipelining, and survive a
 //! deterministic shard kill with replicated warm hits intact.
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -256,13 +257,24 @@ fn split_batches_reassemble_byte_identically() {
     single.wait();
 }
 
-/// 200 pipelined connections through the router: every connection gets
-/// its responses strictly in send order.
+/// Pulls `(conn, seq)` out of a response's `"req":"c<conn>-<seq>"`.
+fn req_token(resp: &str) -> (u64, u64) {
+    let i = resp.find("\"req\":\"c").expect("req token") + 8;
+    let rest = &resp[i..];
+    let end = rest.find('"').expect("token close quote");
+    let (conn, seq) = rest[..end].split_once('-').expect("token dash");
+    (conn.parse().expect("conn"), seq.parse().expect("seq"))
+}
+
+/// 200 pipelined connections through a router over three shards: every
+/// connection gets its responses strictly in send order, with a `req`
+/// token whose `seq` walks 1..=8 under a connection ordinal no other
+/// connection shares.
 #[test]
 fn pipelined_connections_keep_strict_order_through_router() {
     const CONNS: usize = 200;
     const PER_CONN: usize = 8;
-    let (shards, addrs) = start_shards(2);
+    let (shards, addrs) = start_shards(3);
     let router = start_router(addrs, 0);
     let addr = router.local_addr();
 
@@ -278,7 +290,9 @@ fn pipelined_connections_keep_strict_order_through_router() {
             ));
         }
     }
+    let mut seen_ordinals = HashSet::new();
     for (c, client) in clients.iter_mut().enumerate() {
+        let mut ordinal = None;
         for s in 0..PER_CONN {
             let id = (c * PER_CONN + s + 1) as u64;
             let resp = client.recv();
@@ -287,7 +301,17 @@ fn pipelined_connections_keep_strict_order_through_router() {
                 "conn {c} slot {s}: out-of-order response {resp}"
             );
             assert!(resp.contains("\"ok\":true"), "conn {c} slot {s}: {resp}");
+            let (tok, seq) = req_token(&resp);
+            assert_eq!(seq, s as u64 + 1, "conn {c}: seq must walk 1..={PER_CONN}");
+            match ordinal {
+                None => ordinal = Some(tok),
+                Some(t) => assert_eq!(t, tok, "conn {c}: ordinal changed mid-connection"),
+            }
         }
+        assert!(
+            seen_ordinals.insert(ordinal.expect("ordinal")),
+            "two connections shared ordinal {ordinal:?}"
+        );
     }
 
     router.shutdown();

@@ -1,11 +1,15 @@
 //! The daemon binaries as a supervisor runs them: stdout piped for the
 //! `listening on` line, then closed. A closed stdout must not turn a
-//! clean drain into a non-zero exit.
+//! clean drain into a non-zero exit. A chaos-armed daemon configured
+//! from the environment must report itself on stdout, log its injected
+//! faults against request ids, and still drain to a zero exit.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
+
+use iced_service::Client;
 
 /// Spawns a daemon on an ephemeral port with stdout piped, reads its
 /// `listening on` line, then closes the pipe. Returns the child and the
@@ -54,16 +58,114 @@ fn serviced_exits_zero_after_its_stdout_is_closed() {
 
 #[test]
 fn routerd_exits_zero_after_its_stdout_is_closed() {
-    let (mut shard, shard_addr) =
-        spawn_and_close_stdout(env!("CARGO_BIN_EXE_iced-serviced"), &["--threads", "1"]);
+    let (mut shards, shard_addrs): (Vec<Child>, Vec<String>) = (0..3)
+        .map(|_| spawn_and_close_stdout(env!("CARGO_BIN_EXE_iced-serviced"), &["--threads", "1"]))
+        .unzip();
     let (mut router, addr) = spawn_and_close_stdout(
         env!("CARGO_BIN_EXE_iced-routerd"),
-        &["--shards", &shard_addr],
+        &["--shards", &shard_addrs.join(",")],
     );
-    // The router forwards the shutdown to its shard: both drain.
+    // The router forwards the shutdown to every shard: the whole cluster
+    // drains.
     send_shutdown(&addr);
     let status = router.wait().expect("wait for router");
     assert!(status.success(), "iced-routerd exited with {status}");
-    let status = shard.wait().expect("wait for shard");
+    for shard in &mut shards {
+        let status = shard.wait().expect("wait for shard");
+        assert!(status.success(), "iced-serviced exited with {status}");
+    }
+}
+
+/// `iced-serviced` configured the way an operator would, from the
+/// environment: event log at debug level, chaos armed, spill directory
+/// set. Driven through the retrying [`Client`] and told to shut down, it
+/// must announce the chaos on stdout, drain and exit 0, and leave an
+/// event log holding finished requests and injected faults that name the
+/// request they hit.
+#[test]
+fn chaos_daemon_from_env_logs_faults_and_drains() {
+    let dir = std::env::temp_dir().join(format!("iced-svc-daemon-chaos-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let log = dir.join("events.jsonl");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_iced-serviced"))
+        .args(["--addr", "127.0.0.1:0"])
+        .env("ICED_SVC_THREADS", "2")
+        .env("ICED_SVC_QUEUE", "16")
+        .env("ICED_SVC_LOG", &log)
+        .env("ICED_SVC_LOG_LEVEL", "debug")
+        .env("ICED_SVC_CHAOS", "0xC1")
+        .env("ICED_SVC_CACHE_DIR", dir.join("spill"))
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn daemon");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut listening = String::new();
+    stdout
+        .read_line(&mut listening)
+        .expect("read the listening line");
+    let addr = listening
+        .trim_end()
+        .rsplit_once("listening on ")
+        .map(|(_, a)| a.to_string())
+        .unwrap_or_else(|| panic!("no listening line: {listening:?}"));
+
+    let mut c = Client::connect_retry(&addr, Duration::from_secs(10))
+        .expect("daemon reachable")
+        .with_limits(Duration::from_secs(60), 16);
+    // Cold compiles, their warm replays and a few simulates: every answer
+    // must come back OK through the client's retries.
+    let kernels = ["fir", "latnrm", "fft", "dtw", "spmv", "conv"];
+    let mut id = 0;
+    for _pass in 0..2 {
+        for k in kernels {
+            id += 1;
+            c.request_ok(&format!(
+                "{{\"id\":{id},\"verb\":\"compile\",\"kernel\":\"{k}\",\"strategy\":\"iced\"}}"
+            ))
+            .unwrap_or_else(|e| panic!("compile {k}: {e}"));
+        }
+    }
+    for seed in 0..8 {
+        id += 1;
+        c.request_ok(&format!(
+            "{{\"id\":{id},\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":500,\"seed\":{seed}}}"
+        ))
+        .unwrap_or_else(|e| panic!("simulate seed {seed}: {e}"));
+    }
+    // Under chaos the shutdown reply itself may be torn, and a retry may
+    // then find the listener gone; either way the drain has begun, which
+    // the exit status and the drain line below confirm.
+    if let Ok(bye) = c.request("{\"id\":9999,\"verb\":\"shutdown\"}") {
+        assert!(
+            bye.contains("\"ok\":true") || bye.contains("shutting_down"),
+            "{bye}"
+        );
+    }
+
+    let mut printed = listening.clone();
+    stdout
+        .read_to_string(&mut printed)
+        .expect("read stdout to EOF");
+    let status = child.wait().expect("wait for daemon");
     assert!(status.success(), "iced-serviced exited with {status}");
+    assert!(printed.contains("chaos injection ACTIVE"), "{printed}");
+    assert!(printed.contains("drained and stopped"), "{printed}");
+
+    let events = std::fs::read_to_string(&log).expect("event log written");
+    assert!(
+        events
+            .lines()
+            .any(|l| l.contains("\"event\":\"request_finish\"") && l.contains("\"req\":\"c")),
+        "no finished request in the event log:\n{events}"
+    );
+    assert!(
+        events
+            .lines()
+            .any(|l| l.contains("\"event\":\"chaos_") && l.contains("\"req\":\"c")),
+        "no injected fault with a request id in the event log:\n{events}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

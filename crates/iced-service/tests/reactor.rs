@@ -1,5 +1,5 @@
 //! End-to-end tests for the readiness-reactor connection handling:
-//! hundreds of concurrent pipelined connections with strict response
+//! a thousand concurrent pipelined connections with strict response
 //! ordering and routing, the per-connection pipeline cap, the
 //! connection ceiling, and warm hits answered on the reactor while the
 //! worker pool is busy.
@@ -115,18 +115,41 @@ fn req_token(resp: &str) -> (u64, u64) {
     (conn.parse().expect("conn"), seq.parse().expect("seq"))
 }
 
-/// Two hundred concurrent connections, each with four pipelined requests
+/// This process's soft open-file limit, from `/proc/self/limits` (None
+/// where that file does not exist).
+fn fd_soft_limit() -> Option<u64> {
+    let text = std::fs::read_to_string("/proc/self/limits").ok()?;
+    let line = text.lines().find(|l| l.starts_with("Max open files"))?;
+    // "Max open files   1024   524288   files": token 3 is the soft limit.
+    line.split_whitespace().nth(3)?.parse().ok()
+}
+
+/// A thousand concurrent connections, each with four pipelined requests
 /// in flight at once. Every response must come back on the socket that
 /// asked, in the order it asked, with a per-connection `req` token whose
-/// `seq` walks 1..=4 under a connection ordinal no other socket shares.
+/// `seq` walks 1..=4 under a connection ordinal no other socket shares:
+/// nothing misrouted, nothing dropped.
 #[test]
 fn pipelined_connections_get_ordered_routed_responses() {
-    const CONNS: usize = 200;
+    const CONNS: usize = 1000;
     const ROUNDS: usize = 4;
+    // Both ends of every connection live in this process (the client
+    // socket and the server's accepted one), plus a margin for the
+    // listener, wake pipes and the other tests in this binary. Fail here
+    // with the fix rather than mid-test with EMFILE.
+    let needed = CONNS as u64 * 2 + 128;
+    if let Some(soft) = fd_soft_limit() {
+        assert!(
+            soft >= needed,
+            "{CONNS} connections need ~{needed} file descriptors but the soft limit is {soft}; \
+             raise it (`ulimit -n {needed}`) before running this test"
+        );
+    }
     let cfg = ServiceConfig {
         threads: 2,
         // Up to CONNS×2 work requests are genuinely queued at once.
-        queue_cap: 1024,
+        queue_cap: CONNS * 2 + 64,
+        max_conns: CONNS + 64,
         ..ServiceConfig::default()
     };
     let server = Server::start(cfg).expect("bind ephemeral port");

@@ -353,6 +353,11 @@ fn exact_strategy_is_certified_cache_keyed_and_byte_stable() {
     // kernel must not hit it — the backend is part of the cache key.
     let heur = c.round_trip(r#"{"id":1,"verb":"compile","kernel":"relu"}"#);
     assert!(heur.contains("\"cached\":false"), "{heur}");
+    assert!(heur.contains("\"strategy\":\"iced\""), "{heur}");
+    assert!(
+        !heur.contains("\"proof\":"),
+        "heuristic payloads carry no proof: {heur}"
+    );
     let cold = c.round_trip(r#"{"id":2,"verb":"compile","kernel":"relu","strategy":"exact"}"#);
     assert!(
         cold.contains("\"cached\":false"),
