@@ -11,7 +11,7 @@ use std::time::Duration;
 use iced::arch::{CgraConfig, IslandId};
 use iced::fault::FaultPlan;
 use iced_hash::{rendezvous_rank, shard_id};
-use iced_service::json::Obj;
+use iced_service::json::{self, Layout, Obj};
 use iced_service::proto::parse_request;
 use iced_service::{request_key, Router, RouterConfig, Server, ServiceConfig};
 
@@ -403,6 +403,44 @@ fn replicated_hot_entry_survives_home_shard_death() {
 
 /// The router's own control plane: healthz and stats report the router
 /// role, shard inventory, and Prometheus families.
+/// Every key path of the JSON object `text`, depth first in emission
+/// order (`a.b` for nesting, `a[]` for array elements; values ignored).
+fn key_paths(text: &str) -> Vec<String> {
+    fn walk(text: &str, prefix: &str, out: &mut Vec<String>) {
+        match json::layout(text).expect("valid JSON") {
+            Layout::Obj(fields) => {
+                let mut fields: Vec<_> = fields.into_iter().collect();
+                fields.sort_by_key(|(_, span)| span.start);
+                for (key, span) in fields {
+                    let path = if prefix.is_empty() {
+                        key
+                    } else {
+                        format!("{prefix}.{key}")
+                    };
+                    out.push(path.clone());
+                    walk(&text[span], &path, out);
+                }
+            }
+            Layout::Arr(elems) => {
+                for span in elems {
+                    walk(&text[span], &format!("{prefix}[]"), out);
+                }
+            }
+            Layout::Scalar => {}
+        }
+    }
+    let mut out = Vec::new();
+    walk(text, "", &mut out);
+    out
+}
+
+/// The `result` object of a response line.
+fn result_of(line: &str) -> String {
+    json::Fields::read(line)
+        .and_then(|f| f.get("result").map(str::to_string))
+        .unwrap_or_else(|| panic!("no result in {line}"))
+}
+
 #[test]
 fn router_control_plane_reports_role_and_shards() {
     let (shards, addrs) = start_shards(2);
@@ -427,6 +465,53 @@ fn router_control_plane_reports_role_and_shards() {
     assert!(resp.contains("\"ok\":true"), "forward failed: {resp}");
     let stats = c.round_trip(r#"{"id":4,"verb":"metrics"}"#);
     assert!(stats.contains("\"forwarded\":1"), "stats: {stats}");
+
+    // Every key path the router has ever reported stays reported (new
+    // ones may join): dashboards and the benchmark read them by path.
+    let router_stats = [
+        "role",
+        "uptime_s",
+        "forwarded",
+        "replicated",
+        "failovers",
+        "errors",
+        "hot_tracked",
+        "connections",
+        "connections.open",
+        "connections.total",
+        "connections.rejected",
+        "connections.max_conns",
+        "connections.pipeline_cap",
+        "shards",
+        "shards[].addr",
+        "shards[].up",
+        "shards[].forwarded",
+        "shards[].in_flight",
+    ];
+    let router_health = [
+        "status",
+        "role",
+        "state",
+        "version",
+        "uptime_s",
+        "uptime_ms",
+        "shards",
+        "shards_up",
+        "conns_open",
+        "max_conns",
+        "pipeline_cap",
+    ];
+    let shown = c.round_trip(r#"{"id":6,"verb":"stats"}"#);
+    for (line, want) in [
+        (&health, &router_health[..]),
+        (&stats, &router_stats[..]),
+        (&shown, &router_stats[..]),
+    ] {
+        let paths = key_paths(&result_of(line));
+        for path in want {
+            assert!(paths.iter().any(|p| p == path), "no {path} in {line}");
+        }
+    }
 
     let prom = c.round_trip(r#"{"id":5,"verb":"stats","format":"prometheus"}"#);
     assert!(prom.contains("iced_router_shard_up"), "prom: {prom}");

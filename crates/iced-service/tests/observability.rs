@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use iced_service::json::{self, Value};
+use iced_service::json::{self, Layout, Value};
 use iced_service::{ChaosInjector, Server, ServiceConfig};
 
 /// A line-oriented test client with no retry discipline — chaos-injected
@@ -97,6 +97,148 @@ fn healthz_reports_enriched_fields_in_deterministic_order() {
         positions.windows(2).all(|w| w[0] < w[1]),
         "healthz field order changed: {health}"
     );
+
+    server.shutdown();
+    server.wait();
+}
+
+/// Every key path of the JSON object `text`, depth first in emission
+/// order (`a.b` for nesting, `a[]` for array elements; values ignored).
+/// Built on the crate's own [`json::layout`], whose spans give each
+/// field's position.
+fn key_paths(text: &str) -> Vec<String> {
+    fn walk(text: &str, prefix: &str, out: &mut Vec<String>) {
+        match json::layout(text).expect("valid JSON") {
+            Layout::Obj(fields) => {
+                let mut fields: Vec<_> = fields.into_iter().collect();
+                fields.sort_by_key(|(_, span)| span.start);
+                for (key, span) in fields {
+                    let path = if prefix.is_empty() {
+                        key
+                    } else {
+                        format!("{prefix}.{key}")
+                    };
+                    out.push(path.clone());
+                    walk(&text[span], &path, out);
+                }
+            }
+            Layout::Arr(elems) => {
+                for span in elems {
+                    walk(&text[span], &format!("{prefix}[]"), out);
+                }
+            }
+            Layout::Scalar => {}
+        }
+    }
+    let mut out = Vec::new();
+    walk(text, "", &mut out);
+    out
+}
+
+/// The `result` object of a response line.
+fn result_of(line: &str) -> String {
+    json::Fields::read(line)
+        .and_then(|f| f.get("result").map(str::to_string))
+        .unwrap_or_else(|| panic!("no result in {line}"))
+}
+
+/// `block.verb.field` for every verb and field, in that nesting order.
+fn per_verb(block: &str, verbs: &[&str], fields: &[&str]) -> Vec<String> {
+    let mut out = vec![block.to_string()];
+    for v in verbs {
+        out.push(format!("{block}.{v}"));
+        out.extend(fields.iter().map(|f| format!("{block}.{v}.{f}")));
+    }
+    out
+}
+
+/// The shard's `metrics` and `stats` results keep the same keys in the
+/// same order, whatever their values: dashboards and the benchmark read
+/// them by path.
+#[test]
+fn metrics_and_stats_key_sequences_are_pinned() {
+    let (server, addr) = start(ServiceConfig::default());
+    let mut c = Raw::connect(addr);
+    let verbs = [
+        "compile",
+        "simulate",
+        "stream",
+        "healthz",
+        "metrics",
+        "shutdown",
+        "stats",
+        "batch",
+        "cache_put",
+    ];
+    let work = ["compile", "simulate", "stream", "batch"];
+    let hist = [
+        "count",
+        "total_us",
+        "mean_us",
+        "max_us",
+        "p50_us",
+        "p95_us",
+        "p99_us",
+        "log2_us_buckets",
+    ];
+    let summary = ["count", "mean_us", "max_us", "p50_us", "p95_us", "p99_us"];
+
+    let metrics = result_of(&c.round_trip(r#"{"id":1,"verb":"metrics"}"#));
+    let mut want: Vec<String> = [
+        "uptime_s",
+        "cache_hits",
+        "cache_misses",
+        "cache_evictions",
+        "cache_bytes",
+        "cache_entries",
+        "queue_depth",
+        "queue_peak",
+        "rejected",
+        "errors",
+        "connections",
+        "conns_open",
+        "conns_peak",
+        "conns_rejected",
+        "max_conns",
+        "pipeline_cap",
+        "pipeline_rejected",
+        "batch_slots",
+        "batch_unique",
+        "chaos_faults",
+        "log_dropped",
+        "in_flight",
+    ]
+    .map(String::from)
+    .to_vec();
+    want.extend(verbs.iter().map(|v| format!("in_flight.{v}")));
+    want.extend(per_verb("latency", &verbs, &hist));
+    want.extend(per_verb("queue_wait", &work, &hist));
+    want.extend(per_verb("service_time", &work, &hist));
+    assert_eq!(key_paths(&metrics), want, "metrics: {metrics}");
+
+    let stats = result_of(&c.round_trip(r#"{"id":2,"verb":"stats"}"#));
+    let mut want: Vec<String> = ["role", "uptime_s", "window_seconds", "epoch_seconds"]
+        .map(String::from)
+        .to_vec();
+    want.extend(per_verb("lifetime", &verbs, &summary));
+    want.extend(per_verb("window", &verbs, &summary));
+    want.extend(
+        [
+            "connections",
+            "connections.open",
+            "connections.peak",
+            "connections.rejected",
+            "connections.max_conns",
+            "connections.pipeline_cap",
+            "connections.pipeline_rejected",
+            "batch",
+            "batch.slots",
+            "batch.unique",
+            "batch.deduped",
+        ]
+        .map(String::from),
+    );
+    assert_eq!(key_paths(&stats), want, "stats: {stats}");
 
     server.shutdown();
     server.wait();
