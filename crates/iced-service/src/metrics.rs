@@ -3,6 +3,14 @@
 //! Prometheus-style text exposition — mirrored into `iced-trace` so the
 //! `metrics`/`stats` verbs and a Chrome-trace export tell the same story.
 //!
+//! Every scalar metric is declared once, as a registry entry (`Scalar`)
+//! carrying its JSON key, Prometheus family name, kind, help text and
+//! value. Both roles expose from their lists of entries: the flat
+//! `metrics` JSON, the `connections`/`batch` blocks of `stats`, and one
+//! Prometheus family per entry. The shard and the router share the
+//! connection and error entries; the router adds its own. The three
+//! latency histograms go out through one summary writer.
+//!
 //! Two time horizons are reported:
 //!
 //! * **Lifetime** — the atomic [`Histogram`]s, never reset.
@@ -14,6 +22,7 @@
 //! interpolation inside the covering bucket, capped at the observed
 //! maximum — cheap, deterministic, and monotone in `q`.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -21,7 +30,7 @@ use std::time::{Duration, Instant};
 use iced::trace::Phase;
 
 use crate::json::Obj;
-use crate::proto::Verb;
+use crate::proto::{SvcError, Verb};
 
 /// Number of log2 latency buckets. Bucket `i` counts requests whose
 /// latency was in `[2^i, 2^(i+1))` microseconds; the last bucket absorbs
@@ -267,7 +276,168 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// All service metrics. One instance per server, shared by every worker.
+/// The iced-trace counter each verb's answered requests bump, indexed
+/// by verb: `svc_<verb>_requests`.
+const REQUEST_COUNTERS: [&str; Verb::ALL.len()] = [
+    "svc_compile_requests",
+    "svc_simulate_requests",
+    "svc_stream_requests",
+    "svc_healthz_requests",
+    "svc_metrics_requests",
+    "svc_shutdown_requests",
+    "svc_stats_requests",
+    "svc_batch_requests",
+    "svc_cache_put_requests",
+];
+
+/// How Prometheus types a family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// Only ever grows; the family name ends in `_total`.
+    Counter,
+    /// Goes up and down.
+    Gauge,
+}
+
+/// One entry of the metrics registry, declared once. The JSON views
+/// write it as `key` (and as `stat` inside its section's `stats` block);
+/// Prometheus writes it as the role's prefix followed by `name`. An
+/// entry broken down `by` a label writes one Prometheus sample per label
+/// value, and its total `value` to JSON.
+#[derive(Debug, Clone)]
+pub(crate) struct Scalar<'a> {
+    pub(crate) key: &'static str,
+    name: &'static str,
+    kind: Kind,
+    help: &'static str,
+    value: u64,
+    pub(crate) stat: Option<&'static str>,
+    by: Option<(&'static str, Vec<(&'a str, u64)>)>,
+}
+
+/// A counter entry.
+pub(crate) fn counter<'a>(
+    key: &'static str,
+    name: &'static str,
+    help: &'static str,
+    value: u64,
+) -> Scalar<'a> {
+    Scalar {
+        key,
+        name,
+        kind: Kind::Counter,
+        help,
+        value,
+        stat: None,
+        by: None,
+    }
+}
+
+/// A gauge entry.
+pub(crate) fn gauge<'a>(
+    key: &'static str,
+    name: &'static str,
+    help: &'static str,
+    value: u64,
+) -> Scalar<'a> {
+    Scalar {
+        kind: Kind::Gauge,
+        ..counter(key, name, help, value)
+    }
+}
+
+impl<'a> Scalar<'a> {
+    /// Files the entry under `field` in its section's `stats` block.
+    pub(crate) fn stat(self, field: &'static str) -> Self {
+        Scalar {
+            stat: Some(field),
+            ..self
+        }
+    }
+
+    /// Breaks the entry down by `label` for Prometheus.
+    pub(crate) fn by(self, label: &'static str, samples: Vec<(&'a str, u64)>) -> Self {
+        Scalar {
+            by: Some((label, samples)),
+            ..self
+        }
+    }
+}
+
+/// Adds each entry to `obj` under its JSON key.
+pub(crate) fn put_fields<'s, 'a: 's>(
+    obj: Obj,
+    entries: impl IntoIterator<Item = &'s Scalar<'a>>,
+) -> Obj {
+    entries.into_iter().fold(obj, |o, s| o.u64(s.key, s.value))
+}
+
+/// A section's `stats` block: each entry filed with a `stat` field.
+pub(crate) fn block(section: &[Scalar<'_>]) -> Obj {
+    section
+        .iter()
+        .filter_map(|s| Some((s.stat?, s.value)))
+        .fold(Obj::new(), |o, (field, v)| o.u64(field, v))
+}
+
+/// Writes the HELP and TYPE lines that open a Prometheus family.
+fn header(out: &mut String, prefix: &str, name: &str, ty: &str, help: &str) {
+    let _ = write!(
+        out,
+        "# HELP {prefix}{name} {help}\n# TYPE {prefix}{name} {ty}\n"
+    );
+}
+
+/// Writes each entry as one Prometheus family, names prefixed `prefix`.
+pub(crate) fn write_families(out: &mut String, prefix: &str, entries: &[Scalar<'_>]) {
+    for s in entries {
+        let ty = match s.kind {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        };
+        header(out, prefix, s.name, ty, s.help);
+        match &s.by {
+            None => {
+                let _ = writeln!(out, "{prefix}{} {}", s.name, s.value);
+            }
+            Some((label, samples)) => {
+                for (at, v) in samples {
+                    let _ = writeln!(out, "{prefix}{}{{{label}=\"{at}\"}} {v}", s.name);
+                }
+            }
+        }
+    }
+}
+
+/// Writes one latency summary family: per verb, three quantiles, then
+/// `_sum` and `_count`, one verb after the other.
+fn write_summary(out: &mut String, name: &str, help: &str, verbs: &[Verb], hists: &[Histogram]) {
+    header(out, "iced_svc_", name, "summary", help);
+    for &v in verbs {
+        let snap = hists[v as usize].snapshot();
+        let verb = v.name();
+        for q in [0.5, 0.95, 0.99] {
+            let _ = writeln!(
+                out,
+                "iced_svc_{name}{{verb=\"{verb}\",quantile=\"{q}\"}} {}",
+                snap.quantile(q)
+            );
+        }
+        let _ = writeln!(
+            out,
+            "iced_svc_{name}_sum{{verb=\"{verb}\"}} {}",
+            snap.total_us
+        );
+        let _ = writeln!(
+            out,
+            "iced_svc_{name}_count{{verb=\"{verb}\"}} {}",
+            snap.count
+        );
+    }
+}
+
+/// All service metrics. One instance per server (or router), shared by
+/// every worker.
 #[derive(Debug)]
 pub struct Metrics {
     /// Cache hits across all cacheable verbs.
@@ -320,6 +490,11 @@ impl Default for Metrics {
     }
 }
 
+/// A relaxed load: every counter here is independent.
+fn load(a: &AtomicU64) -> u64 {
+    a.load(Ordering::Relaxed)
+}
+
 impl Metrics {
     /// Creates a zeroed metrics block; the uptime clock starts now.
     pub fn new() -> Self {
@@ -365,7 +540,7 @@ impl Metrics {
         self.latency[verb as usize].record(latency);
         let us = latency.as_micros().min(u64::MAX as u128) as u64;
         self.window.record(verb, us, self.epoch_now());
-        iced::trace::counter(Phase::Service, &format!("svc_{}_requests", verb.name()), 1);
+        iced::trace::counter(Phase::Service, REQUEST_COUNTERS[verb as usize], 1);
     }
 
     /// Records the queue-wait vs. service-time split for a worker-served
@@ -417,6 +592,11 @@ impl Metrics {
         iced::trace::counter(Phase::Service, "svc_queue_full", 1);
     }
 
+    /// Records one request answered with a structured error.
+    pub fn error(&self) {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one injected chaos fault (any site).
     pub fn chaos_fault(&self) {
         self.chaos_faults.fetch_add(1, Ordering::Relaxed);
@@ -434,8 +614,10 @@ impl Metrics {
         self.max_conns.store(max_conns as u64, Ordering::Relaxed);
     }
 
-    /// A connection was accepted: bumps the open gauge and its peak.
+    /// A connection was accepted: counts it and bumps the open gauge and
+    /// its peak.
     pub fn conn_opened(&self) {
+        self.connections.fetch_add(1, Ordering::Relaxed);
         let now = self.conns_open.fetch_add(1, Ordering::Relaxed) + 1;
         self.conns_peak.fetch_max(now, Ordering::Relaxed);
     }
@@ -455,6 +637,16 @@ impl Metrics {
     pub fn pipeline_rejected_request(&self) {
         self.pipeline_rejected.fetch_add(1, Ordering::Relaxed);
         iced::trace::counter(Phase::Service, "svc_pipeline_rejected", 1);
+    }
+
+    /// A line the connection core answered itself with `err` (oversized,
+    /// or past the pipeline cap): an error, and a pipeline rejection when
+    /// it was one.
+    pub fn line_rejected(&self, err: &SvcError) {
+        if err.code == "too_many_requests" {
+            self.pipeline_rejected_request();
+        }
+        self.error();
     }
 
     /// Records one executed batch: total slots vs. unique keys computed.
@@ -480,6 +672,199 @@ impl Metrics {
         self.latency[verb as usize].snapshot()
     }
 
+    /// The registry entry both roles open their lists with.
+    pub(crate) fn uptime_scalar<'a>(&self) -> Scalar<'a> {
+        gauge(
+            "uptime_s",
+            "uptime_seconds",
+            "Seconds since start.",
+            self.uptime().as_secs(),
+        )
+    }
+
+    /// The errors and connection-admission entries both roles keep; the
+    /// ones filed with a `stat` field make the `connections` block.
+    pub(crate) fn conn_scalars<'a>(&self) -> [Scalar<'a>; 8] {
+        [
+            counter(
+                "errors",
+                "errors_total",
+                "Requests answered with a structured error.",
+                load(&self.errors),
+            ),
+            counter(
+                "connections",
+                "connections_total",
+                "Connections accepted.",
+                load(&self.connections),
+            ),
+            gauge(
+                "conns_open",
+                "conns_open",
+                "Connections currently open.",
+                load(&self.conns_open),
+            )
+            .stat("open"),
+            gauge(
+                "conns_peak",
+                "conns_peak",
+                "High-water mark of concurrently open connections.",
+                load(&self.conns_peak),
+            )
+            .stat("peak"),
+            counter(
+                "conns_rejected",
+                "conns_rejected_total",
+                "Connections refused at the ICED_SVC_MAX_CONNS cap.",
+                load(&self.conns_rejected),
+            )
+            .stat("rejected"),
+            gauge(
+                "max_conns",
+                "max_conns",
+                "Configured connection cap.",
+                load(&self.max_conns),
+            )
+            .stat("max_conns"),
+            gauge(
+                "pipeline_cap",
+                "pipeline_cap",
+                "Configured per-connection pipeline cap.",
+                load(&self.pipeline_cap),
+            )
+            .stat("pipeline_cap"),
+            counter(
+                "pipeline_rejected",
+                "pipeline_rejected_total",
+                "Requests refused at the per-connection pipeline cap.",
+                load(&self.pipeline_rejected),
+            )
+            .stat("pipeline_rejected"),
+        ]
+    }
+
+    /// The batch entries: the `batch` block of the shard's `stats`.
+    fn batch_scalars<'a>(&self) -> [Scalar<'a>; 2] {
+        [
+            counter(
+                "batch_slots",
+                "batch_slots_total",
+                "Slots received across batch requests.",
+                load(&self.batch_slots),
+            )
+            .stat("slots"),
+            counter(
+                "batch_unique",
+                "batch_unique_total",
+                "Unique cache keys executed across batch requests.",
+                load(&self.batch_unique),
+            )
+            .stat("unique"),
+        ]
+    }
+
+    /// The shard's registry, in `metrics` order. The queue, cache and
+    /// event-log figures live outside this block and are passed in.
+    fn shard_scalars<'a>(
+        &self,
+        queue_depth: usize,
+        cache_bytes: u64,
+        cache_entries: usize,
+        log_dropped: u64,
+    ) -> Vec<Scalar<'a>> {
+        let mut list = vec![
+            self.uptime_scalar(),
+            counter(
+                "cache_hits",
+                "cache_hits_total",
+                "Cache hits.",
+                load(&self.cache_hits),
+            ),
+            counter(
+                "cache_misses",
+                "cache_misses_total",
+                "Cache misses.",
+                load(&self.cache_misses),
+            ),
+            counter(
+                "cache_evictions",
+                "cache_evictions_total",
+                "Cache evictions.",
+                load(&self.cache_evictions),
+            ),
+            gauge(
+                "cache_bytes",
+                "cache_bytes",
+                "Resident cache payload bytes.",
+                cache_bytes,
+            ),
+            gauge(
+                "cache_entries",
+                "cache_entries",
+                "Resident cache entries.",
+                cache_entries as u64,
+            ),
+            gauge(
+                "queue_depth",
+                "queue_depth",
+                "Current request queue depth.",
+                queue_depth as u64,
+            ),
+            gauge(
+                "queue_peak",
+                "queue_peak",
+                "Queue depth high-water mark.",
+                load(&self.queue_peak),
+            ),
+            counter(
+                "rejected",
+                "rejected_total",
+                "Requests rejected with queue_full.",
+                load(&self.rejected),
+            ),
+        ];
+        list.extend(self.conn_scalars());
+        list.extend(self.batch_scalars());
+        list.extend([
+            counter(
+                "chaos_faults",
+                "chaos_faults_total",
+                "Faults injected by the chaos layer.",
+                load(&self.chaos_faults),
+            ),
+            counter(
+                "log_dropped",
+                "log_dropped_total",
+                "Event-log lines dropped under backpressure.",
+                log_dropped,
+            ),
+        ]);
+        list
+    }
+
+    /// Renders `healthz`: the fields both roles share around the role's
+    /// own `middle` fields.
+    pub(crate) fn render_healthz(
+        &self,
+        role: &str,
+        draining: bool,
+        middle: impl FnOnce(Obj) -> Obj,
+    ) -> String {
+        let up = self.uptime();
+        let head = Obj::new()
+            .str("status", "ok")
+            .str("role", role)
+            .str("state", if draining { "draining" } else { "running" })
+            .str("version", env!("CARGO_PKG_VERSION"))
+            .u64("uptime_s", up.as_secs())
+            .u64("uptime_ms", up.as_millis() as u64);
+        middle(head)
+            .u64("conns_open", load(&self.conns_open))
+            .u64("max_conns", load(&self.max_conns))
+            .u64("pipeline_cap", load(&self.pipeline_cap))
+            .finish()
+    }
+
     /// Renders the `metrics` result object. Not cached, so field content
     /// may differ between calls; field *order* is still deterministic.
     pub fn render(
@@ -489,6 +874,7 @@ impl Metrics {
         cache_entries: usize,
         log_dropped: u64,
     ) -> String {
+        let list = self.shard_scalars(queue_depth, cache_bytes, cache_entries, log_dropped);
         let mut verbs = Obj::new();
         let mut flight = Obj::new();
         for v in Verb::ALL {
@@ -501,37 +887,7 @@ impl Metrics {
             wait = wait.raw(v.name(), &self.queue_wait[v as usize].render());
             svc = svc.raw(v.name(), &self.service[v as usize].render());
         }
-        Obj::new()
-            .u64("uptime_s", self.uptime().as_secs())
-            .u64("cache_hits", self.cache_hits.load(Ordering::Relaxed))
-            .u64("cache_misses", self.cache_misses.load(Ordering::Relaxed))
-            .u64(
-                "cache_evictions",
-                self.cache_evictions.load(Ordering::Relaxed),
-            )
-            .u64("cache_bytes", cache_bytes)
-            .u64("cache_entries", cache_entries as u64)
-            .u64("queue_depth", queue_depth as u64)
-            .u64("queue_peak", self.queue_peak.load(Ordering::Relaxed))
-            .u64("rejected", self.rejected.load(Ordering::Relaxed))
-            .u64("errors", self.errors.load(Ordering::Relaxed))
-            .u64("connections", self.connections.load(Ordering::Relaxed))
-            .u64("conns_open", self.conns_open.load(Ordering::Relaxed))
-            .u64("conns_peak", self.conns_peak.load(Ordering::Relaxed))
-            .u64(
-                "conns_rejected",
-                self.conns_rejected.load(Ordering::Relaxed),
-            )
-            .u64("max_conns", self.max_conns.load(Ordering::Relaxed))
-            .u64("pipeline_cap", self.pipeline_cap.load(Ordering::Relaxed))
-            .u64(
-                "pipeline_rejected",
-                self.pipeline_rejected.load(Ordering::Relaxed),
-            )
-            .u64("batch_slots", self.batch_slots.load(Ordering::Relaxed))
-            .u64("batch_unique", self.batch_unique.load(Ordering::Relaxed))
-            .u64("chaos_faults", self.chaos_faults.load(Ordering::Relaxed))
-            .u64("log_dropped", log_dropped)
+        put_fields(Obj::new(), &list)
             .raw("in_flight", &flight.finish())
             .raw("latency", &verbs.finish())
             .raw("queue_wait", &wait.finish())
@@ -540,7 +896,8 @@ impl Metrics {
     }
 
     /// Renders the `stats` result object: lifetime and last-window
-    /// quantile summaries per verb, plus the window geometry.
+    /// quantile summaries per verb, the window geometry, and the
+    /// connection and batch blocks.
     pub fn render_stats(&self) -> String {
         let now = self.epoch_now();
         let window = self.window.view(now);
@@ -553,27 +910,7 @@ impl Metrics {
             );
             win = win.raw(v.name(), &window[v as usize].render_summary());
         }
-        let conns = Obj::new()
-            .u64("open", self.conns_open.load(Ordering::Relaxed))
-            .u64("peak", self.conns_peak.load(Ordering::Relaxed))
-            .u64("rejected", self.conns_rejected.load(Ordering::Relaxed))
-            .u64("max_conns", self.max_conns.load(Ordering::Relaxed))
-            .u64("pipeline_cap", self.pipeline_cap.load(Ordering::Relaxed))
-            .u64(
-                "pipeline_rejected",
-                self.pipeline_rejected.load(Ordering::Relaxed),
-            )
-            .finish();
-        let batch = Obj::new()
-            .u64("slots", self.batch_slots.load(Ordering::Relaxed))
-            .u64("unique", self.batch_unique.load(Ordering::Relaxed))
-            .u64(
-                "deduped",
-                self.batch_slots
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(self.batch_unique.load(Ordering::Relaxed)),
-            )
-            .finish();
+        let deduped = load(&self.batch_slots).saturating_sub(load(&self.batch_unique));
         Obj::new()
             .str("role", "shard")
             .u64("uptime_s", self.uptime().as_secs())
@@ -581,8 +918,13 @@ impl Metrics {
             .u64("epoch_seconds", EPOCH_SECONDS)
             .raw("lifetime", &life.finish())
             .raw("window", &win.finish())
-            .raw("connections", &conns)
-            .raw("batch", &batch)
+            .raw("connections", &block(&self.conn_scalars()).finish())
+            .raw(
+                "batch",
+                &block(&self.batch_scalars())
+                    .u64("deduped", deduped)
+                    .finish(),
+            )
             .finish()
     }
 
@@ -594,200 +936,48 @@ impl Metrics {
         cache_entries: usize,
         log_dropped: u64,
     ) -> String {
-        let mut out = String::with_capacity(4096);
-        let gauge = |name: &str, help: &str, value: u64, out: &mut String| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-            ));
-        };
-        out.push_str("# HELP iced_svc_requests_total Completed requests per verb.\n");
-        out.push_str("# TYPE iced_svc_requests_total counter\n");
-        for v in Verb::ALL {
-            out.push_str(&format!(
-                "iced_svc_requests_total{{verb=\"{}\"}} {}\n",
-                v.name(),
-                self.requests(v)
-            ));
-        }
-        out.push_str("# HELP iced_svc_request_latency_us Request latency quantiles per verb.\n");
-        out.push_str("# TYPE iced_svc_request_latency_us summary\n");
-        for v in Verb::ALL {
-            let snap = self.latency[v as usize].snapshot();
-            for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                out.push_str(&format!(
-                    "iced_svc_request_latency_us{{verb=\"{}\",quantile=\"{label}\"}} {}\n",
-                    v.name(),
-                    snap.quantile(q)
-                ));
-            }
-            out.push_str(&format!(
-                "iced_svc_request_latency_us_sum{{verb=\"{}\"}} {}\n",
-                v.name(),
-                snap.total_us
-            ));
-            out.push_str(&format!(
-                "iced_svc_request_latency_us_count{{verb=\"{}\"}} {}\n",
-                v.name(),
-                snap.count
-            ));
-        }
-        out.push_str(
-            "# HELP iced_svc_queue_wait_us Queue wait before a worker picked the job up.\n",
-        );
-        out.push_str("# TYPE iced_svc_queue_wait_us summary\n");
-        out.push_str("# HELP iced_svc_service_time_us Worker service time.\n");
-        out.push_str("# TYPE iced_svc_service_time_us summary\n");
-        for v in WORK_VERBS {
-            for (family, hist) in [
-                ("iced_svc_queue_wait_us", &self.queue_wait[v as usize]),
-                ("iced_svc_service_time_us", &self.service[v as usize]),
-            ] {
-                let snap = hist.snapshot();
-                for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                    out.push_str(&format!(
-                        "{family}{{verb=\"{}\",quantile=\"{label}\"}} {}\n",
-                        v.name(),
-                        snap.quantile(q)
-                    ));
-                }
-                out.push_str(&format!(
-                    "{family}_count{{verb=\"{}\"}} {}\n",
-                    v.name(),
-                    snap.count
-                ));
-            }
-        }
-        out.push_str("# HELP iced_svc_in_flight Requests currently being served per verb.\n");
-        out.push_str("# TYPE iced_svc_in_flight gauge\n");
-        for v in Verb::ALL {
-            out.push_str(&format!(
-                "iced_svc_in_flight{{verb=\"{}\"}} {}\n",
-                v.name(),
-                self.in_flight_count(v)
-            ));
-        }
-        let counters: [(&str, &str, u64); 11] = [
-            (
-                "iced_svc_cache_hits_total",
-                "Cache hits.",
-                self.cache_hits.load(Ordering::Relaxed),
-            ),
-            (
-                "iced_svc_cache_misses_total",
-                "Cache misses.",
-                self.cache_misses.load(Ordering::Relaxed),
-            ),
-            (
-                "iced_svc_cache_evictions_total",
-                "Cache evictions.",
-                self.cache_evictions.load(Ordering::Relaxed),
-            ),
-            (
-                "iced_svc_rejected_total",
-                "Requests rejected with queue_full.",
-                self.rejected.load(Ordering::Relaxed),
-            ),
-            (
-                "iced_svc_errors_total",
-                "Requests answered with a structured error.",
-                self.errors.load(Ordering::Relaxed),
-            ),
-            (
-                "iced_svc_connections_total",
-                "Connections accepted.",
-                self.connections.load(Ordering::Relaxed),
-            ),
-            (
-                "iced_svc_chaos_faults_total",
-                "Faults injected by the chaos layer.",
-                self.chaos_faults.load(Ordering::Relaxed),
-            ),
-            (
-                "iced_svc_conns_rejected_total",
-                "Connections refused at the ICED_SVC_MAX_CONNS cap.",
-                self.conns_rejected.load(Ordering::Relaxed),
-            ),
-            (
-                "iced_svc_pipeline_rejected_total",
-                "Requests refused at the per-connection pipeline cap.",
-                self.pipeline_rejected.load(Ordering::Relaxed),
-            ),
-            (
-                "iced_svc_batch_slots_total",
-                "Slots received across batch requests.",
-                self.batch_slots.load(Ordering::Relaxed),
-            ),
-            (
-                "iced_svc_batch_unique_total",
-                "Unique cache keys executed across batch requests.",
-                self.batch_unique.load(Ordering::Relaxed),
-            ),
+        let mut out = String::with_capacity(8192);
+        let per_verb = |f: &dyn Fn(Verb) -> u64| Verb::ALL.map(|v| (v.name(), f(v))).to_vec();
+        let mut list = vec![
+            counter(
+                "requests",
+                "requests_total",
+                "Completed requests per verb.",
+                0,
+            )
+            .by("verb", per_verb(&|v| self.requests(v))),
+            gauge(
+                "in_flight",
+                "in_flight",
+                "Requests currently being served per verb.",
+                0,
+            )
+            .by("verb", per_verb(&|v| self.in_flight_count(v))),
         ];
-        for (name, help, value) in counters {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
+        list.extend(self.shard_scalars(queue_depth, cache_bytes, cache_entries, log_dropped));
+        write_families(&mut out, "iced_svc_", &list);
+        for (name, help, verbs, hists) in [
+            (
+                "request_latency_us",
+                "Request latency quantiles per verb.",
+                &Verb::ALL[..],
+                &self.latency,
+            ),
+            (
+                "queue_wait_us",
+                "Queue wait before a worker picked the job up.",
+                &WORK_VERBS[..],
+                &self.queue_wait,
+            ),
+            (
+                "service_time_us",
+                "Worker service time.",
+                &WORK_VERBS[..],
+                &self.service,
+            ),
+        ] {
+            write_summary(&mut out, name, help, verbs, hists);
         }
-        gauge(
-            "iced_svc_queue_depth",
-            "Current request queue depth.",
-            queue_depth as u64,
-            &mut out,
-        );
-        gauge(
-            "iced_svc_queue_peak",
-            "Queue depth high-water mark.",
-            self.queue_peak.load(Ordering::Relaxed),
-            &mut out,
-        );
-        gauge(
-            "iced_svc_cache_bytes",
-            "Resident cache payload bytes.",
-            cache_bytes,
-            &mut out,
-        );
-        gauge(
-            "iced_svc_cache_entries",
-            "Resident cache entries.",
-            cache_entries as u64,
-            &mut out,
-        );
-        gauge(
-            "iced_svc_log_dropped_total",
-            "Event-log lines dropped under backpressure.",
-            log_dropped,
-            &mut out,
-        );
-        gauge(
-            "iced_svc_conns_open",
-            "Connections currently open.",
-            self.conns_open.load(Ordering::Relaxed),
-            &mut out,
-        );
-        gauge(
-            "iced_svc_conns_peak",
-            "High-water mark of concurrently open connections.",
-            self.conns_peak.load(Ordering::Relaxed),
-            &mut out,
-        );
-        gauge(
-            "iced_svc_max_conns",
-            "Configured connection cap.",
-            self.max_conns.load(Ordering::Relaxed),
-            &mut out,
-        );
-        gauge(
-            "iced_svc_pipeline_cap",
-            "Configured per-connection pipeline cap.",
-            self.pipeline_cap.load(Ordering::Relaxed),
-            &mut out,
-        );
-        gauge(
-            "iced_svc_uptime_seconds",
-            "Seconds since server start.",
-            self.uptime().as_secs(),
-            &mut out,
-        );
         out
     }
 }
@@ -921,6 +1111,16 @@ mod tests {
         let view = w.view(2 * WINDOW_SLOTS as u64);
         assert_eq!(view[Verb::Compile as usize].count, 1);
         assert_eq!(view[Verb::Compile as usize].max_us, 300);
+    }
+
+    #[test]
+    fn request_counters_keep_the_per_verb_trace_names() {
+        for v in Verb::ALL {
+            assert_eq!(
+                REQUEST_COUNTERS[v as usize],
+                format!("svc_{}_requests", v.name())
+            );
+        }
     }
 
     #[test]

@@ -60,19 +60,11 @@ impl Handler for Shard<'_> {
     }
 
     fn rejected(&mut self, rid: RequestId, err: &SvcError) {
-        let metrics = &self.shared.metrics;
-        if err.code == "too_many_requests" {
-            metrics.pipeline_rejected_request();
-        }
-        metrics.errors.fetch_add(1, Ordering::Relaxed);
+        self.shared.metrics.line_rejected(err);
         log_request_error(self.shared, rid, None, err);
     }
 
     fn opened(&mut self) {
-        self.shared
-            .metrics
-            .connections
-            .fetch_add(1, Ordering::Relaxed);
         self.shared.metrics.conn_opened();
     }
 
@@ -133,7 +125,7 @@ fn handle_line(shared: &Arc<Shared>, c: &mut Conn, to: ReplyTo, text: &str) {
     let req = match parse_request(text) {
         Ok(r) => r,
         Err(e) => {
-            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.error();
             log_request_error(shared, rid, e.verb, &e.error);
             c.complete(to, render_err(e.id, Some(rid), e.verb, &e.error));
             return;
@@ -194,30 +186,14 @@ fn answer_control(shared: &Shared, c: &mut Conn, req: Request, to: ReplyTo, t0: 
             Obj::new().bool("stored", true).finish()
         }
         _ => {
-            let state = if shared.shutting.load(Ordering::SeqCst) {
-                "draining"
-            } else {
-                "running"
-            };
-            Obj::new()
-                .str("status", "ok")
-                .str("role", "shard")
-                .str("state", state)
-                .str("version", env!("CARGO_PKG_VERSION"))
-                .u64("uptime_s", shared.started.elapsed().as_secs())
-                .u64("uptime_ms", shared.started.elapsed().as_millis() as u64)
-                .u64("threads", shared.threads as u64)
-                .u64("queue_cap", shared.queue_cap as u64)
-                .u64("queue_depth", shared.queue.len() as u64)
-                .u64("in_flight", shared.in_flight.load(Ordering::Relaxed) as u64)
-                .bool("chaos_armed", shared.chaos.is_some())
-                .u64(
-                    "conns_open",
-                    shared.metrics.conns_open.load(Ordering::Relaxed),
-                )
-                .u64("max_conns", shared.max_conns as u64)
-                .u64("pipeline_cap", shared.pipeline_cap as u64)
-                .finish()
+            let draining = shared.shutting.load(Ordering::SeqCst);
+            shared.metrics.render_healthz("shard", draining, |o| {
+                o.u64("threads", shared.threads as u64)
+                    .u64("queue_cap", shared.queue_cap as u64)
+                    .u64("queue_depth", shared.queue.len() as u64)
+                    .u64("in_flight", shared.in_flight.load(Ordering::Relaxed) as u64)
+                    .bool("chaos_armed", shared.chaos.is_some())
+            })
         }
     };
     shared.metrics.observe(verb, t0.elapsed());

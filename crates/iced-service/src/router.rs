@@ -56,6 +56,7 @@ use crate::conn::{
     serve, Completion, Conn, Frame, Handler, LineReader, ReplyTo, WriteBuf, READ_ROUNDS,
 };
 use crate::json::{self, Fields, Obj};
+use crate::metrics::{block, counter, gauge, put_fields, write_families, Metrics, Scalar};
 use crate::poll::{wake_pair, PollFd, Waker, POLLIN, POLLOUT};
 use crate::proto::{
     parse_request, read_batch_result, render_batch_item_err, render_batch_result, render_err,
@@ -220,6 +221,72 @@ impl ShardLink {
             forwarded: 0,
         }
     }
+
+    /// Forwards on the wire or queued behind the pipeline ceiling.
+    fn in_flight(&self) -> u64 {
+        (self.inflight.len() + self.queued.len()) as u64
+    }
+}
+
+/// The router's metrics registry: its own entries, then the connection
+/// entries the shard keeps too. There, the accepted-connection count is
+/// a top-level field; here `connections` names the block, so the count
+/// is filed in it as `total`.
+fn scalars(st: &Loop) -> Vec<Scalar<'_>> {
+    let per_shard = |f: fn(&ShardLink) -> u64| -> Vec<(&str, u64)> {
+        st.links.iter().map(|l| (l.addr.as_str(), f(l))).collect()
+    };
+    let sum = |samples: &[(&str, u64)]| samples.iter().map(|(_, v)| v).sum();
+    let forwarded = per_shard(|l| l.forwarded);
+    let up = per_shard(|l| u64::from(l.up));
+    let in_flight = per_shard(ShardLink::in_flight);
+    let mut list = vec![
+        st.metrics.uptime_scalar(),
+        counter(
+            "forwarded",
+            "forwarded_total",
+            "Requests forwarded per shard.",
+            sum(&forwarded),
+        )
+        .by("shard", forwarded),
+        counter(
+            "replicated",
+            "replicated_total",
+            "Hot entries replicated to successor shards.",
+            st.replicated,
+        ),
+        counter(
+            "failovers",
+            "failover_total",
+            "Shard deaths that triggered in-flight replay.",
+            st.failovers,
+        ),
+        gauge(
+            "hot_tracked",
+            "hot_tracked",
+            "Keys tracked for hot-entry replication.",
+            st.hot.len() as u64,
+        ),
+        gauge(
+            "shards_up",
+            "shard_up",
+            "Per-shard liveness (1 = up).",
+            sum(&up),
+        )
+        .by("shard", up),
+        gauge(
+            "in_flight",
+            "in_flight",
+            "Forwards in flight or queued per shard.",
+            sum(&in_flight),
+        )
+        .by("shard", in_flight),
+    ];
+    list.extend(st.metrics.conn_scalars().map(|s| match s.key {
+        "connections" => s.stat("total"),
+        _ => s,
+    }));
+    list
 }
 
 /// Hot-hit tracking for one key.
@@ -313,9 +380,7 @@ struct Loop {
     shared: Arc<RouterShared>,
     cfg_hash: u64,
     replicate_hot: usize,
-    pipeline_cap: usize,
     link_pipeline: usize,
-    max_conns: usize,
     links: Vec<ShardLink>,
     /// The link behind each pollfd [`Handler::poll_extra`] added.
     link_fds: Vec<usize>,
@@ -323,15 +388,13 @@ struct Loop {
     assemblies: HashMap<u64, Assembly>,
     next_assembly: u64,
     hot: HashMap<CacheKey, HotEntry>,
-    started: Instant,
-    // Counters for healthz/stats/prometheus.
-    forwarded_total: u64,
-    replicated_total: u64,
-    failover_total: u64,
-    conns_total: u64,
-    conns_open: u64,
-    conns_rejected: u64,
-    errors: u64,
+    /// Connection, error and uptime accounting, kept as the shard keeps
+    /// it; the router's own counters follow.
+    metrics: Metrics,
+    /// Hot entries replicated to a successor shard.
+    replicated: u64,
+    /// Shard deaths that replayed in-flight work.
+    failovers: u64,
     /// The shared shutdown flag as of this loop iteration.
     shutting: bool,
     shutdown_sent: bool,
@@ -356,33 +419,28 @@ fn router_loop(
         .map(|a| ShardLink::new(a.clone()))
         .collect();
     let shard_ids: Vec<u64> = links.iter().map(|l| l.id).collect();
+    let (max_conns, pipeline_cap) = (cfg.max_conns.max(1), cfg.pipeline.max(1));
     let mut st = Loop {
         shared: Arc::clone(shared),
         cfg_hash: cfg.cgra.canonical_hash(),
         replicate_hot: cfg.replicate_hot,
-        pipeline_cap: cfg.pipeline.max(1),
         link_pipeline: cfg.shard_pipeline.max(1),
-        max_conns: cfg.max_conns.max(1),
         links,
         link_fds: Vec::new(),
         shard_ids,
         assemblies: HashMap::new(),
         next_assembly: 0,
         hot: HashMap::new(),
-        started: Instant::now(),
-        forwarded_total: 0,
-        replicated_total: 0,
-        failover_total: 0,
-        conns_total: 0,
-        conns_open: 0,
-        conns_rejected: 0,
-        errors: 0,
+        metrics: Metrics::new(),
+        replicated: 0,
+        failovers: 0,
         shutting: false,
         shutdown_sent: false,
         shutdown_requested: false,
         completions: Vec::new(),
     };
-    serve(listener, wake_rx, st.max_conns, st.pipeline_cap, &mut st);
+    st.metrics.set_limits(pipeline_cap, max_conns);
+    serve(listener, wake_rx, max_conns, pipeline_cap, &mut st);
     for l in &st.links {
         if let Some(s) = &l.stream {
             let _ = s.shutdown(Shutdown::Both);
@@ -397,21 +455,20 @@ impl Handler for Loop {
         handle_client_line(self, c, to, line);
     }
 
-    fn rejected(&mut self, _rid: RequestId, _err: &SvcError) {
-        self.errors += 1;
+    fn rejected(&mut self, _rid: RequestId, err: &SvcError) {
+        self.metrics.line_rejected(err);
     }
 
     fn opened(&mut self) {
-        self.conns_total += 1;
-        self.conns_open += 1;
+        self.metrics.conn_opened();
     }
 
     fn closed(&mut self) {
-        self.conns_open = self.conns_open.saturating_sub(1);
+        self.metrics.conn_closed();
     }
 
     fn refused(&mut self) {
-        self.conns_rejected += 1;
+        self.metrics.conn_rejected();
     }
 
     fn draining(&mut self) -> bool {
@@ -480,23 +537,49 @@ fn handle_client_line(st: &mut Loop, c: &mut Conn, to: ReplyTo, text: &str) {
     let req = match parse_request(text) {
         Ok(r) => r,
         Err(e) => {
-            st.errors += 1;
+            st.metrics.error();
             c.complete(to, render_err(e.id, Some(rid), e.verb, &e.error));
             return;
         }
     };
     let control = |result: String| render_ok(req.id, Some(rid), req.verb, false, &result);
     match req.verb {
-        Verb::Healthz => c.complete(to, control(render_router_healthz(st))),
-        Verb::Metrics => c.complete(to, control(render_router_stats(st))),
-        Verb::Stats => {
+        Verb::Healthz => {
+            let up = st.links.iter().filter(|l| l.up).count();
+            let result = st.metrics.render_healthz("router", st.shutting, |o| {
+                o.u64("shards", st.links.len() as u64)
+                    .u64("shards_up", up as u64)
+            });
+            c.complete(to, control(result));
+        }
+        Verb::Metrics | Verb::Stats => {
+            let list = scalars(st);
             let result = if matches!(req.payload, Payload::Stats { prometheus: true }) {
+                let mut body = String::with_capacity(2048);
+                write_families(&mut body, "iced_router_", &list);
                 Obj::new()
                     .str("format", "prometheus")
-                    .str("body", &render_router_prometheus(st))
+                    .str("body", &body)
                     .finish()
             } else {
-                render_router_stats(st)
+                // The router's own middle field: one row per shard link.
+                let rows: Vec<String> = st
+                    .links
+                    .iter()
+                    .map(|l| {
+                        Obj::new()
+                            .str("addr", &l.addr)
+                            .bool("up", l.up)
+                            .u64("forwarded", l.forwarded)
+                            .u64("in_flight", l.in_flight())
+                            .finish()
+                    })
+                    .collect();
+                let top = list.iter().filter(|s| s.stat.is_none());
+                put_fields(Obj::new().str("role", "router"), top)
+                    .raw("connections", &block(&list).finish())
+                    .raw("shards", &format!("[{}]", rows.join(",")))
+                    .finish()
             };
             c.complete(to, control(result));
         }
@@ -504,21 +587,17 @@ fn handle_client_line(st: &mut Loop, c: &mut Conn, to: ReplyTo, text: &str) {
             // The cluster drains as one unit: the router forwards the
             // shutdown to every live shard (at the loop top, when the
             // requested flag is promoted) and answers the client now.
-            let in_flight: usize = st
-                .links
-                .iter()
-                .map(|l| l.inflight.len() + l.queued.len())
-                .sum();
+            let in_flight: u64 = st.links.iter().map(ShardLink::in_flight).sum();
             let result = Obj::new()
                 .str("state", "draining")
                 .u64("queued", 0)
-                .u64("in_flight", in_flight as u64)
+                .u64("in_flight", in_flight)
                 .finish();
             c.complete(to, control(result));
             st.shutdown_requested = true;
         }
         _ if st.shutting || st.shutdown_requested => {
-            st.errors += 1;
+            st.metrics.error();
             let err = SvcError::new(
                 "shutting_down",
                 "server is draining and accepts no new work",
@@ -599,7 +678,6 @@ fn try_connect(link: &mut ShardLink) -> bool {
 fn forward_to(st: &mut Loop, idx: usize, line: &str, fwd: Forward) {
     let link = &mut st.links[idx];
     link.forwarded += 1;
-    st.forwarded_total += 1;
     if link.inflight.len() >= st.link_pipeline {
         // At the shard's pipeline ceiling: hold the forward back rather
         // than have the shard reject it with `too_many_requests`.
@@ -639,7 +717,7 @@ fn route_single(
     to: ReplyTo,
 ) {
     let Some(idx) = pick_shard(st, key) else {
-        st.errors += 1;
+        st.metrics.error();
         let line = render_err(req.id, Some(to.rid), Some(req.verb), &no_shards());
         c.complete(to, line);
         return;
@@ -682,7 +760,7 @@ fn route_batch(
     if raw.len() != slots.len() {
         // Cannot happen for JSON that just parsed; answer structurally
         // rather than panic on a hostile line.
-        st.errors += 1;
+        st.metrics.error();
         let err = SvcError::new("internal", "batch item framing mismatch");
         c.complete(to, render_err(id, Some(rid), Some(Verb::Batch), &err));
         return;
@@ -700,7 +778,7 @@ fn route_batch(
             BatchSlot::Elem(elem) => {
                 let key = elem_key(st.cfg_hash, elem);
                 let Some(idx) = pick_shard(st, key) else {
-                    st.errors += 1;
+                    st.metrics.error();
                     let line = render_err(id, Some(rid), Some(Verb::Batch), &no_shards());
                     c.complete(to, line);
                     return;
@@ -875,7 +953,7 @@ fn handle_shard_response(st: &mut Loop, idx: usize, fwd: Forward, line: &str) {
 /// flight are dropped as stragglers.
 fn fail_assembly(st: &mut Loop, assembly: u64, err: SvcError) {
     let asm = st.assemblies.remove(&assembly).expect("assembly is live");
-    st.errors += 1;
+    st.metrics.error();
     let line = render_err(asm.id, Some(asm.to.rid), Some(Verb::Batch), &err);
     st.completions.push(Completion { to: asm.to, line });
 }
@@ -923,7 +1001,7 @@ fn note_hot_hit(st: &mut Loop, owner_idx: usize, key: CacheKey, result: &str) {
         .get_mut(&key)
         .expect("entry just inserted")
         .replicated_to = Some(st.shard_ids[succ]);
-    st.replicated_total += 1;
+    st.replicated += 1;
     forward_to(st, succ, &put, Forward::Internal);
 }
 
@@ -957,7 +1035,7 @@ fn shard_died(st: &mut Loop, idx: usize) {
         return;
     }
     if !orphans.is_empty() {
-        st.failover_total += 1;
+        st.failovers += 1;
     }
     for fwd in orphans {
         match fwd {
@@ -986,7 +1064,7 @@ fn shard_died(st: &mut Loop, idx: usize) {
                         },
                     ),
                     None => {
-                        st.errors += 1;
+                        st.metrics.error();
                         let line = render_err(id, Some(to.rid), Some(verb), &no_shards());
                         st.completions.push(Completion { to, line });
                     }
@@ -1042,112 +1120,6 @@ fn shard_error(env: Option<&Fields<'_>>) -> SvcError {
         code,
         text("message").unwrap_or_else(|| "shard error".into()),
     )
-}
-
-fn render_router_healthz(st: &Loop) -> String {
-    let shards_up = st.links.iter().filter(|l| l.up).count();
-    Obj::new()
-        .str("status", "ok")
-        .str("role", "router")
-        .str("state", if st.shutting { "draining" } else { "running" })
-        .str("version", env!("CARGO_PKG_VERSION"))
-        .u64("uptime_s", st.started.elapsed().as_secs())
-        .u64("uptime_ms", st.started.elapsed().as_millis() as u64)
-        .u64("shards", st.links.len() as u64)
-        .u64("shards_up", shards_up as u64)
-        .u64("conns_open", st.conns_open)
-        .u64("max_conns", st.max_conns as u64)
-        .u64("pipeline_cap", st.pipeline_cap as u64)
-        .finish()
-}
-
-fn render_router_stats(st: &Loop) -> String {
-    let mut shards = String::from("[");
-    for (i, l) in st.links.iter().enumerate() {
-        if i > 0 {
-            shards.push(',');
-        }
-        shards.push_str(
-            &Obj::new()
-                .str("addr", &l.addr)
-                .bool("up", l.up)
-                .u64("forwarded", l.forwarded)
-                .u64("in_flight", (l.inflight.len() + l.queued.len()) as u64)
-                .finish(),
-        );
-    }
-    shards.push(']');
-    Obj::new()
-        .str("role", "router")
-        .u64("uptime_s", st.started.elapsed().as_secs())
-        .u64("forwarded", st.forwarded_total)
-        .u64("replicated", st.replicated_total)
-        .u64("failovers", st.failover_total)
-        .u64("errors", st.errors)
-        .u64("hot_tracked", st.hot.len() as u64)
-        .raw(
-            "connections",
-            &Obj::new()
-                .u64("open", st.conns_open)
-                .u64("total", st.conns_total)
-                .u64("rejected", st.conns_rejected)
-                .u64("max_conns", st.max_conns as u64)
-                .u64("pipeline_cap", st.pipeline_cap as u64)
-                .finish(),
-        )
-        .raw("shards", &shards)
-        .finish()
-}
-
-fn render_router_prometheus(st: &Loop) -> String {
-    let mut out = String::with_capacity(1024);
-    let gauge = |name: &str, help: &str, value: u64, out: &mut String| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-        ));
-    };
-    out.push_str("# HELP iced_router_shard_up Per-shard liveness (1 = up).\n");
-    out.push_str("# TYPE iced_router_shard_up gauge\n");
-    for l in &st.links {
-        out.push_str(&format!(
-            "iced_router_shard_up{{shard=\"{}\"}} {}\n",
-            l.addr,
-            u64::from(l.up)
-        ));
-    }
-    out.push_str("# HELP iced_router_forwarded_total Requests forwarded per shard.\n");
-    out.push_str("# TYPE iced_router_forwarded_total counter\n");
-    for l in &st.links {
-        out.push_str(&format!(
-            "iced_router_forwarded_total{{shard=\"{}\"}} {}\n",
-            l.addr, l.forwarded
-        ));
-    }
-    gauge(
-        "iced_router_replicated_total",
-        "Hot entries replicated to successor shards.",
-        st.replicated_total,
-        &mut out,
-    );
-    gauge(
-        "iced_router_failover_total",
-        "Shard deaths that triggered in-flight replay.",
-        st.failover_total,
-        &mut out,
-    );
-    gauge(
-        "iced_router_errors_total",
-        "Router-answered structured errors.",
-        st.errors,
-        &mut out,
-    );
-    gauge(
-        "iced_router_conns_open",
-        "Open client connections.",
-        st.conns_open,
-        &mut out,
-    );
-    out
 }
 
 #[cfg(test)]

@@ -223,7 +223,6 @@ pub(crate) struct Shared {
     pub(crate) log: EventLog,
     pub(crate) shutting: AtomicBool,
     pub(crate) in_flight: AtomicUsize,
-    pub(crate) started: Instant,
     pub(crate) threads: usize,
     pub(crate) queue_cap: usize,
     pub(crate) pipeline_cap: usize,
@@ -294,7 +293,6 @@ impl Server {
             log,
             shutting: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
-            started: Instant::now(),
             threads: cfg.threads.max(1),
             queue_cap: cfg.queue_cap,
             pipeline_cap: cfg.pipeline.max(1),
@@ -364,7 +362,7 @@ impl Server {
         }
         let shared = &self.shared;
         shared.log.emit(Level::Info, "server_stop", |o| {
-            o.u64("uptime_s", shared.started.elapsed().as_secs())
+            o.u64("uptime_s", shared.metrics.uptime().as_secs())
                 .u64(
                     "connections",
                     shared.metrics.connections.load(Ordering::Relaxed),
@@ -501,12 +499,12 @@ fn worker_loop(shared: &Shared) {
                 render_ok(id, Some(rid), verb, cached, &result)
             }
             Ok(Err(e)) => {
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.error();
                 log_request_error(shared, rid, Some(verb), &e);
                 render_err(id, Some(rid), Some(verb), &e)
             }
             Err(p) => {
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.error();
                 let payload = panic_payload(p.as_ref());
                 shared.log.emit(Level::Error, "worker_panic", |o| {
                     o.str("req", &rid.token())
@@ -580,7 +578,7 @@ fn execute_batch(
                     (verb, cached, Ok(bytes))
                 }
                 Err(e) => {
-                    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.error();
                     log_request_error(shared, rid, Some(verb), &e);
                     (verb, false, Err(e))
                 }
@@ -896,7 +894,6 @@ pub(crate) fn test_shared() -> Arc<Shared> {
         log: EventLog::disabled(),
         shutting: AtomicBool::new(false),
         in_flight: AtomicUsize::new(0),
-        started: Instant::now(),
         threads: cfg.threads,
         queue_cap: cfg.queue_cap,
         pipeline_cap: cfg.pipeline,

@@ -8,7 +8,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use iced_service::json::{self, Layout, Value};
-use iced_service::{ChaosInjector, Server, ServiceConfig};
+use iced_service::{ChaosInjector, Router, RouterConfig, Server, ServiceConfig};
 
 /// A line-oriented test client with no retry discipline — chaos-injected
 /// failures must be observed raw, not absorbed.
@@ -348,6 +348,166 @@ fn stats_and_prometheus_expositions_work_over_the_wire() {
     assert!(prom.contains("# TYPE"), "{prom}");
 
     server.shutdown();
+    server.wait();
+}
+
+/// Checks `text` against the Prometheus text format and returns its
+/// family names in order. Each family has exactly one HELP and one TYPE
+/// line, both before its samples; a family's samples are contiguous; a
+/// name ends in `_total` exactly when its TYPE is `counter`; and every
+/// summary carries `_sum` and `_count` samples.
+fn lint_prometheus(text: &str) -> Vec<String> {
+    use std::collections::{HashMap, HashSet};
+    let mut help: HashSet<&str> = HashSet::new();
+    let mut kind: HashMap<&str, &str> = HashMap::new();
+    let mut order: Vec<String> = Vec::new();
+    // Families whose samples have started, and those whose run has ended.
+    let mut sampled: HashSet<&str> = HashSet::new();
+    let mut closed: HashSet<&str> = HashSet::new();
+    let mut current: Option<&str> = None;
+    let mut summary_parts: HashSet<(&str, &str)> = HashSet::new();
+    for line in text.lines().filter(|l| !l.is_empty()) {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let name = rest.split(' ').next().unwrap();
+            assert!(help.insert(name), "second HELP for {name}");
+            assert!(!sampled.contains(name), "HELP after samples of {name}");
+            continue;
+        }
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let mut words = rest.split(' ');
+            let (name, ty) = (words.next().unwrap(), words.next().unwrap());
+            assert!(kind.insert(name, ty).is_none(), "second TYPE for {name}");
+            assert!(!sampled.contains(name), "TYPE after samples of {name}");
+            order.push(name.to_string());
+            continue;
+        }
+        assert!(!line.starts_with('#'), "stray comment: {line}");
+        let sample = line.split(['{', ' ']).next().unwrap();
+        let (family, part) = if kind.contains_key(sample) {
+            (sample, "")
+        } else {
+            ["_sum", "_count"]
+                .into_iter()
+                .find_map(|suffix| {
+                    let base = sample.strip_suffix(suffix)?;
+                    (kind.get(base) == Some(&"summary")).then_some((base, suffix))
+                })
+                .unwrap_or_else(|| panic!("sample before its TYPE line: {line}"))
+        };
+        assert!(help.contains(family), "sample before its HELP line: {line}");
+        if current != Some(family) {
+            assert!(!closed.contains(family), "{family} samples split: {line}");
+            if let Some(prev) = current {
+                closed.insert(prev);
+            }
+            current = Some(family);
+        }
+        sampled.insert(family);
+        summary_parts.insert((family, part));
+    }
+    for (name, ty) in &kind {
+        assert!(help.contains(name), "{name} has no HELP line");
+        assert_eq!(
+            name.ends_with("_total"),
+            *ty == "counter",
+            "{name} is typed {ty}"
+        );
+        if *ty == "summary" {
+            for part in ["_sum", "_count"] {
+                assert!(
+                    summary_parts.contains(&(*name, part)),
+                    "{name} lacks {part}"
+                );
+            }
+        }
+    }
+    order
+}
+
+/// Both roles' Prometheus text passes the format lint, and every family
+/// either role has exposed stays exposed.
+#[test]
+fn prometheus_text_passes_the_format_lint_for_shard_and_router() {
+    let (server, addr) = start(ServiceConfig {
+        threads: 2,
+        ..ServiceConfig::default()
+    });
+    let router = Router::start(RouterConfig {
+        shards: vec![addr.to_string()],
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let mut c = Raw::connect(router.local_addr());
+    // Some traffic on every path: a cold compile, a warm hit, a batch,
+    // and an error.
+    for line in [
+        r#"{"id":1,"verb":"compile","kernel":"fir"}"#,
+        r#"{"id":2,"verb":"compile","kernel":"fir"}"#,
+        r#"{"id":3,"verb":"batch","items":[{"verb":"compile","kernel":"fir"}]}"#,
+        r#"{"id":4,"verb":"compile","kernel":"no-such-kernel"}"#,
+    ] {
+        c.round_trip(line);
+    }
+    let scrape = |addr: SocketAddr| {
+        let line =
+            Raw::connect(addr).round_trip(r#"{"id":5,"verb":"stats","format":"prometheus"}"#);
+        let result = json::parse(&line).expect("JSON");
+        let body = result.get("result").and_then(|r| r.get("body"));
+        body.and_then(Value::as_str)
+            .unwrap_or_else(|| panic!("no body: {line}"))
+            .to_string()
+    };
+    let shard_families = lint_prometheus(&scrape(addr));
+    for family in [
+        "iced_svc_requests_total",
+        "iced_svc_request_latency_us",
+        "iced_svc_queue_wait_us",
+        "iced_svc_service_time_us",
+        "iced_svc_in_flight",
+        "iced_svc_cache_hits_total",
+        "iced_svc_cache_misses_total",
+        "iced_svc_cache_evictions_total",
+        "iced_svc_rejected_total",
+        "iced_svc_errors_total",
+        "iced_svc_connections_total",
+        "iced_svc_chaos_faults_total",
+        "iced_svc_conns_rejected_total",
+        "iced_svc_pipeline_rejected_total",
+        "iced_svc_batch_slots_total",
+        "iced_svc_batch_unique_total",
+        "iced_svc_queue_depth",
+        "iced_svc_queue_peak",
+        "iced_svc_cache_bytes",
+        "iced_svc_cache_entries",
+        "iced_svc_log_dropped_total",
+        "iced_svc_conns_open",
+        "iced_svc_conns_peak",
+        "iced_svc_max_conns",
+        "iced_svc_pipeline_cap",
+        "iced_svc_uptime_seconds",
+    ] {
+        assert!(
+            shard_families.iter().any(|f| f == family),
+            "shard lost {family}"
+        );
+    }
+    let router_families = lint_prometheus(&scrape(router.local_addr()));
+    for family in [
+        "iced_router_shard_up",
+        "iced_router_forwarded_total",
+        "iced_router_replicated_total",
+        "iced_router_failover_total",
+        "iced_router_errors_total",
+        "iced_router_conns_open",
+    ] {
+        assert!(
+            router_families.iter().any(|f| f == family),
+            "router lost {family}"
+        );
+    }
+
+    router.shutdown();
+    router.wait();
     server.wait();
 }
 
