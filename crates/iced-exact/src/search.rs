@@ -41,12 +41,12 @@
 //! slots record `add_level` rather than taint, and a tile whose every
 //! slot is busy must keep that conflict attributable.
 
-use iced_arch::{CgraConfig, Dir, DvfsLevel, Mrrg, TileId};
+use iced_arch::{CgraConfig, DvfsLevel, Mrrg, TileId};
 use iced_dfg::{Dfg, EdgeId, NodeId};
 use iced_fault::FaultMask;
 use iced_mapper::engine_internals::{
-    arrival_lower_bound, cycle_first_order, in_route_horizon, recurrence_nodes, route, FoundRoute,
-    RouterScratch, Txn,
+    apply_fault_mask, arrival_lower_bound, cycle_first_order, in_route_horizon, recurrence_nodes,
+    route, usable_tiles, FoundRoute, RouterScratch, Txn,
 };
 use iced_mapper::{MapError, Mapping, Placement, Route};
 use iced_trace::Phase;
@@ -147,24 +147,13 @@ impl<'a> Search<'a> {
     ) -> Result<Search<'a>, MapError> {
         let mut mrrg = Mrrg::new(cfg, ii)?;
         if let Some(mask) = mask {
-            // Mirror the heuristic's fault handling: dead resources are
+            // The heuristic's fault handling: dead resources are
             // pre-occupied for the whole period, so the search itself
             // stays fault-oblivious.
-            for t in cfg.tiles() {
-                if !mask.fu_usable(t) {
-                    mrrg.occupy_fu(t, 0, ii);
-                }
-                for d in Dir::ALL {
-                    if cfg.neighbor(t, d).is_some() && !mask.link_usable(t, d) {
-                        mrrg.occupy_link(t, d, 0, ii);
-                    }
-                }
-            }
+            apply_fault_mask(&mut mrrg, cfg, mask);
         }
-        let tiles: Vec<TileId> = cfg
-            .tiles()
-            .filter(|&t| mask.is_none_or(|m| m.fu_usable(t)))
-            .collect();
+        // No island budget: the exact search may place on every live tile.
+        let tiles = usable_tiles(cfg, None, mask);
         // The heuristic's placement order keeps the exact tree's first
         // leaf close to the heuristic's mapping.
         let order = cycle_first_order(dfg, &recurrence_nodes(dfg));

@@ -73,7 +73,7 @@ mod router;
 /// exempt from stability promises.
 #[doc(hidden)]
 pub mod engine_internals {
-    pub use crate::place::{cycle_first_order, recurrence_nodes};
+    pub use crate::place::{apply_fault_mask, cycle_first_order, recurrence_nodes, usable_tiles};
     pub use crate::router::{
         arrival_lower_bound, in_route_horizon, route, FoundRoute, RouterScratch, Txn,
     };

@@ -199,12 +199,12 @@ pub(crate) fn map_with_mask(
     opts: &MapperOptions,
     mask: Option<&FaultMask>,
 ) -> Result<Mapping, MapError> {
-    let tiles_avail = usable_tiles(config, opts, mask).len();
+    let tiles_avail = usable_tiles(config, opts.island_budget, mask).len();
     if tiles_avail == 0 {
         return Err(MapError::MemoryPressure);
     }
     let mem_nodes = dfg.count_ops(|op| op.is_memory());
-    let mem_tiles = usable_tiles(config, opts, mask)
+    let mem_tiles = usable_tiles(config, opts.island_budget, mask)
         .iter()
         .filter(|&&t| config.is_memory_tile(t))
         .count();
@@ -537,7 +537,7 @@ impl AttemptRunner {
 /// placement nor routing can touch it: a dead FU can never fire, and a dead
 /// or stuck link can never carry a value. Done once per attempt, right
 /// after the MRRG is reset, so the search itself stays fault-oblivious.
-fn apply_fault_mask(mrrg: &mut Mrrg, cfg: &CgraConfig, mask: &FaultMask) {
+pub fn apply_fault_mask(mrrg: &mut Mrrg, cfg: &CgraConfig, mask: &FaultMask) {
     let ii = mrrg.ii();
     for t in cfg.tiles() {
         if !mask.fu_usable(t) {
@@ -584,16 +584,17 @@ fn trace_mapped(mapping: &Mapping, start_ii: u32) {
     );
 }
 
-/// Tiles the mapper may place on: under the island budget, and — when a
-/// fault mask is present — with a live FU (a tile with a dead FU may still
-/// be routed *through*; the MRRG pre-occupation handles dead links).
-fn usable_tiles(
+/// Tiles the mapper may place on: inside the first `island_budget`
+/// islands (all tiles when `None`), and — when a fault mask is present —
+/// with a live FU (a tile with a dead FU may still be routed *through*;
+/// the MRRG pre-occupation handles dead links).
+pub fn usable_tiles(
     config: &CgraConfig,
-    opts: &MapperOptions,
+    island_budget: Option<usize>,
     mask: Option<&FaultMask>,
 ) -> Vec<TileId> {
     let live = |t: &TileId| mask.is_none_or(|m| m.fu_usable(*t));
-    match opts.island_budget {
+    match island_budget {
         None => config.tiles().filter(live).collect(),
         Some(n) => {
             let mut tiles = Vec::new();
@@ -665,7 +666,7 @@ impl<'a> Engine<'a> {
             island_assigned: vec![None; cfg.island_count()],
             placements: vec![None; dfg.node_count()],
             routes: vec![None; dfg.edge_count()],
-            tiles: usable_tiles(cfg, opts, mask),
+            tiles: usable_tiles(cfg, opts.island_budget, mask),
             asap: Vec::new(),
             on_cycle: Vec::new(),
             virgin: vec![true; cfg.tile_count()],
