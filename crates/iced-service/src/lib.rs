@@ -43,9 +43,11 @@
 //!   connections, splits batches per shard and reassembles them
 //!   byte-identically, replicates hot entries to a successor shard
 //!   (`ICED_SVC_REPLICATE_HOT`), and fails over when a shard dies.
-//! * [`metrics`] — hit/miss/eviction counters, per-verb log2 latency
-//!   histograms with p50/p95/p99 estimation, a sliding-window view
-//!   (`stats` verb), in-flight gauges, and Prometheus text exposition.
+//! * [`metrics`] — the one metrics registry both roles expose from:
+//!   each scalar counter or gauge declared once (JSON key, Prometheus
+//!   family, kind, help, value), per-verb log2 latency histograms with
+//!   p50/p95/p99 estimation, a sliding-window view (`stats` verb),
+//!   in-flight gauges, and Prometheus text exposition.
 //! * [`log`] — leveled JSONL event log (`ICED_SVC_LOG`,
 //!   `ICED_SVC_LOG_LEVEL`) written off the request path by a dedicated
 //!   thread; request lifecycle, chaos injections, and worker panics all

@@ -291,19 +291,21 @@ const REQUEST_COUNTERS: [&str; Verb::ALL.len()] = [
 ];
 
 /// How Prometheus types a family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Kind {
-    /// Only ever grows; the family name ends in `_total`.
+    /// Only ever grows.
     Counter,
     /// Goes up and down.
     Gauge,
 }
 
-/// One entry of the metrics registry, declared once. The JSON views
-/// write it as `key` (and as `stat` inside its section's `stats` block);
-/// Prometheus writes it as the role's prefix followed by `name`. An
-/// entry broken down `by` a label writes one Prometheus sample per label
-/// value, and its total `value` to JSON.
+/// One entry of the metrics registry, declared once: its JSON `key`,
+/// kind, help text and value. Prometheus names the family after the
+/// role's prefix and `name` (the key unless renamed), with `_total`
+/// appended to counters, so a name ends in `_total` exactly when it
+/// counts. `stat` files the entry in its section's `stats` block; `by`
+/// breaks the Prometheus value down by a label, while JSON keeps the
+/// total.
 #[derive(Debug, Clone)]
 pub(crate) struct Scalar<'a> {
     pub(crate) key: &'static str,
@@ -316,15 +318,10 @@ pub(crate) struct Scalar<'a> {
 }
 
 /// A counter entry.
-pub(crate) fn counter<'a>(
-    key: &'static str,
-    name: &'static str,
-    help: &'static str,
-    value: u64,
-) -> Scalar<'a> {
+pub(crate) fn counter<'a>(key: &'static str, help: &'static str, value: u64) -> Scalar<'a> {
     Scalar {
         key,
-        name,
+        name: key,
         kind: Kind::Counter,
         help,
         value,
@@ -334,19 +331,19 @@ pub(crate) fn counter<'a>(
 }
 
 /// A gauge entry.
-pub(crate) fn gauge<'a>(
-    key: &'static str,
-    name: &'static str,
-    help: &'static str,
-    value: u64,
-) -> Scalar<'a> {
+pub(crate) fn gauge<'a>(key: &'static str, help: &'static str, value: u64) -> Scalar<'a> {
     Scalar {
         kind: Kind::Gauge,
-        ..counter(key, name, help, value)
+        ..counter(key, help, value)
     }
 }
 
 impl<'a> Scalar<'a> {
+    /// Names the Prometheus family `name` instead of the JSON key.
+    pub(crate) fn named(self, name: &'static str) -> Self {
+        Scalar { name, ..self }
+    }
+
     /// Files the entry under `field` in its section's `stats` block.
     pub(crate) fn stat(self, field: &'static str) -> Self {
         Scalar {
@@ -355,7 +352,7 @@ impl<'a> Scalar<'a> {
         }
     }
 
-    /// Breaks the entry down by `label` for Prometheus.
+    /// Breaks the Prometheus value down by `label`.
     pub(crate) fn by(self, label: &'static str, samples: Vec<(&'a str, u64)>) -> Self {
         Scalar {
             by: Some((label, samples)),
@@ -367,9 +364,9 @@ impl<'a> Scalar<'a> {
 /// Adds each entry to `obj` under its JSON key.
 pub(crate) fn put_fields<'s, 'a: 's>(
     obj: Obj,
-    entries: impl IntoIterator<Item = &'s Scalar<'a>>,
+    list: impl IntoIterator<Item = &'s Scalar<'a>>,
 ) -> Obj {
-    entries.into_iter().fold(obj, |o, s| o.u64(s.key, s.value))
+    list.into_iter().fold(obj, |o, s| o.u64(s.key, s.value))
 }
 
 /// A section's `stats` block: each entry filed with a `stat` field.
@@ -380,29 +377,27 @@ pub(crate) fn block(section: &[Scalar<'_>]) -> Obj {
         .fold(Obj::new(), |o, (field, v)| o.u64(field, v))
 }
 
-/// Writes the HELP and TYPE lines that open a Prometheus family.
-fn header(out: &mut String, prefix: &str, name: &str, ty: &str, help: &str) {
-    let _ = write!(
-        out,
-        "# HELP {prefix}{name} {help}\n# TYPE {prefix}{name} {ty}\n"
-    );
+/// Writes the HELP and TYPE lines that open the Prometheus family `name`.
+fn header(out: &mut String, name: &str, ty: &str, help: &str) {
+    let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {ty}\n");
 }
 
 /// Writes each entry as one Prometheus family, names prefixed `prefix`.
-pub(crate) fn write_families(out: &mut String, prefix: &str, entries: &[Scalar<'_>]) {
-    for s in entries {
-        let ty = match s.kind {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
+pub(crate) fn write_families(out: &mut String, prefix: &str, list: &[Scalar<'_>]) {
+    for s in list {
+        let (ty, total) = match s.kind {
+            Kind::Counter => ("counter", "_total"),
+            Kind::Gauge => ("gauge", ""),
         };
-        header(out, prefix, s.name, ty, s.help);
+        let name = format!("{prefix}{}{total}", s.name);
+        header(out, &name, ty, s.help);
         match &s.by {
             None => {
-                let _ = writeln!(out, "{prefix}{} {}", s.name, s.value);
+                let _ = writeln!(out, "{name} {}", s.value);
             }
             Some((label, samples)) => {
                 for (at, v) in samples {
-                    let _ = writeln!(out, "{prefix}{}{{{label}=\"{at}\"}} {v}", s.name);
+                    let _ = writeln!(out, "{name}{{{label}=\"{at}\"}} {v}");
                 }
             }
         }
@@ -412,27 +407,16 @@ pub(crate) fn write_families(out: &mut String, prefix: &str, entries: &[Scalar<'
 /// Writes one latency summary family: per verb, three quantiles, then
 /// `_sum` and `_count`, one verb after the other.
 fn write_summary(out: &mut String, name: &str, help: &str, verbs: &[Verb], hists: &[Histogram]) {
-    header(out, "iced_svc_", name, "summary", help);
+    header(out, name, "summary", help);
     for &v in verbs {
         let snap = hists[v as usize].snapshot();
         let verb = v.name();
         for q in [0.5, 0.95, 0.99] {
-            let _ = writeln!(
-                out,
-                "iced_svc_{name}{{verb=\"{verb}\",quantile=\"{q}\"}} {}",
-                snap.quantile(q)
-            );
+            let est = snap.quantile(q);
+            let _ = writeln!(out, "{name}{{verb=\"{verb}\",quantile=\"{q}\"}} {est}");
         }
-        let _ = writeln!(
-            out,
-            "iced_svc_{name}_sum{{verb=\"{verb}\"}} {}",
-            snap.total_us
-        );
-        let _ = writeln!(
-            out,
-            "iced_svc_{name}_count{{verb=\"{verb}\"}} {}",
-            snap.count
-        );
+        let _ = writeln!(out, "{name}_sum{{verb=\"{verb}\"}} {}", snap.total_us);
+        let _ = writeln!(out, "{name}_count{{verb=\"{verb}\"}} {}", snap.count);
     }
 }
 
@@ -674,92 +658,37 @@ impl Metrics {
 
     /// The registry entry both roles open their lists with.
     pub(crate) fn uptime_scalar<'a>(&self) -> Scalar<'a> {
-        gauge(
-            "uptime_s",
-            "uptime_seconds",
-            "Seconds since start.",
-            self.uptime().as_secs(),
-        )
+        gauge("uptime_s", "Seconds since start.", self.uptime().as_secs()).named("uptime_seconds")
     }
 
-    /// The errors and connection-admission entries both roles keep; the
+    /// The error and connection-admission entries both roles keep; the
     /// ones filed with a `stat` field make the `connections` block.
+    #[rustfmt::skip]
     pub(crate) fn conn_scalars<'a>(&self) -> [Scalar<'a>; 8] {
         [
-            counter(
-                "errors",
-                "errors_total",
-                "Requests answered with a structured error.",
-                load(&self.errors),
-            ),
-            counter(
-                "connections",
-                "connections_total",
-                "Connections accepted.",
-                load(&self.connections),
-            ),
-            gauge(
-                "conns_open",
-                "conns_open",
-                "Connections currently open.",
-                load(&self.conns_open),
-            )
-            .stat("open"),
-            gauge(
-                "conns_peak",
-                "conns_peak",
-                "High-water mark of concurrently open connections.",
-                load(&self.conns_peak),
-            )
-            .stat("peak"),
-            counter(
-                "conns_rejected",
-                "conns_rejected_total",
-                "Connections refused at the ICED_SVC_MAX_CONNS cap.",
-                load(&self.conns_rejected),
-            )
-            .stat("rejected"),
-            gauge(
-                "max_conns",
-                "max_conns",
-                "Configured connection cap.",
-                load(&self.max_conns),
-            )
-            .stat("max_conns"),
-            gauge(
-                "pipeline_cap",
-                "pipeline_cap",
-                "Configured per-connection pipeline cap.",
-                load(&self.pipeline_cap),
-            )
-            .stat("pipeline_cap"),
-            counter(
-                "pipeline_rejected",
-                "pipeline_rejected_total",
-                "Requests refused at the per-connection pipeline cap.",
-                load(&self.pipeline_rejected),
-            )
-            .stat("pipeline_rejected"),
+            counter("errors", "Requests answered with a structured error.", load(&self.errors)),
+            counter("connections", "Connections accepted.", load(&self.connections)),
+            gauge("conns_open", "Connections currently open.", load(&self.conns_open)).stat("open"),
+            gauge("conns_peak", "High-water mark of concurrently open connections.",
+                load(&self.conns_peak)).stat("peak"),
+            counter("conns_rejected", "Connections refused at the ICED_SVC_MAX_CONNS cap.",
+                load(&self.conns_rejected)).stat("rejected"),
+            gauge("max_conns", "Configured connection cap.", load(&self.max_conns)).stat("max_conns"),
+            gauge("pipeline_cap", "Configured per-connection pipeline cap.",
+                load(&self.pipeline_cap)).stat("pipeline_cap"),
+            counter("pipeline_rejected", "Requests refused at the per-connection pipeline cap.",
+                load(&self.pipeline_rejected)).stat("pipeline_rejected"),
         ]
     }
 
     /// The batch entries: the `batch` block of the shard's `stats`.
+    #[rustfmt::skip]
     fn batch_scalars<'a>(&self) -> [Scalar<'a>; 2] {
         [
-            counter(
-                "batch_slots",
-                "batch_slots_total",
-                "Slots received across batch requests.",
-                load(&self.batch_slots),
-            )
-            .stat("slots"),
-            counter(
-                "batch_unique",
-                "batch_unique_total",
-                "Unique cache keys executed across batch requests.",
-                load(&self.batch_unique),
-            )
-            .stat("unique"),
+            counter("batch_slots", "Slots received across batch requests.",
+                load(&self.batch_slots)).stat("slots"),
+            counter("batch_unique", "Unique cache keys executed across batch requests.",
+                load(&self.batch_unique)).stat("unique"),
         ]
     }
 
@@ -772,74 +701,28 @@ impl Metrics {
         cache_entries: usize,
         log_dropped: u64,
     ) -> Vec<Scalar<'a>> {
-        let mut list = vec![
+        #[rustfmt::skip]
+        let head = [
             self.uptime_scalar(),
-            counter(
-                "cache_hits",
-                "cache_hits_total",
-                "Cache hits.",
-                load(&self.cache_hits),
-            ),
-            counter(
-                "cache_misses",
-                "cache_misses_total",
-                "Cache misses.",
-                load(&self.cache_misses),
-            ),
-            counter(
-                "cache_evictions",
-                "cache_evictions_total",
-                "Cache evictions.",
-                load(&self.cache_evictions),
-            ),
-            gauge(
-                "cache_bytes",
-                "cache_bytes",
-                "Resident cache payload bytes.",
-                cache_bytes,
-            ),
-            gauge(
-                "cache_entries",
-                "cache_entries",
-                "Resident cache entries.",
-                cache_entries as u64,
-            ),
-            gauge(
-                "queue_depth",
-                "queue_depth",
-                "Current request queue depth.",
-                queue_depth as u64,
-            ),
-            gauge(
-                "queue_peak",
-                "queue_peak",
-                "Queue depth high-water mark.",
-                load(&self.queue_peak),
-            ),
-            counter(
-                "rejected",
-                "rejected_total",
-                "Requests rejected with queue_full.",
-                load(&self.rejected),
-            ),
+            counter("cache_hits", "Cache hits.", load(&self.cache_hits)),
+            counter("cache_misses", "Cache misses.", load(&self.cache_misses)),
+            counter("cache_evictions", "Cache evictions.", load(&self.cache_evictions)),
+            gauge("cache_bytes", "Resident cache payload bytes.", cache_bytes),
+            gauge("cache_entries", "Resident cache entries.", cache_entries as u64),
+            gauge("queue_depth", "Current request queue depth.", queue_depth as u64),
+            gauge("queue_peak", "Queue depth high-water mark.", load(&self.queue_peak)),
+            counter("rejected", "Requests rejected with queue_full.", load(&self.rejected)),
         ];
-        list.extend(self.conn_scalars());
-        list.extend(self.batch_scalars());
-        list.extend([
-            counter(
-                "chaos_faults",
-                "chaos_faults_total",
-                "Faults injected by the chaos layer.",
-                load(&self.chaos_faults),
-            ),
-            counter(
-                "log_dropped",
-                "log_dropped_total",
-                "Event-log lines dropped under backpressure.",
-                log_dropped,
-            ),
-        ]);
-        list
+        #[rustfmt::skip]
+        let tail = [
+            counter("chaos_faults", "Faults injected by the chaos layer.", load(&self.chaos_faults)),
+            counter("log_dropped", "Event-log lines dropped under backpressure.", log_dropped),
+        ];
+        head.into_iter()
+            .chain(self.conn_scalars())
+            .chain(self.batch_scalars())
+            .chain(tail)
+            .collect()
     }
 
     /// Renders `healthz`: the fields both roles share around the role's
@@ -904,13 +787,11 @@ impl Metrics {
         let mut life = Obj::new();
         let mut win = Obj::new();
         for v in Verb::ALL {
-            life = life.raw(
-                v.name(),
-                &self.latency[v as usize].snapshot().render_summary(),
-            );
+            life = life.raw(v.name(), &self.lifetime(v).render_summary());
             win = win.raw(v.name(), &window[v as usize].render_summary());
         }
         let deduped = load(&self.batch_slots).saturating_sub(load(&self.batch_unique));
+        let batch = block(&self.batch_scalars()).u64("deduped", deduped);
         Obj::new()
             .str("role", "shard")
             .u64("uptime_s", self.uptime().as_secs())
@@ -919,12 +800,7 @@ impl Metrics {
             .raw("lifetime", &life.finish())
             .raw("window", &win.finish())
             .raw("connections", &block(&self.conn_scalars()).finish())
-            .raw(
-                "batch",
-                &block(&self.batch_scalars())
-                    .u64("deduped", deduped)
-                    .finish(),
-            )
+            .raw("batch", &batch.finish())
             .finish()
     }
 
@@ -936,46 +812,26 @@ impl Metrics {
         cache_entries: usize,
         log_dropped: u64,
     ) -> String {
-        let mut out = String::with_capacity(8192);
         let per_verb = |f: &dyn Fn(Verb) -> u64| Verb::ALL.map(|v| (v.name(), f(v))).to_vec();
+        #[rustfmt::skip]
         let mut list = vec![
-            counter(
-                "requests",
-                "requests_total",
-                "Completed requests per verb.",
-                0,
-            )
-            .by("verb", per_verb(&|v| self.requests(v))),
-            gauge(
-                "in_flight",
-                "in_flight",
-                "Requests currently being served per verb.",
-                0,
-            )
-            .by("verb", per_verb(&|v| self.in_flight_count(v))),
+            counter("requests", "Completed requests per verb.", 0)
+                .by("verb", per_verb(&|v| self.requests(v))),
+            gauge("in_flight", "Requests currently being served per verb.", 0)
+                .by("verb", per_verb(&|v| self.in_flight_count(v))),
         ];
         list.extend(self.shard_scalars(queue_depth, cache_bytes, cache_entries, log_dropped));
+        let mut out = String::with_capacity(8192);
         write_families(&mut out, "iced_svc_", &list);
-        for (name, help, verbs, hists) in [
-            (
-                "request_latency_us",
-                "Request latency quantiles per verb.",
-                &Verb::ALL[..],
-                &self.latency,
-            ),
-            (
-                "queue_wait_us",
-                "Queue wait before a worker picked the job up.",
-                &WORK_VERBS[..],
-                &self.queue_wait,
-            ),
-            (
-                "service_time_us",
-                "Worker service time.",
-                &WORK_VERBS[..],
-                &self.service,
-            ),
-        ] {
+        #[rustfmt::skip]
+        let summaries: [(&str, &str, &[Verb], &[Histogram]); 3] = [
+            ("iced_svc_request_latency_us", "Request latency quantiles per verb.",
+                &Verb::ALL, &self.latency),
+            ("iced_svc_queue_wait_us", "Queue wait before a worker picked the job up.",
+                &WORK_VERBS, &self.queue_wait),
+            ("iced_svc_service_time_us", "Worker service time.", &WORK_VERBS, &self.service),
+        ];
+        for (name, help, verbs, hists) in summaries {
             write_summary(&mut out, name, help, verbs, hists);
         }
         out

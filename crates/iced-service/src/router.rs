@@ -240,47 +240,17 @@ fn scalars(st: &Loop) -> Vec<Scalar<'_>> {
     let forwarded = per_shard(|l| l.forwarded);
     let up = per_shard(|l| u64::from(l.up));
     let in_flight = per_shard(ShardLink::in_flight);
+    #[rustfmt::skip]
     let mut list = vec![
         st.metrics.uptime_scalar(),
-        counter(
-            "forwarded",
-            "forwarded_total",
-            "Requests forwarded per shard.",
-            sum(&forwarded),
-        )
-        .by("shard", forwarded),
-        counter(
-            "replicated",
-            "replicated_total",
-            "Hot entries replicated to successor shards.",
-            st.replicated,
-        ),
-        counter(
-            "failovers",
-            "failover_total",
-            "Shard deaths that triggered in-flight replay.",
-            st.failovers,
-        ),
-        gauge(
-            "hot_tracked",
-            "hot_tracked",
-            "Keys tracked for hot-entry replication.",
-            st.hot.len() as u64,
-        ),
-        gauge(
-            "shards_up",
-            "shard_up",
-            "Per-shard liveness (1 = up).",
-            sum(&up),
-        )
-        .by("shard", up),
-        gauge(
-            "in_flight",
-            "in_flight",
-            "Forwards in flight or queued per shard.",
-            sum(&in_flight),
-        )
-        .by("shard", in_flight),
+        counter("forwarded", "Requests forwarded per shard.", sum(&forwarded)).by("shard", forwarded),
+        counter("replicated", "Hot entries replicated to successor shards.", st.replicated),
+        counter("failovers", "Shard deaths that triggered in-flight replay.", st.failovers)
+            .named("failover"),
+        gauge("hot_tracked", "Keys tracked for hot-entry replication.", st.hot.len() as u64),
+        gauge("shards_up", "Per-shard liveness (1 = up).", sum(&up)).named("shard_up").by("shard", up),
+        gauge("in_flight", "Forwards in flight or queued per shard.", sum(&in_flight))
+            .by("shard", in_flight),
     ];
     list.extend(st.metrics.conn_scalars().map(|s| match s.key {
         "connections" => s.stat("total"),
