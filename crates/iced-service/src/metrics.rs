@@ -813,6 +813,8 @@ impl Metrics {
         log_dropped: u64,
     ) -> String {
         let per_verb = |f: &dyn Fn(Verb) -> u64| Verb::ALL.map(|v| (v.name(), f(v))).to_vec();
+        // The per-verb families; the `metrics` JSON carries the same
+        // counts in its `in_flight` and `latency` sections.
         #[rustfmt::skip]
         let mut list = vec![
             counter("requests", "Completed requests per verb.", 0)
