@@ -63,10 +63,11 @@ mod search;
 use iced_arch::CgraConfig;
 use iced_dfg::Dfg;
 use iced_fault::{FaultMask, FaultPlan};
+use iced_mapper::engine_internals::RouterScratch;
 use iced_mapper::{map_with, map_with_faults, MapError, MapperOptions, Mapping};
 use iced_trace::Phase;
 
-use crate::search::{Limits, Search, Verdict};
+use crate::search::{Limits, Search, Space, Verdict};
 
 /// Options controlling the exact search.
 #[derive(Debug, Clone)]
@@ -373,9 +374,12 @@ fn certify_inner(
         deadline: opts.deadline,
         backjump: opts.backjump,
     };
+    let space = Space::new(dfg, cfg, mask);
+    let (mut slot, mut scratch) = (None, RouterScratch::default());
     let mut explored = 0u64;
     for ii in lb..=search_max {
-        let verdict = Search::new(dfg, cfg, ii, &limits, mask)?.run(&mut explored);
+        let mrrg = space.prep.mrrg(&mut slot, ii)?;
+        let verdict = Search::new(&space, &limits, mrrg, &mut scratch).run(&mut explored);
         match verdict {
             Verdict::Feasible(mapping) => {
                 return Ok(Certified {

@@ -42,13 +42,12 @@
 //! slot is busy must keep that conflict attributable.
 
 use iced_arch::{CgraConfig, DvfsLevel, Mrrg, TileId};
-use iced_dfg::{Dfg, EdgeId, NodeId};
+use iced_dfg::Dfg;
 use iced_fault::FaultMask;
 use iced_mapper::engine_internals::{
-    apply_fault_mask, arrival_lower_bound, cycle_first_order, in_route_horizon, recurrence_nodes,
-    route, usable_tiles, FoundRoute, RouterScratch, Txn,
+    modulo_asap, Consumer, Draft, InRoute, Partial, Prepared, RouterScratch,
 };
-use iced_mapper::{MapError, Mapping, Placement, Route};
+use iced_mapper::{Mapping, Placement};
 use iced_trace::Phase;
 
 /// Search knobs threaded down from `ExactOptions`.
@@ -113,78 +112,75 @@ enum Step {
     Stop(Verdict),
 }
 
-pub(crate) struct Search<'a> {
-    dfg: &'a Dfg,
-    cfg: &'a CgraConfig,
-    ii: u32,
-    limits: &'a Limits,
-    mrrg: Mrrg,
-    scratch: RouterScratch,
-    rates: Vec<u32>,
-    virgin: Vec<bool>,
-    tiles: Vec<TileId>,
-    order: Vec<NodeId>,
-    asap: Vec<u64>,
-    placements: Vec<Option<Placement>>,
-    routes: Vec<Option<Route>>,
-    /// Which decision level owns each `(tile, cycle mod II)` FU slot;
-    /// `-1` = free or pre-occupied by the fault mask (structural).
-    fu_owner: Vec<i64>,
-    /// Suffix counts over `order`: how many nodes from depth `d` on are
-    /// memory ops / need a multiplier (for the capacity propagation cut).
+/// The kernel as the exact search sees it, prepared once per
+/// certification and shared by every II: the mapper's preparation over
+/// every live tile (no island budget) in the heuristic's cycle-first
+/// order, which keeps the exact tree's first leaf close to the
+/// heuristic's mapping, plus suffix counts over that order: how many nodes
+/// from depth `d` on are memory ops / need a multiplier (for the capacity
+/// propagation cut).
+pub(crate) struct Space<'a> {
+    pub(crate) prep: Prepared<'a>,
     mem_suffix: Vec<u32>,
     mul_suffix: Vec<u32>,
-    explored: u64,
 }
 
-impl<'a> Search<'a> {
-    pub(crate) fn new(
-        dfg: &'a Dfg,
-        cfg: &'a CgraConfig,
-        ii: u32,
-        limits: &'a Limits,
-        mask: Option<&FaultMask>,
-    ) -> Result<Search<'a>, MapError> {
-        let mut mrrg = Mrrg::new(cfg, ii)?;
-        if let Some(mask) = mask {
-            // The heuristic's fault handling: dead resources are
-            // pre-occupied for the whole period, so the search itself
-            // stays fault-oblivious.
-            apply_fault_mask(&mut mrrg, cfg, mask);
-        }
-        // No island budget: the exact search may place on every live tile.
-        let tiles = usable_tiles(cfg, None, mask);
-        // The heuristic's placement order keeps the exact tree's first
-        // leaf close to the heuristic's mapping.
-        let order = cycle_first_order(dfg, &recurrence_nodes(dfg));
-        let asap = asap_times(dfg, ii);
+impl<'a> Space<'a> {
+    pub(crate) fn new(dfg: &'a Dfg, cfg: &'a CgraConfig, mask: Option<&'a FaultMask>) -> Space<'a> {
+        let prep = Prepared::new(dfg, cfg, None, mask, true);
         let n = dfg.node_count();
         let mut mem_suffix = vec![0u32; n + 1];
         let mut mul_suffix = vec![0u32; n + 1];
         for d in (0..n).rev() {
-            let op = dfg.node(order[d]).op();
+            let op = dfg.node(prep.order[d]).op();
             mem_suffix[d] = mem_suffix[d + 1] + u32::from(op.is_memory());
             mul_suffix[d] = mul_suffix[d + 1] + u32::from(op.class() == iced_dfg::OpcodeClass::Mul);
         }
-        Ok(Search {
-            dfg,
-            cfg,
-            ii,
-            limits,
-            mrrg,
-            scratch: RouterScratch::default(),
-            rates: vec![1; cfg.tile_count()],
-            virgin: vec![false; cfg.tile_count()],
-            tiles,
-            order,
-            asap,
-            placements: vec![None; dfg.node_count()],
-            routes: vec![None; dfg.edge_count()],
-            fu_owner: vec![-1; cfg.tile_count() * ii as usize],
+        Space {
+            prep,
             mem_suffix,
             mul_suffix,
+        }
+    }
+}
+
+pub(crate) struct Search<'a> {
+    space: &'a Space<'a>,
+    limits: &'a Limits,
+    /// The partial mapping, every island at nominal V/F: the exact
+    /// backend searches the all-normal schedule space, so — like the
+    /// conventional baseline — no island is ever opened or pinned.
+    state: Partial<'a>,
+    /// Admissible modulo-ASAP times over the all-normal schedule (unit
+    /// latency). Unlike the heuristic's label-aware version there is no
+    /// transport pad — a same-tile consumer really can read at the
+    /// producer's ready cycle, so padding would cut feasible schedules out
+    /// of the certified space.
+    asap: Vec<u64>,
+    /// Which decision level owns each `(tile, cycle mod II)` FU slot;
+    /// `-1` = free or pre-occupied by the fault mask (structural).
+    fu_owner: Vec<i64>,
+    explored: u64,
+}
+
+impl<'a> Search<'a> {
+    /// A search at `mrrg`'s II, which must be empty apart from the fault
+    /// mask ([`Prepared::mrrg`]).
+    pub(crate) fn new(
+        space: &'a Space<'a>,
+        limits: &'a Limits,
+        mrrg: &'a mut Mrrg,
+        scratch: &'a mut RouterScratch,
+    ) -> Search<'a> {
+        let (dfg, cfg, ii) = (space.prep.dfg, space.prep.cfg, mrrg.ii());
+        Search {
+            space,
+            limits,
+            asap: modulo_asap(dfg, ii, |_| 1),
+            fu_owner: vec![-1; cfg.tile_count() * ii as usize],
+            state: Partial::new(dfg, cfg, mrrg, scratch, Some(DvfsLevel::Normal)),
             explored: 0,
-        })
+        }
     }
 
     /// Runs the search to a verdict. `explored` accumulates committed
@@ -201,7 +197,7 @@ impl<'a> Search<'a> {
             self.explored - before,
         );
         match step {
-            Step::Found => Verdict::Feasible(Box::new(self.finish())),
+            Step::Found => Verdict::Feasible(Box::new(self.state.finish(DvfsLevel::Normal))),
             Step::Fail(_) => {
                 iced_trace::counter(Phase::Mapper, "exact_refutations", 1);
                 Verdict::Refuted
@@ -215,27 +211,30 @@ impl<'a> Search<'a> {
     /// multiplies one on a multiplier tile). Placements only ever consume
     /// capacity, so failing this test refutes the whole subtree.
     fn capacity_cut(&self, depth: usize) -> bool {
-        let remaining = (self.order.len() - depth) as u64;
+        let (cfg, ii) = (self.space.prep.cfg, self.state.ii());
+        let remaining = (self.space.prep.order.len() - depth) as u64;
         let mut free = 0u64;
         let mut free_mem = 0u64;
         let mut free_mul = 0u64;
-        for &t in &self.tiles {
-            let f = u64::from(self.ii - self.mrrg.fu_busy_cycles(t));
+        for &t in &self.space.prep.tiles {
+            let f = u64::from(ii - self.state.mrrg().fu_busy_cycles(t));
             free += f;
-            if self.cfg.is_memory_tile(t) {
+            if cfg.is_memory_tile(t) {
                 free_mem += f;
             }
-            if self.cfg.tile_has_multiplier(t) {
+            if cfg.tile_has_multiplier(t) {
                 free_mul += f;
             }
         }
         remaining > free
-            || u64::from(self.mem_suffix[depth]) > free_mem
-            || u64::from(self.mul_suffix[depth]) > free_mul
+            || u64::from(self.space.mem_suffix[depth]) > free_mem
+            || u64::from(self.space.mul_suffix[depth]) > free_mul
     }
 
     fn extend(&mut self, depth: usize) -> Step {
-        if depth == self.order.len() {
+        let space = self.space;
+        let (dfg, cfg) = (space.prep.dfg, space.prep.cfg);
+        if depth == space.prep.order.len() {
             return Step::Found;
         }
         if self.explored >= self.limits.node_budget {
@@ -255,120 +254,61 @@ impl<'a> Search<'a> {
             c.taint();
             return Step::Fail(c);
         }
-        let node = self.order[depth];
-        let op = self.dfg.node(node).op();
+        let node = space.prep.order[depth];
+        let op = dfg.node(node).op();
         let is_mem = op.is_memory();
         let needs_mul = op.class() == iced_dfg::OpcodeClass::Mul;
         let mut conflict = Conflict::none();
-        let ii = u64::from(self.ii);
+        let ii = u64::from(self.state.ii());
         let span = (2 * ii).max(4);
-        // The out-routes every slot must make: edges to placed consumers,
-        // with the cycle by which each reads the value, tightest deadline
-        // first, exactly like the heuristic commit.
-        let mut consumers: Vec<(EdgeId, TileId, u64)> = self
-            .dfg
-            .out_edges(node)
-            .filter_map(|e| {
-                let p = self.placements[e.dst().index()]?;
-                Some((
-                    e.id(),
-                    p.tile,
-                    p.start + u64::from(e.kind().distance()) * ii,
-                ))
-            })
-            .collect();
-        consumers.sort_unstable_by_key(|&(id, _, deadline)| (deadline, id));
+        let consumers = self.state.placed_consumers(node);
+        let asap = self.asap[node.index()];
 
-        for ti in 0..self.tiles.len() {
-            let tile = self.tiles[ti];
-            if is_mem && !self.cfg.is_memory_tile(tile) {
+        for &tile in &space.prep.tiles {
+            if is_mem && !cfg.is_memory_tile(tile) {
                 continue;
             }
-            if needs_mul && !self.cfg.tile_has_multiplier(tile) {
+            if needs_mul && !cfg.tile_has_multiplier(tile) {
                 continue;
             }
-            // Arithmetic window: no in-route arrives before its lower
-            // bound, so no slot starts before `lo`. If an out-route
-            // already misses its deadline from `lo`, every slot's would
-            // (see the module docs): skip the tile without routing.
-            let mut lo = self.asap[node.index()];
-            let mut has_placed_pred = false;
-            for e in self.dfg.in_edges(node) {
-                if let Some(p) = self.placements[e.src().index()] {
-                    has_placed_pred = true;
-                    let lb = arrival_lower_bound(self.cfg, &self.rates, p.tile, p.ready(), tile);
-                    lo = lo.max(lb.saturating_sub(u64::from(e.kind().distance()) * ii));
-                }
-            }
-            if has_placed_pred && self.misses_deadline(&consumers, tile, lo + 1) {
+            // Arithmetic window: if an out-route already misses its
+            // deadline from `lo`, every slot's would (see the module
+            // docs): skip the tile without routing.
+            let (lo, has_placed_pred) = self.state.window_lo(node, tile, asap);
+            if has_placed_pred && self.state.misses_deadline(&consumers, tile, lo + 1) {
                 conflict.taint();
                 continue;
             }
-            // Route every placed-predecessor edge with the shared router
-            // (earliest arrival, fixed edge order). Failures contend with
-            // global link/register state — unattributable, so tainted.
-            let mut txn_in = Txn::default();
-            let mut in_routes: Vec<(usize, FoundRoute, u32)> = Vec::new();
-            let mut in_ok = true;
-            let mut min_start = self.asap[node.index()];
-            for e in self.dfg.in_edges(node) {
-                let Some(p) = self.placements[e.src().index()] else {
-                    continue;
-                };
-                let ready = p.ready();
-                let horizon = in_route_horizon(self.cfg, p.tile, ready, tile, self.ii);
-                let Some(found) = route(
-                    self.cfg,
-                    &mut self.mrrg,
-                    &self.rates,
-                    &self.virgin,
-                    p.tile,
-                    ready,
-                    tile,
-                    None,
-                    horizon,
-                    &mut txn_in,
-                    &mut self.scratch,
-                ) else {
-                    conflict.taint();
-                    in_ok = false;
-                    break;
-                };
-                let d = e.kind().distance();
-                min_start = min_start.max(
-                    found
-                        .arrival
-                        .saturating_sub(u64::from(d) * u64::from(self.ii)),
-                );
-                in_routes.push((e.id().index(), found, d));
-            }
-            if !in_ok {
-                txn_in.rollback(&mut self.mrrg);
+            // Route every placed-predecessor edge with the shared router.
+            // Failures contend with global link/register state —
+            // unattributable, so tainted.
+            let mut draft_in = Draft::default();
+            let Some((in_routes, min_start)) =
+                self.state.route_in_edges(node, tile, asap, &mut draft_in)
+            else {
+                conflict.taint();
+                self.state.rollback(draft_in);
                 continue;
-            }
+            };
 
             let mut backjump_out: Option<Conflict> = None;
             for s in min_start..min_start + span {
-                if !self.mrrg.fu_free(tile, s, 1) {
+                if !self.state.mrrg().fu_free(tile, s, 1) {
                     if has_placed_pred {
                         // The window position itself depends on routed
                         // arrivals — attribution would be unsound.
                         conflict.taint();
                     } else {
-                        let slot =
-                            tile.index() * self.ii as usize + (s % u64::from(self.ii)) as usize;
+                        let slot = tile.index() * ii as usize + (s % ii) as usize;
                         conflict.add_level(self.fu_owner[slot]);
                     }
                     continue;
                 }
-                let holds_ok = in_routes
-                    .iter()
-                    .all(|(_, fr, d)| s + u64::from(*d) * u64::from(self.ii) >= fr.arrival);
-                if !holds_ok {
+                if !self.state.holds(&in_routes, s) {
                     conflict.taint();
                     continue;
                 }
-                if self.misses_deadline(&consumers, tile, s + 1) {
+                if self.state.misses_deadline(&consumers, tile, s + 1) {
                     // So does every later slot: the bound never
                     // decreases as the value is ready later.
                     conflict.taint();
@@ -380,7 +320,7 @@ impl<'a> Search<'a> {
                         return Step::Found;
                     }
                     Step::Stop(v) => {
-                        txn_in.rollback(&mut self.mrrg);
+                        self.state.rollback(draft_in);
                         return Step::Stop(v);
                     }
                     Step::Fail(c) => {
@@ -394,7 +334,7 @@ impl<'a> Search<'a> {
                     }
                 }
             }
-            txn_in.rollback(&mut self.mrrg);
+            self.state.rollback(draft_in);
             if let Some(c) = backjump_out {
                 return Step::Fail(c);
             }
@@ -405,98 +345,44 @@ impl<'a> Search<'a> {
         Step::Fail(conflict)
     }
 
-    /// Whether a value ready on `tile` at `ready` reaches some consumer
-    /// only after its deadline, by [`arrival_lower_bound`] alone. The
-    /// router rejects such an out-route before searching.
-    fn misses_deadline(
-        &self,
-        consumers: &[(EdgeId, TileId, u64)],
-        tile: TileId,
-        ready: u64,
-    ) -> bool {
-        consumers.iter().any(|&(_, dst, deadline)| {
-            arrival_lower_bound(self.cfg, &self.rates, tile, ready, dst) > deadline
-        })
-    }
-
     /// Commits the node at `depth` on `(tile, start)` — FU slot,
-    /// deadline-bounded out-routes to `consumers` in their order,
-    /// route/placement bookkeeping — then recurses. On failure everything
+    /// deadline-bounded out-routes to `consumers` in their order, and the
+    /// placement with its routes — then recurses. On failure everything
     /// is rolled back.
     fn try_slot(
         &mut self,
         depth: usize,
         tile: TileId,
         start: u64,
-        in_routes: &[(usize, FoundRoute, u32)],
-        consumers: &[(EdgeId, TileId, u64)],
+        in_routes: &[InRoute],
+        consumers: &[Consumer],
         conflict: &mut Conflict,
     ) -> Step {
-        let node = self.order[depth];
-        let mut txn = Txn::default();
-        txn.occupy_fu(&mut self.mrrg, tile, start, 1);
-        let slot = tile.index() * self.ii as usize + (start % u64::from(self.ii)) as usize;
+        let node = self.space.prep.order[depth];
+        let ii = u64::from(self.state.ii());
+        let mut draft = Draft::default();
+        self.state.occupy_fu(tile, start, 1, &mut draft);
+        let slot = tile.index() * ii as usize + (start % ii) as usize;
         self.fu_owner[slot] = depth as i64;
 
-        let mut new_routes: Vec<(usize, Route)> = Vec::new();
-        for (eid, fr, d) in in_routes {
-            let consume = start + u64::from(*d) * u64::from(self.ii);
-            new_routes.push((
-                *eid,
-                Route {
-                    edge: iced_dfg::EdgeId::from_index(*eid),
-                    hops: fr.hops.clone(),
-                    src_ready: fr.src_ready(),
-                    arrival: fr.arrival,
-                    consume_at: consume,
-                },
-            ));
-        }
-
-        let ready = start + 1;
-        for &(eid, dst, deadline) in consumers {
-            let Some(found) = route(
-                self.cfg,
-                &mut self.mrrg,
-                &self.rates,
-                &self.virgin,
-                tile,
-                ready,
-                dst,
-                Some(deadline),
-                deadline,
-                &mut txn,
-                &mut self.scratch,
-            ) else {
-                conflict.taint();
-                self.fu_owner[slot] = -1;
-                txn.rollback(&mut self.mrrg);
-                return Step::Fail(Conflict {
-                    tainted: true,
-                    max_level: depth as i64,
-                });
-            };
-            new_routes.push((
-                eid.index(),
-                Route {
-                    edge: eid,
-                    hops: found.hops.clone(),
-                    src_ready: ready,
-                    arrival: found.arrival,
-                    consume_at: deadline,
-                },
-            ));
-        }
-
-        self.placements[node.index()] = Some(Placement {
+        let Some(out) = self
+            .state
+            .route_out_edges(tile, start + 1, consumers, &mut draft)
+        else {
+            conflict.taint();
+            self.fu_owner[slot] = -1;
+            self.state.rollback(draft);
+            return Step::Fail(Conflict {
+                tainted: true,
+                max_level: depth as i64,
+            });
+        };
+        let p = Placement {
             tile,
             start,
             rate: 1,
-        });
-        let route_ids: Vec<usize> = new_routes.iter().map(|(i, _)| *i).collect();
-        for (eid, r) in new_routes {
-            self.routes[eid] = Some(r);
-        }
+        };
+        self.state.place(node, p, in_routes, consumers, out);
         self.explored += 1;
 
         let step = self.extend(depth + 1);
@@ -504,58 +390,8 @@ impl<'a> Search<'a> {
             return step;
         }
         // Unwind this decision (both on Fail and on Stop).
-        self.placements[node.index()] = None;
-        for eid in route_ids {
-            self.routes[eid] = None;
-        }
+        self.state.unplace(node, draft);
         self.fu_owner[slot] = -1;
-        txn.rollback(&mut self.mrrg);
         step
     }
-
-    /// Assembles the found mapping. The exact backend searches the
-    /// all-normal schedule space, so — like the conventional baseline —
-    /// every island runs at nominal V/F.
-    fn finish(&self) -> Mapping {
-        let island_levels = vec![DvfsLevel::Normal; self.cfg.island_count()];
-        let tile_levels = vec![DvfsLevel::Normal; self.cfg.tile_count()];
-        Mapping::assemble(
-            self.dfg.name().to_string(),
-            self.cfg.clone(),
-            self.ii,
-            self.placements
-                .iter()
-                .map(|p| p.expect("all nodes placed on success"))
-                .collect(),
-            self.routes.iter().flatten().cloned().collect(),
-            island_levels,
-            tile_levels,
-        )
-    }
-}
-
-/// Admissible modulo-scheduling ASAP times over the all-normal schedule:
-/// the longest-path fixpoint of `σ(v) ≥ σ(u) + 1 − d·II`. Unlike the
-/// heuristic's label-aware version there is no transport pad — a
-/// same-tile consumer really can read at the producer's ready cycle, so
-/// padding would cut feasible schedules out of the certified space.
-fn asap_times(dfg: &Dfg, ii: u32) -> Vec<u64> {
-    let n = dfg.node_count();
-    let ii = i64::from(ii);
-    let mut t = vec![0i64; n];
-    for _ in 0..=n {
-        let mut changed = false;
-        for e in dfg.edges() {
-            let w = 1 - i64::from(e.kind().distance()) * ii;
-            let cand = t[e.src().index()] + w;
-            if cand > t[e.dst().index()] {
-                t[e.dst().index()] = cand;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    t.into_iter().map(|x| x.max(0) as u64).collect()
 }

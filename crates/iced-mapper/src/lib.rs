@@ -55,6 +55,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod bitstream;
+mod commit;
 mod error;
 mod fault;
 mod labeling;
@@ -73,10 +74,10 @@ mod router;
 /// exempt from stability promises.
 #[doc(hidden)]
 pub mod engine_internals {
-    pub use crate::place::{apply_fault_mask, cycle_first_order, recurrence_nodes, usable_tiles};
-    pub use crate::router::{
-        arrival_lower_bound, in_route_horizon, route, FoundRoute, RouterScratch, Txn,
+    pub use crate::commit::{
+        modulo_asap, usable_tiles, Consumer, Draft, InRoute, Partial, Prepared,
     };
+    pub use crate::router::RouterScratch;
 }
 
 pub use bitstream::{Bitstream, ConfigWord, LinkSource};

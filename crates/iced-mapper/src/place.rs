@@ -20,15 +20,16 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use iced_arch::{CgraConfig, Dir, DvfsLevel, IslandId, Mrrg, TileId};
+use iced_arch::{CgraConfig, DvfsLevel, Mrrg, TileId};
 use iced_dfg::{Dfg, NodeId};
 use iced_fault::FaultMask;
 use iced_trace::Phase;
 
+use crate::commit::{modulo_asap, Consumer, Draft, Partial, Prepared};
 use crate::error::MapError;
 use crate::labeling::label_dvfs_levels;
-use crate::mapping::{Mapping, Placement, Route};
-use crate::router::{arrival_lower_bound, in_route_horizon, route, RouterScratch, Txn};
+use crate::mapping::{Mapping, Placement};
+use crate::router::RouterScratch;
 
 /// Options controlling the mapping engine.
 #[derive(Debug, Clone)]
@@ -199,12 +200,14 @@ pub(crate) fn map_with_mask(
     opts: &MapperOptions,
     mask: Option<&FaultMask>,
 ) -> Result<Mapping, MapError> {
-    let tiles_avail = usable_tiles(config, opts.island_budget, mask).len();
+    let prep = Prepared::new(dfg, config, opts.island_budget, mask, opts.cycle_first);
+    let tiles_avail = prep.tiles.len();
     if tiles_avail == 0 {
         return Err(MapError::MemoryPressure);
     }
     let mem_nodes = dfg.count_ops(|op| op.is_memory());
-    let mem_tiles = usable_tiles(config, opts.island_budget, mask)
+    let mem_tiles = prep
+        .tiles
         .iter()
         .filter(|&&t| config.is_memory_tile(t))
         .count();
@@ -236,9 +239,9 @@ pub(crate) fn map_with_mask(
         ],
     );
     let outcome = if threads <= 1 || start_ii > opts.max_ii {
-        map_serial(dfg, config, opts, start_ii, mask)
+        map_serial(&prep, opts, start_ii)
     } else {
-        map_portfolio(dfg, config, opts, start_ii, threads, mask)
+        map_portfolio(&prep, opts, start_ii, threads)
     };
     match outcome {
         SearchOutcome::Found(mapping) => {
@@ -284,13 +287,7 @@ fn resolve_threads(opts: &MapperOptions) -> usize {
 
 /// The serial II-escalation loop (Algorithm 2's `II = II + 1`), also the
 /// reference semantics the portfolio must reproduce.
-fn map_serial(
-    dfg: &Dfg,
-    config: &CgraConfig,
-    opts: &MapperOptions,
-    start_ii: u32,
-    mask: Option<&FaultMask>,
-) -> SearchOutcome {
+fn map_serial(prep: &Prepared<'_>, opts: &MapperOptions, start_ii: u32) -> SearchOutcome {
     let mut runner = AttemptRunner::default();
     for ii in start_ii..=opts.max_ii {
         let _ii_span =
@@ -301,7 +298,7 @@ fn map_serial(
         // progressively conservative labels (rest → relax, then all-normal).
         // The all-normal attempt makes the DVFS-aware mapper never slower
         // than the baseline at the same II — the paper's Fig. 4 property.
-        let mut ladder = LabelLadder::new(dfg, config, opts, ii);
+        let mut ladder = LabelLadder::new(prep.dfg, prep.cfg, opts, ii);
         for rung in 0..ladder.rungs() {
             if !ladder.active(rung) {
                 continue;
@@ -314,16 +311,7 @@ fn map_serial(
             }
             iced_trace::counter(Phase::Mapper, "label_attempts", 1);
             let (labels, spread) = ladder.rung(rung);
-            if let Some(mapping) = runner.run(
-                dfg,
-                config,
-                opts,
-                ii,
-                labels,
-                spread,
-                mask,
-                CancelToken::none(),
-            ) {
+            if let Some(mapping) = runner.run(prep, opts, ii, labels, spread, CancelToken::none()) {
                 return SearchOutcome::Found(mapping);
             }
         }
@@ -336,20 +324,16 @@ fn map_serial(
 /// g % grid)`, exactly the serial order — and claimed from a shared counter
 /// by scoped worker threads.
 fn map_portfolio(
-    dfg: &Dfg,
-    config: &CgraConfig,
+    prep: &Prepared<'_>,
     opts: &MapperOptions,
     start_ii: u32,
     threads: usize,
-    mask: Option<&FaultMask>,
 ) -> SearchOutcome {
     let grid = LabelLadder::grid(opts);
     let total = (opts.max_ii - start_ii + 1) as usize * grid;
     let portfolio = Portfolio {
-        dfg,
-        cfg: config,
+        prep,
         opts,
-        mask,
         start_ii,
         grid,
         total,
@@ -388,10 +372,8 @@ fn map_portfolio(
 /// the cancellation signal for later speculative attempts and the claim
 /// cutoff (no new attempt past a known success is started).
 struct Portfolio<'a> {
-    dfg: &'a Dfg,
-    cfg: &'a CgraConfig,
+    prep: &'a Prepared<'a>,
     opts: &'a MapperOptions,
-    mask: Option<&'a FaultMask>,
     start_ii: u32,
     grid: usize,
     total: usize,
@@ -421,7 +403,10 @@ impl Portfolio<'_> {
             let ii = self.start_ii + (idx / self.grid) as u32;
             let rung = idx % self.grid;
             if !matches!(&ladder, Some((lii, _)) if *lii == ii) {
-                ladder = Some((ii, LabelLadder::new(self.dfg, self.cfg, self.opts, ii)));
+                ladder = Some((
+                    ii,
+                    LabelLadder::new(self.prep.dfg, self.prep.cfg, self.opts, ii),
+                ));
             }
             let lad = &mut ladder.as_mut().expect("ladder just set").1;
             if !lad.active(rung) {
@@ -441,9 +426,7 @@ impl Portfolio<'_> {
                 best: &self.best,
                 idx,
             };
-            if let Some(mapping) = runner.run(
-                self.dfg, self.cfg, self.opts, ii, labels, spread, self.mask, cancel,
-            ) {
+            if let Some(mapping) = runner.run(self.prep, self.opts, ii, labels, spread, cancel) {
                 self.record(idx, mapping);
             }
         }
@@ -494,60 +477,20 @@ struct AttemptRunner {
 }
 
 impl AttemptRunner {
-    #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
-        dfg: &Dfg,
-        cfg: &CgraConfig,
+        prep: &Prepared<'_>,
         opts: &MapperOptions,
         ii: u32,
         labels: &[DvfsLevel],
         spread: bool,
-        mask: Option<&FaultMask>,
         cancel: CancelToken<'_>,
     ) -> Option<Mapping> {
-        let mut mrrg = match self.mrrg.take() {
-            Some(mut m) if m.ii() == ii => {
-                m.reset();
-                m
-            }
-            _ => Mrrg::new(cfg, ii).expect("mapper II is always nonzero"),
-        };
-        if let Some(mask) = mask {
-            apply_fault_mask(&mut mrrg, cfg, mask);
-        }
-        let mrrg = self.mrrg.insert(mrrg);
-        let mut engine = Engine::new(
-            dfg,
-            cfg,
-            opts,
-            ii,
-            labels,
-            spread,
-            mask,
-            mrrg,
-            &mut self.scratch,
-            cancel,
-        );
-        engine.run()
-    }
-}
-
-/// Pre-occupies every faulted resource for the whole II window so neither
-/// placement nor routing can touch it: a dead FU can never fire, and a dead
-/// or stuck link can never carry a value. Done once per attempt, right
-/// after the MRRG is reset, so the search itself stays fault-oblivious.
-pub fn apply_fault_mask(mrrg: &mut Mrrg, cfg: &CgraConfig, mask: &FaultMask) {
-    let ii = mrrg.ii();
-    for t in cfg.tiles() {
-        if !mask.fu_usable(t) {
-            mrrg.occupy_fu(t, 0, ii);
-        }
-        for d in Dir::ALL {
-            if cfg.neighbor(t, d).is_some() && !mask.link_usable(t, d) {
-                mrrg.occupy_link(t, d, 0, ii);
-            }
-        }
+        let mrrg = prep
+            .mrrg(&mut self.mrrg, ii)
+            .expect("mapper II is always nonzero");
+        let state = Partial::new(prep.dfg, prep.cfg, mrrg, &mut self.scratch, None);
+        Engine::new(prep, opts, labels, spread, state, cancel).run()
     }
 }
 
@@ -584,47 +527,14 @@ fn trace_mapped(mapping: &Mapping, start_ii: u32) {
     );
 }
 
-/// Tiles the mapper may place on: inside the first `island_budget`
-/// islands (all tiles when `None`), and — when a fault mask is present —
-/// with a live FU (a tile with a dead FU may still be routed *through*;
-/// the MRRG pre-occupation handles dead links).
-pub fn usable_tiles(
-    config: &CgraConfig,
-    island_budget: Option<usize>,
-    mask: Option<&FaultMask>,
-) -> Vec<TileId> {
-    let live = |t: &TileId| mask.is_none_or(|m| m.fu_usable(*t));
-    match island_budget {
-        None => config.tiles().filter(live).collect(),
-        Some(n) => {
-            let mut tiles = Vec::new();
-            for island in config.islands().take(n) {
-                tiles.extend(config.island_tiles(island).into_iter().filter(|t| live(t)));
-            }
-            tiles.sort_unstable();
-            tiles
-        }
-    }
-}
-
 struct Engine<'a> {
-    dfg: &'a Dfg,
-    cfg: &'a CgraConfig,
+    prep: &'a Prepared<'a>,
     opts: &'a MapperOptions,
-    ii: u32,
     labels: &'a [DvfsLevel],
-    mrrg: &'a mut Mrrg,
-    scratch: &'a mut RouterScratch,
-    cancel: CancelToken<'a>,
-    rates: Vec<u32>,
-    island_assigned: Vec<Option<DvfsLevel>>,
-    placements: Vec<Option<Placement>>,
-    routes: Vec<Option<Route>>,
-    tiles: Vec<TileId>,
-    asap: Vec<u64>,
-    on_cycle: Vec<bool>,
-    virgin: Vec<bool>,
     spread: bool,
+    state: Partial<'a>,
+    cancel: CancelToken<'a>,
+    asap: Vec<u64>,
 }
 
 /// Cost-function weights. One mesh hop of input transport costs [`W_HOP`];
@@ -639,46 +549,51 @@ const W_OPEN: u64 = 6;
 const W_MEM: u64 = 20;
 
 impl<'a> Engine<'a> {
-    #[allow(clippy::too_many_arguments)]
+    /// An attempt at `state`'s II.
+    ///
+    /// Its ASAP times are *label-aware*: a node labeled `rest` occupies
+    /// its tile for 4 base cycles, so its consumers — including II-critical
+    /// cycles it feeds — must be scheduled late enough to absorb that. This
+    /// is what lets slow feeders coexist with a tight recurrence cycle at
+    /// the same II (the paper's Fig. 3(e)): the cycle simply starts a few
+    /// cycles later and the prologue deepens, while the steady-state period
+    /// is unchanged. Critical-cycle nodes are labeled `normal` (divisor 1),
+    /// so the label-aware weights cannot create a positive cycle either.
     fn new(
-        dfg: &'a Dfg,
-        cfg: &'a CgraConfig,
+        prep: &'a Prepared<'a>,
         opts: &'a MapperOptions,
-        ii: u32,
         labels: &'a [DvfsLevel],
         spread: bool,
-        mask: Option<&FaultMask>,
-        mrrg: &'a mut Mrrg,
-        scratch: &'a mut RouterScratch,
+        state: Partial<'a>,
         cancel: CancelToken<'a>,
     ) -> Self {
-        debug_assert_eq!(mrrg.ii(), ii);
-        let mut engine = Engine {
-            dfg,
-            cfg,
+        let asap = modulo_asap(prep.dfg, state.ii(), |e| {
+            let lat = labels[e.src().index()]
+                .rate_divisor()
+                .expect("labels are active levels") as i64
+                * prep.dfg.node(e.src()).op().latency() as i64;
+            // One-cycle transport pad on edges leaving off-cycle nodes:
+            // feeders rarely share a tile with their consumers, so the
+            // schedule budgets one store-and-forward hop per feeder
+            // level. Intra-cycle edges stay unpadded (they must chain
+            // with overlapped hops anyway, and padding them would create
+            // a positive cycle at II = RecMII).
+            lat + i64::from(!prep.on_cycle[e.src().index()])
+        });
+        Engine {
+            prep,
             opts,
-            ii,
             labels,
-            mrrg,
-            scratch,
-            cancel,
-            rates: vec![1; cfg.tile_count()],
-            island_assigned: vec![None; cfg.island_count()],
-            placements: vec![None; dfg.node_count()],
-            routes: vec![None; dfg.edge_count()],
-            tiles: usable_tiles(cfg, opts.island_budget, mask),
-            asap: Vec::new(),
-            on_cycle: Vec::new(),
-            virgin: vec![true; cfg.tile_count()],
             spread,
-        };
-        engine.on_cycle = recurrence_nodes(dfg);
-        engine.asap = engine.asap_times();
-        engine
+            state,
+            cancel,
+            asap,
+        }
     }
 
     fn run(&mut self) -> Option<Mapping> {
-        for node in self.placement_order() {
+        let prep = self.prep;
+        for &node in &prep.order {
             if self.cancel.cancelled() {
                 iced_trace::counter(Phase::Mapper, "attempts_cancelled", 1);
                 return None;
@@ -687,61 +602,14 @@ impl<'a> Engine<'a> {
                 return None;
             }
         }
-        Some(self.finish())
-    }
-
-    /// Placement order: [`cycle_first_order`], or plain topological order
-    /// when `cycle_first` is off.
-    fn placement_order(&self) -> Vec<NodeId> {
-        if self.opts.cycle_first {
-            cycle_first_order(self.dfg, &self.on_cycle)
+        // ICED power-gates islands that host no work; the conventional
+        // baseline has no DVFS support at all, so its unused islands keep
+        // burning nominal power.
+        Some(self.state.finish(if self.opts.dvfs_aware {
+            DvfsLevel::PowerGated
         } else {
-            self.dfg.topological_order()
-        }
-    }
-
-    /// Modulo-scheduling ASAP times: the longest-path fixpoint of
-    /// `σ(v) ≥ σ(u) + lat(u) − d·II` over all edges. For `II ≥ RecMII`
-    /// there is no positive cycle, so Bellman–Ford converges.
-    ///
-    /// Latencies are *label-aware*: a node labeled `rest` occupies its tile
-    /// for 4 base cycles, so its consumers — including II-critical cycles it
-    /// feeds — must be scheduled late enough to absorb that. This is what
-    /// lets slow feeders coexist with a tight recurrence cycle at the same
-    /// II (the paper's Fig. 3(e)): the cycle simply starts a few cycles
-    /// later and the prologue deepens, while the steady-state period is
-    /// unchanged. Critical-cycle nodes are labeled `normal` (divisor 1), so
-    /// the label-aware weights cannot create a positive cycle either.
-    fn asap_times(&self) -> Vec<u64> {
-        let n = self.dfg.node_count();
-        let ii = self.ii as i64;
-        let mut t = vec![0i64; n];
-        for _ in 0..=n {
-            let mut changed = false;
-            for e in self.dfg.edges() {
-                let lat = self.labels[e.src().index()]
-                    .rate_divisor()
-                    .expect("labels are active levels") as i64
-                    * self.dfg.node(e.src()).op().latency() as i64;
-                // One-cycle transport pad on edges leaving off-cycle nodes:
-                // feeders rarely share a tile with their consumers, so the
-                // schedule budgets one store-and-forward hop per feeder
-                // level. Intra-cycle edges stay unpadded (they must chain
-                // with overlapped hops anyway, and padding them would create
-                // a positive cycle at II = RecMII).
-                let pad = i64::from(!self.on_cycle[e.src().index()]);
-                let w = lat + pad - e.kind().distance() as i64 * ii;
-                let cand = t[e.src().index()] + w;
-                if cand > t[e.dst().index()] {
-                    t[e.dst().index()] = cand;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        t.into_iter().map(|x| x.max(0) as u64).collect()
+            DvfsLevel::Normal
+        }))
     }
 
     /// The level an unassigned island would get for a node labeled `label`:
@@ -751,7 +619,7 @@ impl<'a> Engine<'a> {
         let mut lvl = label;
         loop {
             let div = lvl.rate_divisor().expect("labels are active levels");
-            if self.ii.is_multiple_of(div) && self.opts.allowed_levels.contains(&lvl) {
+            if self.state.ii().is_multiple_of(div) && self.opts.allowed_levels.contains(&lvl) {
                 return lvl;
             }
             if lvl == DvfsLevel::Normal {
@@ -762,6 +630,7 @@ impl<'a> Engine<'a> {
     }
 
     fn place_node(&mut self, node: NodeId) -> bool {
+        let consumers = self.state.placed_consumers(node);
         // Per-node label escalation: if a node cannot be committed anywhere
         // at its preferred level, retry it one level faster instead of
         // abandoning the whole attempt — Algorithm 1's labels guide the
@@ -769,38 +638,33 @@ impl<'a> Engine<'a> {
         // adjusted by the heuristic mapping algorithm" (paper §IV-A).
         let mut label = self.labels[node.index()];
         loop {
-            if self.try_place_at_label(node, label) {
+            if self.try_place_at_label(node, label, &consumers) {
                 return true;
             }
             if label == DvfsLevel::Normal {
-                break;
+                return false;
             }
             label = label.raised();
             iced_trace::counter(Phase::Mapper, "label_escalations", 1);
         }
-        if std::env::var_os("ICED_MAPPER_DEBUG").is_some() {
-            eprintln!(
-                "mapper: II={} no candidate for {} ({}, label {:?}, asap {})",
-                self.ii,
-                node,
-                self.dfg.node(node).label(),
-                self.labels[node.index()],
-                self.asap[node.index()],
-            );
-        }
-        false
     }
 
-    fn try_place_at_label(&mut self, node: NodeId, label: DvfsLevel) -> bool {
-        let op = self.dfg.node(node).op();
+    fn try_place_at_label(
+        &mut self,
+        node: NodeId,
+        label: DvfsLevel,
+        consumers: &[Consumer],
+    ) -> bool {
+        let cfg = self.prep.cfg;
+        let op = self.prep.dfg.node(node).op();
         let is_mem = op.is_memory();
         let needs_mul = op.class() == iced_dfg::OpcodeClass::Mul;
         let mut candidates: Vec<(u64, TileId)> = Vec::new();
-        for &tile in &self.tiles {
-            if is_mem && !self.cfg.is_memory_tile(tile) {
+        for &tile in &self.prep.tiles {
+            if is_mem && !cfg.is_memory_tile(tile) {
                 continue;
             }
-            if needs_mul && !self.cfg.tile_has_multiplier(tile) {
+            if needs_mul && !cfg.tile_has_multiplier(tile) {
                 continue;
             }
             if let Some(cost) = self.estimate(node, label, tile, is_mem) {
@@ -817,20 +681,8 @@ impl<'a> Engine<'a> {
             if self.cancel.cancelled() {
                 return false;
             }
-            if self.commit(node, label, tile) {
+            if self.commit(node, label, tile, consumers) {
                 iced_trace::counter(Phase::Mapper, "nodes_placed", 1);
-                if std::env::var_os("ICED_MAPPER_DEBUG").is_some_and(|v| v == "2") {
-                    let p = self.placements[node.index()].expect("just placed");
-                    eprintln!(
-                        "mapper:   II={} placed {} ({}) on {} start={} rate={}",
-                        self.ii,
-                        node,
-                        self.dfg.node(node).label(),
-                        p.tile,
-                        p.start,
-                        p.rate
-                    );
-                }
                 return true;
             }
         }
@@ -838,8 +690,8 @@ impl<'a> Engine<'a> {
     }
 
     fn estimate(&self, node: NodeId, label: DvfsLevel, tile: TileId, is_mem: bool) -> Option<u64> {
-        let island = self.cfg.island_of(tile);
-        let assigned = self.island_assigned[island.index()];
+        let (dfg, cfg) = (self.prep.dfg, self.prep.cfg);
+        let assigned = self.state.island_level(cfg.island_of(tile));
         let level = match assigned {
             Some(l) => {
                 if label > l {
@@ -850,28 +702,28 @@ impl<'a> Engine<'a> {
             None => self.usable_level(label),
         };
         let mut cost = 0u64;
-        for e in self.dfg.in_edges(node) {
-            if let Some(p) = self.placements[e.src().index()] {
-                cost += W_HOP * self.cfg.manhattan(p.tile, tile) as u64;
+        for e in dfg.in_edges(node) {
+            if let Some(p) = self.state.placement(e.src()) {
+                cost += W_HOP * cfg.manhattan(p.tile, tile) as u64;
             }
         }
-        for e in self.dfg.out_edges(node) {
-            match self.placements[e.dst().index()] {
+        for e in dfg.out_edges(node) {
+            match self.state.placement(e.dst()) {
                 Some(p) => {
                     let w = if e.kind().is_loop_carried() {
                         W_CARRY
                     } else {
                         W_HOP
                     };
-                    cost += w * self.cfg.manhattan(tile, p.tile) as u64;
+                    cost += w * cfg.manhattan(tile, p.tile) as u64;
                 }
                 None => {
                     // Second-order attraction: pull feeders towards the
                     // placed consumers of their (unplaced) consumer, so
                     // feeder chains land near the cycle they feed.
-                    for e2 in self.dfg.out_edges(e.dst()) {
-                        if let Some(p2) = self.placements[e2.dst().index()] {
-                            cost += (W_HOP / 2) * self.cfg.manhattan(tile, p2.tile) as u64;
+                    for e2 in dfg.out_edges(e.dst()) {
+                        if let Some(p2) = self.state.placement(e2.dst()) {
+                            cost += (W_HOP / 2) * cfg.manhattan(tile, p2.tile) as u64;
                         }
                     }
                 }
@@ -883,45 +735,49 @@ impl<'a> Engine<'a> {
         if assigned.is_none() {
             cost += W_OPEN;
         }
-        if !is_mem && self.cfg.is_memory_tile(tile) {
+        if !is_mem && cfg.is_memory_tile(tile) {
             cost += W_MEM;
         }
+        let busy = self.state.mrrg().fu_busy_cycles(tile) as u64;
         if self.spread {
             // Conventional mode: strongly prefer fresh tiles (one op per
             // tile where possible) — routing stays easy thanks to the
             // overlapped first hop, and this is how II-minimising mappers
             // behave (paper Fig. 1 uses a fresh tile per op).
-            cost += W_HOP * self.mrrg.fu_busy_cycles(tile) as u64;
+            cost += W_HOP * busy;
         } else {
             // Clustered mode: moderate load balancing — enough to keep
             // fan-in hotspots routable (half a hop per occupied FU slot),
             // low enough that proximity still packs islands for gating.
-            cost += (W_HOP / 2) * self.mrrg.fu_busy_cycles(tile) as u64;
+            cost += (W_HOP / 2) * busy;
         }
         Some(cost)
     }
 
-    /// Attempts to fully commit `node` on `tile`; on failure all
+    /// Attempts to fully commit `node` on `tile` with the shared commit
+    /// kernel, taking the first FU slot that fits; on failure all
     /// reservations and island assignments are rolled back.
-    fn commit(&mut self, node: NodeId, label: DvfsLevel, tile: TileId) -> bool {
-        let island = self.cfg.island_of(tile);
-        let mut txn = Txn::default();
-        let mut opened: Vec<IslandId> = Vec::new();
-
-        let level = match self.island_assigned[island.index()] {
-            Some(l) => {
-                if label > l {
-                    return false;
-                }
-                l
-            }
+    fn commit(
+        &mut self,
+        node: NodeId,
+        label: DvfsLevel,
+        tile: TileId,
+        consumers: &[Consumer],
+    ) -> bool {
+        let island = self.prep.cfg.island_of(tile);
+        let mut draft = Draft::default();
+        let level = match self.state.island_level(island) {
+            Some(l) if label > l => return false,
+            Some(l) => l,
             None => {
                 let l = self.usable_level(label);
-                self.assign_island(island, l, &mut opened);
+                self.state.open_island(island, l, &mut draft);
                 l
             }
         };
         let rate = level.rate_divisor().expect("active level");
+        let rate64 = u64::from(rate);
+        let ii = u64::from(self.state.ii());
 
         // Egress capacity: each outgoing link of a tile at rate divisor `r`
         // carries one transfer per slow cycle, i.e. II/r per period. A node
@@ -929,298 +785,70 @@ impl<'a> Engine<'a> {
         // all its consumers from here (consumers on the same tile need no
         // link, so this is conservative — it only pushes the node to a
         // faster island or another tile).
-        let egress = self.dfg.out_edges(node).count() as u64;
-        let link_budget: u64 =
-            self.cfg.neighbors(tile).count() as u64 * (self.ii as u64 / rate as u64);
-        if egress > link_budget {
-            self.debug_abort(
-                node,
-                tile,
-                "egress over link budget",
-                iced_dfg::EdgeId::from_index(0),
-            );
-            return self.abort(txn, opened);
+        let egress = self.prep.dfg.out_edges(node).count() as u64;
+        if egress > self.prep.cfg.neighbors(tile).count() as u64 * (ii / rate64) {
+            return self.abort(draft);
         }
 
-        // Route placed-predecessor edges (both data and loop-carried).
         // Cycle nodes get one extra period of slack beyond their ASAP:
         // shifting a recurrence cycle later in absolute time only deepens
         // the prologue (steady state is unchanged), and the headroom lets
         // congested or slow-labeled feeder chains meet the cycle's read
         // deadlines instead of forcing an II increase.
-        let slack = if self.on_cycle[node.index()] {
-            self.ii as u64 + 4
+        let slack = if self.prep.on_cycle[node.index()] {
+            ii + 4
         } else {
             0
         };
-        let rate64 = rate as u64;
-        let ii = self.ii as i64;
-        let earliest_start = (self.asap[node.index()] + slack) as i64;
+        let earliest = self.asap[node.index()] + slack;
 
-        // Arithmetic window: no in-route arrives before its lower bound, so
-        // the slot search below starts no earlier than `lo` rounded up to
-        // the rate, and no value leaves this tile before that plus `rate`.
-        // An out-route that misses its consumer's deadline from there
-        // misses it from every later ready cycle too (the bound never
-        // decreases), so this candidate would abort on it: abort now,
-        // before routing anything.
-        let mut lo = earliest_start;
-        for e in self.dfg.in_edges(node) {
-            if let Some(p) = self.placements[e.src().index()] {
-                let lb = arrival_lower_bound(self.cfg, &self.rates, p.tile, p.ready(), tile);
-                lo = lo.max(lb as i64 - e.kind().distance() as i64 * ii);
-            }
+        // Arithmetic window: the slot search below starts no earlier than
+        // `lo` rounded up to the rate, and no value leaves this tile before
+        // that plus `rate`. An out-route that misses its consumer's deadline
+        // from there misses it from every later ready cycle too, so this
+        // candidate would abort on it: abort now, before routing anything.
+        let (lo, _) = self.state.window_lo(node, tile, earliest);
+        if self
+            .state
+            .misses_deadline(consumers, tile, lo.div_ceil(rate64) * rate64 + rate64)
+        {
+            return self.abort(draft);
         }
-        let earliest_ready = (lo.max(0) as u64).div_ceil(rate64) * rate64 + rate64;
-        let window_empty = self.dfg.out_edges(node).any(|e| {
-            self.placements[e.dst().index()].is_some_and(|p| {
-                let deadline = p.start + e.kind().distance() as u64 * self.ii as u64;
-                arrival_lower_bound(self.cfg, &self.rates, tile, earliest_ready, p.tile) > deadline
-            })
-        });
-        if window_empty {
-            self.debug_abort(
-                node,
-                tile,
-                "out-route window empty",
-                iced_dfg::EdgeId::from_index(0),
-            );
-            return self.abort(txn, opened);
-        }
-
-        let mut in_routes: Vec<(usize, crate::router::FoundRoute, u32)> = Vec::new();
-        let mut min_start = earliest_start;
-        for e in self.dfg.in_edges(node) {
-            let Some(p) = self.placements[e.src().index()] else {
-                continue; // carried edge from a not-yet-placed node
-            };
-            let ready = p.ready();
-            let horizon = in_route_horizon(self.cfg, p.tile, ready, tile, self.ii);
-            let Some(found) = route(
-                self.cfg,
-                self.mrrg,
-                &self.rates,
-                &self.virgin,
-                p.tile,
-                ready,
-                tile,
-                None,
-                horizon,
-                &mut txn,
-                self.scratch,
-            ) else {
-                self.debug_abort(node, tile, "in-route failed", e.id());
-                return self.abort(txn, opened);
-            };
-            self.pin_route_islands(&found, &mut opened);
-            let d = e.kind().distance();
-            min_start = min_start.max(found.arrival as i64 - d as i64 * ii);
-            in_routes.push((e.id().index(), found, d));
-        }
-
-        // Earliest phase-aligned FU slot with register holds extendable.
-        let base = (min_start.max(0) as u64).div_ceil(rate64) * rate64;
-        let mut chosen_start = None;
-        for k in 0..(6 * self.ii as u64).div_ceil(rate64).max(4) {
-            let start = base + k * rate64;
-            if !self.mrrg.fu_free(tile, start, rate) {
-                continue;
-            }
-            // Values wait at the consumer in per-port input FIFOs (the
-            // tile's bypass buffers), so arrival order is the only
-            // constraint here; the register file is charged for
-            // route-through staging inside the router instead.
-            let holds_ok = in_routes.iter().all(|(_, fr, d)| {
-                let consume = start + *d as u64 * self.ii as u64;
-                consume >= fr.arrival
-            });
-            if holds_ok {
-                chosen_start = Some(start);
-                break;
-            }
-        }
-        let Some(start) = chosen_start else {
-            self.debug_abort(node, tile, "no FU slot", iced_dfg::EdgeId::from_index(0));
-            return self.abort(txn, opened);
+        let Some((in_routes, min_start)) =
+            self.state.route_in_edges(node, tile, earliest, &mut draft)
+        else {
+            return self.abort(draft);
         };
-        txn.occupy_fu(self.mrrg, tile, start, rate);
-        let mut new_routes: Vec<(usize, Route)> = Vec::new();
-        for (eid, fr, d) in &in_routes {
-            let consume = start + *d as u64 * self.ii as u64;
-            new_routes.push((
-                *eid,
-                Route {
-                    edge: iced_dfg::EdgeId::from_index(*eid),
-                    hops: fr.hops.clone(),
-                    src_ready: fr.src_ready(),
-                    arrival: fr.arrival,
-                    consume_at: consume,
-                },
-            ));
-        }
+
+        // Earliest phase-aligned FU slot that reads every in-route.
+        let base = min_start.div_ceil(rate64) * rate64;
+        let start = (0..(6 * ii).div_ceil(rate64).max(4))
+            .map(|k| base + k * rate64)
+            .find(|&s| self.state.mrrg().fu_free(tile, s, rate) && self.state.holds(&in_routes, s));
+        let Some(start) = start else {
+            return self.abort(draft);
+        };
+        self.state.occupy_fu(tile, start, rate, &mut draft);
 
         // Out-edges whose consumer is already placed: recurrence-closing
         // routes (loop-carried) and feeder routes into earlier-placed cycle
         // nodes (data), both bounded by the consumer's read deadline.
-        // Tightest deadline first: the overlapped first hop is a scarce link
-        // slot and must serve the most constrained consumer.
-        let ready = start + rate64;
-        let mut out_edges: Vec<(iced_dfg::EdgeId, Placement, u64)> = self
-            .dfg
-            .out_edges(node)
-            .filter_map(|e| {
-                self.placements[e.dst().index()].map(|p| {
-                    let deadline = p.start + e.kind().distance() as u64 * self.ii as u64;
-                    (e.id(), p, deadline)
-                })
-            })
-            .collect();
-        out_edges.sort_unstable_by_key(|&(id, _, deadline)| (deadline, id));
-        for (eid, p, deadline) in out_edges {
-            let e = self.dfg.edge(eid);
-            let Some(found) = route(
-                self.cfg,
-                self.mrrg,
-                &self.rates,
-                &self.virgin,
-                tile,
-                ready,
-                p.tile,
-                Some(deadline),
-                deadline,
-                &mut txn,
-                self.scratch,
-            ) else {
-                self.debug_abort(node, tile, "out-route failed", e.id());
-                return self.abort(txn, opened);
-            };
-            self.pin_route_islands(&found, &mut opened);
-            new_routes.push((
-                e.id().index(),
-                Route {
-                    edge: e.id(),
-                    hops: found.hops.clone(),
-                    src_ready: ready,
-                    arrival: found.arrival,
-                    consume_at: deadline,
-                },
-            ));
-        }
-
-        // Success: persist.
-        self.placements[node.index()] = Some(Placement { tile, start, rate });
-        for (eid, r) in new_routes {
-            self.routes[eid] = Some(r);
-        }
+        let Some(out) = self
+            .state
+            .route_out_edges(tile, start + rate64, consumers, &mut draft)
+        else {
+            return self.abort(draft);
+        };
+        let p = Placement { tile, start, rate };
+        self.state.place(node, p, &in_routes, consumers, out);
         true
     }
 
-    fn debug_abort(&self, node: NodeId, tile: TileId, why: &str, edge: iced_dfg::EdgeId) {
-        if std::env::var_os("ICED_MAPPER_DEBUG").is_none_or(|v| v != "2") {
-            return;
-        }
-        eprintln!(
-            "mapper:   II={} {} on {} aborted: {} (edge {})",
-            self.ii, node, tile, why, edge
-        );
-    }
-
-    fn assign_island(&mut self, island: IslandId, level: DvfsLevel, opened: &mut Vec<IslandId>) {
-        debug_assert!(self.island_assigned[island.index()].is_none());
-        self.island_assigned[island.index()] = Some(level);
-        let div = level.rate_divisor().expect("active level");
-        for t in self.cfg.island_tiles(island) {
-            self.rates[t.index()] = div;
-            self.virgin[t.index()] = false;
-        }
-        opened.push(island);
-    }
-
-    /// Routing through an unassigned island reserved its links at base-clock
-    /// granularity; pin such islands to normal.
-    fn pin_route_islands(&mut self, found: &crate::router::FoundRoute, opened: &mut Vec<IslandId>) {
-        for hop in &found.hops {
-            let island = self.cfg.island_of(hop.from);
-            if self.island_assigned[island.index()].is_none() {
-                self.assign_island(island, DvfsLevel::Normal, opened);
-            }
-        }
-    }
-
-    fn abort(&mut self, txn: Txn, opened: Vec<IslandId>) -> bool {
+    fn abort(&mut self, draft: Draft) -> bool {
         iced_trace::counter(Phase::Mapper, "commit_aborts", 1);
-        txn.rollback(self.mrrg);
-        for island in opened {
-            self.island_assigned[island.index()] = None;
-            for t in self.cfg.island_tiles(island) {
-                self.rates[t.index()] = 1;
-                self.virgin[t.index()] = true;
-            }
-        }
+        self.state.rollback(draft);
         false
     }
-
-    fn finish(&mut self) -> Mapping {
-        // ICED power-gates islands that host no work; the conventional
-        // baseline has no DVFS support at all, so its unused islands keep
-        // burning nominal power.
-        let unused = if self.opts.dvfs_aware {
-            DvfsLevel::PowerGated
-        } else {
-            DvfsLevel::Normal
-        };
-        let island_levels: Vec<DvfsLevel> = self
-            .island_assigned
-            .iter()
-            .map(|a| a.unwrap_or(unused))
-            .collect();
-        let tile_levels: Vec<DvfsLevel> = self
-            .cfg
-            .tiles()
-            .map(|t| island_levels[self.cfg.island_of(t).index()])
-            .collect();
-        Mapping {
-            kernel: self.dfg.name().to_string(),
-            config: self.cfg.clone(),
-            ii: self.ii,
-            placements: self
-                .placements
-                .iter()
-                .map(|p| p.expect("all nodes placed on success"))
-                .collect(),
-            routes: self.routes.iter().flatten().cloned().collect(),
-            island_levels,
-            tile_levels,
-        }
-    }
-}
-
-/// Marks every node that lies on some recurrence cycle.
-pub fn recurrence_nodes(dfg: &Dfg) -> Vec<bool> {
-    let mut on_cycle = vec![false; dfg.node_count()];
-    for cycle in iced_dfg::recurrence::enumerate_cycles(dfg) {
-        for n in cycle.nodes() {
-            on_cycle[n.index()] = true;
-        }
-    }
-    on_cycle
-}
-
-/// Cycle-first placement order: recurrence-cycle nodes (`on_cycle`, from
-/// [`recurrence_nodes`]) first in topological order, then the remaining
-/// nodes topologically. Placing the II-critical cycles before their
-/// feeders lets the engine keep each cycle tight; feeders then route
-/// *towards* fixed consumers under a deadline instead of painting the
-/// cycle into a corner.
-pub fn cycle_first_order(dfg: &Dfg, on_cycle: &[bool]) -> Vec<NodeId> {
-    let topo = dfg.topological_order();
-    let mut order: Vec<NodeId> = topo
-        .iter()
-        .copied()
-        .filter(|n| on_cycle[n.index()])
-        .collect();
-    order.extend(topo.iter().copied().filter(|n| !on_cycle[n.index()]));
-    order
 }
 
 /// The label sets attempted at one II, most aggressive first: `(full,
@@ -1376,6 +1004,7 @@ pub fn check_dependencies(dfg: &Dfg, mapping: &Mapping) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iced_arch::IslandId;
     use iced_dfg::{DfgBuilder, Opcode};
     use std::collections::HashSet;
 
