@@ -63,7 +63,7 @@ mod search;
 use iced_arch::CgraConfig;
 use iced_dfg::Dfg;
 use iced_fault::{FaultMask, FaultPlan};
-use iced_mapper::engine_internals::RouterScratch;
+use iced_mapper::engine_internals::{self, usable_tiles, RouterScratch};
 use iced_mapper::{map_with, map_with_faults, MapError, MapperOptions, Mapping};
 use iced_trace::Phase;
 
@@ -171,98 +171,16 @@ pub struct Certified {
     pub certificate: CertifiedII,
 }
 
-/// The admissible lower bound on II for `dfg` on `cfg`: the maximum of
-/// RecMII, resource MII (all FUs, SPM-connected FUs, multiplier FUs), and
-/// the routing-capacity bound (a node of degree `d` needs `d − (II−1)`
-/// link slots at a tile offering at most `links·II` per period).
+/// The admissible lower bound on II for `dfg` on the whole of `cfg`
+/// (the mapper's [`lower_bound`](iced_mapper::engine_internals::lower_bound)
+/// over every tile): the maximum of RecMII, resource MII (all FUs,
+/// SPM-connected FUs, multiplier FUs), and the routing-capacity bound.
+/// `u32::MAX` when no II can map the kernel.
 ///
 /// Every component is admissible — no mapping can exist below the
 /// returned II — so `certify` never searches below it.
 pub fn lower_bound(dfg: &Dfg, cfg: &CgraConfig) -> u32 {
-    lower_bound_masked(dfg, cfg, None).unwrap_or(u32::MAX)
-}
-
-fn lower_bound_masked(
-    dfg: &Dfg,
-    cfg: &CgraConfig,
-    mask: Option<&FaultMask>,
-) -> Result<u32, MapError> {
-    let usable: Vec<_> = cfg
-        .tiles()
-        .filter(|&t| mask.is_none_or(|m| m.fu_usable(t)))
-        .collect();
-    if usable.is_empty() {
-        return Err(MapError::MemoryPressure);
-    }
-    let mem_nodes = dfg.count_ops(|op| op.is_memory());
-    let mul_nodes = dfg.count_ops(|op| op.class() == iced_dfg::OpcodeClass::Mul);
-    let mem_tiles = usable.iter().filter(|&&t| cfg.is_memory_tile(t)).count();
-    let mul_tiles = usable
-        .iter()
-        .filter(|&&t| cfg.tile_has_multiplier(t))
-        .count();
-    if (mem_nodes > 0 && mem_tiles == 0) || (mul_nodes > 0 && mul_tiles == 0) {
-        return Err(MapError::MemoryPressure);
-    }
-    let res_mii = (dfg.node_count() as u32).div_ceil(usable.len() as u32);
-    let mem_mii = if mem_nodes > 0 {
-        (mem_nodes as u32).div_ceil(mem_tiles as u32)
-    } else {
-        0
-    };
-    let mul_mii = if mul_nodes > 0 {
-        (mul_nodes as u32).div_ceil(mul_tiles as u32)
-    } else {
-        0
-    };
-    // Routing capacity: all of a node's off-tile transfers enter or leave
-    // its tile over at most `links` directed links carrying II transfers
-    // per period each, while at most II−1 other FU slots on the tile can
-    // host same-tile neighbors. So degree d needs d − (II−1) ≤ links·II,
-    // i.e. II ≥ ceil((d + 1) / (links + 1)). Degree counts *distinct*
-    // non-self neighbors, not edges: parallel edges between one node pair
-    // (a data edge plus loop-carried edges at several distances) share one
-    // physical transfer per iteration — carried copies are buffered at the
-    // destination — and a self-edge never leaves the tile at all.
-    let links = usable
-        .iter()
-        .map(|&t| cfg.neighbors(t).count() as u32)
-        .max()
-        .unwrap_or(0);
-    let route_mii = dfg
-        .node_ids()
-        .map(|n| {
-            let deg_in = {
-                let mut srcs: Vec<_> = dfg
-                    .in_edges(n)
-                    .map(|e| e.src())
-                    .filter(|&s| s != n)
-                    .collect();
-                srcs.sort_unstable();
-                srcs.dedup();
-                srcs.len() as u32
-            };
-            let deg_out = {
-                let mut dsts: Vec<_> = dfg
-                    .out_edges(n)
-                    .map(|e| e.dst())
-                    .filter(|&d| d != n)
-                    .collect();
-                dsts.sort_unstable();
-                dsts.dedup();
-                dsts.len() as u32
-            };
-            (deg_in.max(deg_out) + 1).div_ceil(links + 1)
-        })
-        .max()
-        .unwrap_or(1);
-    Ok(dfg
-        .rec_mii()
-        .max(res_mii)
-        .max(mem_mii)
-        .max(mul_mii)
-        .max(route_mii)
-        .max(1))
+    engine_internals::lower_bound(dfg, cfg, &usable_tiles(cfg, None, None)).unwrap_or(u32::MAX)
 }
 
 /// Certifies the minimum II for `dfg` on `cfg`.
@@ -320,7 +238,9 @@ fn certify_inner(
     plan: Option<&FaultPlan>,
 ) -> Result<Certified, MapError> {
     dfg.validate()?;
-    let lb = lower_bound_masked(dfg, cfg, mask)?.max(opts.min_ii);
+    let space = Space::new(dfg, cfg, mask);
+    let bound = engine_internals::lower_bound(dfg, cfg, &space.prep.tiles)?;
+    let lb = bound.max(opts.min_ii);
     let _span = iced_trace::span(
         Phase::Mapper,
         "certify",
@@ -337,6 +257,9 @@ fn certify_inner(
     // That makes the certified II a bound on every shipped heuristic
     // strategy, not just the one the caller picked. An arm's failure is
     // not fatal — the exact search may still find a mapping both missed.
+    // No mapper maps below `bound`, so once the caller's arm sits on it
+    // the companion can at best tie, and ties keep the caller's: it is
+    // not run at all.
     let mut companion = if heur.dvfs_aware {
         MapperOptions::baseline()
     } else {
@@ -349,6 +272,9 @@ fn certify_inner(
     companion.deadline = heur.deadline;
     let mut upper: Option<Mapping> = None;
     for arm in [heur, &companion] {
+        if upper.as_ref().is_some_and(|u| u.ii() == bound) {
+            break;
+        }
         let res = match plan {
             Some(p) => map_with_faults(dfg, cfg, arm, p).map(|d| d.mapping),
             None => map_with(dfg, cfg, arm),
@@ -374,7 +300,6 @@ fn certify_inner(
         deadline: opts.deadline,
         backjump: opts.backjump,
     };
-    let space = Space::new(dfg, cfg, mask);
     let (mut slot, mut scratch) = (None, RouterScratch::default());
     let mut explored = 0u64;
     for ii in lb..=search_max {
@@ -526,6 +451,40 @@ mod tests {
             lb <= m.ii(),
             "bound {lb} exceeds achieved ii {} — inadmissible",
             m.ii()
+        );
+    }
+
+    #[test]
+    fn a_missing_resource_class_is_memory_pressure_before_any_attempt() {
+        // Every multiplier tile's FU dead: no II can place gemm's
+        // multiplies, and both backends say so up front with the same
+        // typed error instead of walking the II range.
+        let cfg = CgraConfig::builder(4, 4)
+            .fu_layout(iced_arch::FuLayout::CheckerboardMul)
+            .build()
+            .unwrap();
+        let plan = FaultPlan {
+            seed: 1,
+            permanent: cfg
+                .tiles()
+                .filter(|&t| cfg.tile_has_multiplier(t))
+                .map(iced_fault::PermanentFault::DeadFu)
+                .collect(),
+            ..FaultPlan::empty()
+        };
+        let dfg = iced_kernels::Kernel::Gemm.dfg(iced_kernels::UnrollFactor::X1);
+        let heur = MapperOptions {
+            threads: 1,
+            ..MapperOptions::default()
+        };
+        assert_eq!(
+            map_with_faults(&dfg, &cfg, &heur, &plan).map(|d| d.mapping.ii()),
+            Err(MapError::MemoryPressure)
+        );
+        assert_eq!(
+            certify_with_plan(&dfg, &cfg, &heur, &ExactOptions::default(), &plan)
+                .map(|c| c.certificate),
+            Err(MapError::MemoryPressure)
         );
     }
 

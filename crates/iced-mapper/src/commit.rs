@@ -9,6 +9,7 @@
 //!
 //! * [`Prepared`] — a kernel prepared once per `map_with` or `certify`
 //!   call: its usable tiles, recurrence-cycle nodes and placement order;
+//! * [`lower_bound`] — the admissible minimum II both start from;
 //! * [`modulo_asap`] — the modulo-ASAP schedule, with the edge weight as
 //!   an argument;
 //! * [`Partial`] — a partial mapping at one II and the primitives that
@@ -157,6 +158,80 @@ fn cycle_first_order(dfg: &Dfg, on_cycle: &[bool]) -> Vec<NodeId> {
         .collect();
     order.extend(topo.iter().copied().filter(|n| !on_cycle[n.index()]));
     order
+}
+
+/// The admissible lower bound on II for `dfg` placed on `tiles` of `cfg`:
+/// the maximum of RecMII, resource MII (all FUs, SPM-connected FUs,
+/// multiplier FUs), and the routing-capacity bound (a node of degree `d`
+/// needs `d − (II−1)` link slots at a tile offering at most `links·II` per
+/// period).
+///
+/// Every component is admissible — no mapping can exist below the
+/// returned II — so the placer starts its II search there and `certify`
+/// never searches below it.
+///
+/// # Errors
+///
+/// [`MapError::MemoryPressure`] when `tiles` is empty, or when the kernel
+/// has memory ops or multiplies and no tile of that class is in `tiles`:
+/// no II can map it then.
+pub fn lower_bound(dfg: &Dfg, cfg: &CgraConfig, tiles: &[TileId]) -> Result<u32, MapError> {
+    let mem_nodes = dfg.count_ops(|op| op.is_memory());
+    let mul_nodes = dfg.count_ops(|op| op.class() == iced_dfg::OpcodeClass::Mul);
+    let mem_tiles = tiles.iter().filter(|&&t| cfg.is_memory_tile(t)).count();
+    let mul_tiles = tiles
+        .iter()
+        .filter(|&&t| cfg.tile_has_multiplier(t))
+        .count();
+    if tiles.is_empty() || (mem_nodes > 0 && mem_tiles == 0) || (mul_nodes > 0 && mul_tiles == 0) {
+        return Err(MapError::MemoryPressure);
+    }
+    let class_mii = |nodes: usize, tiles: usize| (nodes as u32).div_ceil(tiles.max(1) as u32);
+    // Routing capacity: all of a node's off-tile transfers enter or leave
+    // its tile over at most `links` directed links carrying II transfers
+    // per period each, while at most II−1 other FU slots on the tile can
+    // host same-tile neighbors. So degree d needs d − (II−1) ≤ links·II,
+    // i.e. II ≥ ceil((d + 1) / (links + 1)). Degree counts *distinct*
+    // non-self neighbors, not edges: parallel edges between one node pair
+    // (a data edge plus loop-carried edges at several distances) share one
+    // physical transfer per iteration — carried copies are buffered at the
+    // destination — and a self-edge never leaves the tile at all.
+    let links = tiles
+        .iter()
+        .map(|&t| cfg.neighbors(t).count() as u32)
+        .max()
+        .unwrap_or(0);
+    let distinct = |mut ends: Vec<NodeId>| {
+        ends.sort_unstable();
+        ends.dedup();
+        ends.len() as u32
+    };
+    let route_mii = dfg
+        .node_ids()
+        .map(|n| {
+            let deg_in = distinct(
+                dfg.in_edges(n)
+                    .map(|e| e.src())
+                    .filter(|&s| s != n)
+                    .collect(),
+            );
+            let deg_out = distinct(
+                dfg.out_edges(n)
+                    .map(|e| e.dst())
+                    .filter(|&d| d != n)
+                    .collect(),
+            );
+            (deg_in.max(deg_out) + 1).div_ceil(links + 1)
+        })
+        .max()
+        .unwrap_or(1);
+    Ok(dfg
+        .rec_mii()
+        .max(class_mii(dfg.node_count(), tiles.len()))
+        .max(class_mii(mem_nodes, mem_tiles))
+        .max(class_mii(mul_nodes, mul_tiles))
+        .max(route_mii)
+        .max(1))
 }
 
 /// Modulo-scheduling ASAP times: the longest-path fixpoint of

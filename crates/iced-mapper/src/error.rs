@@ -15,9 +15,12 @@ pub enum MapError {
         /// The configured ceiling.
         max_ii: u32,
     },
-    /// The kernel contains memory operations but the target CGRA column
-    /// that connects to the SPM cannot host them all (e.g. more concurrent
-    /// loads than SPM-connected tile-cycles).
+    /// No usable tile can host one of the kernel's op classes: memory
+    /// operations with no live SPM-connected tile, multiplies with no live
+    /// multiplier tile, or no live tile at all. No II can help, so the
+    /// heuristic mapper and the exact backend both return this from the
+    /// shared lower bound, before any attempt. (The name predates the
+    /// multiplier case; the display text is kept for wire stability.)
     MemoryPressure,
     /// The search deadline (`MapperOptions::deadline`) passed before a
     /// valid mapping was found; the II escalation was aborted between

@@ -58,7 +58,8 @@ impl DegradedMapping {
 /// # Errors
 ///
 /// Returns [`MapError::MemoryPressure`] when the faults leave no usable
-/// tile (or no usable memory tile for a memory-bearing kernel), and
+/// tile (or no usable memory or multiplier tile for a kernel with memory
+/// ops or multiplies), and
 /// [`MapError::IiExceeded`] when the surviving fabric cannot admit the
 /// kernel within `opts.max_ii`.
 pub fn map_with_faults(

@@ -75,7 +75,7 @@ mod router;
 #[doc(hidden)]
 pub mod engine_internals {
     pub use crate::commit::{
-        modulo_asap, usable_tiles, Consumer, Draft, InRoute, Partial, Prepared,
+        lower_bound, modulo_asap, usable_tiles, Consumer, Draft, InRoute, Partial, Prepared,
     };
     pub use crate::router::RouterScratch;
 }

@@ -25,7 +25,7 @@ use iced_dfg::{Dfg, NodeId};
 use iced_fault::FaultMask;
 use iced_trace::Phase;
 
-use crate::commit::{modulo_asap, Consumer, Draft, Partial, Prepared};
+use crate::commit::{lower_bound, modulo_asap, Consumer, Draft, Partial, Prepared};
 use crate::error::MapError;
 use crate::labeling::label_dvfs_levels;
 use crate::mapping::{Mapping, Placement};
@@ -44,7 +44,8 @@ pub struct MapperOptions {
     /// Give up once the II exceeds this bound.
     pub max_ii: u32,
     /// Lower bound on the starting II (e.g. to reproduce a sweep); the
-    /// engine still starts no lower than `max(RecMII, ResMII)`.
+    /// engine still starts no lower than the admissible lower bound
+    /// (`iced_exact::lower_bound` on the usable tiles).
     pub min_ii: u32,
     /// Restrict the mapper to the first `n` islands (row-major). Used by the
     /// streaming partitioner to map one kernel per island group; `None`
@@ -184,8 +185,9 @@ pub fn map_dvfs_aware(dfg: &Dfg, config: &CgraConfig) -> Result<Mapping, MapErro
 /// # Errors
 ///
 /// Returns [`MapError::IiExceeded`] when no mapping exists up to
-/// `opts.max_ii`, or [`MapError::MemoryPressure`] when the kernel's
-/// load/store count can never fit the SPM-connected column.
+/// `opts.max_ii`, or [`MapError::MemoryPressure`] when no usable tile can
+/// host one of the kernel's op classes (memory ops need the SPM-connected
+/// column, multiplies a multiplier tile), before any attempt.
 pub fn map_with(dfg: &Dfg, config: &CgraConfig, opts: &MapperOptions) -> Result<Mapping, MapError> {
     map_with_mask(dfg, config, opts, None)
 }
@@ -201,31 +203,7 @@ pub(crate) fn map_with_mask(
     mask: Option<&FaultMask>,
 ) -> Result<Mapping, MapError> {
     let prep = Prepared::new(dfg, config, opts.island_budget, mask, opts.cycle_first);
-    let tiles_avail = prep.tiles.len();
-    if tiles_avail == 0 {
-        return Err(MapError::MemoryPressure);
-    }
-    let mem_nodes = dfg.count_ops(|op| op.is_memory());
-    let mem_tiles = prep
-        .tiles
-        .iter()
-        .filter(|&&t| config.is_memory_tile(t))
-        .count();
-    if mem_nodes > 0 && mem_tiles == 0 {
-        return Err(MapError::MemoryPressure);
-    }
-    let res_mii = (dfg.node_count() as u32).div_ceil(tiles_avail as u32);
-    let mem_mii = if mem_nodes > 0 {
-        (mem_nodes as u32).div_ceil(mem_tiles as u32)
-    } else {
-        0
-    };
-    let start_ii = dfg
-        .rec_mii()
-        .max(res_mii)
-        .max(mem_mii)
-        .max(opts.min_ii)
-        .max(1);
+    let start_ii = lower_bound(dfg, config, &prep.tiles)?.max(opts.min_ii);
     let threads = resolve_threads(opts);
     let _map_span = iced_trace::span(
         Phase::Mapper,
