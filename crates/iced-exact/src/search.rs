@@ -5,7 +5,11 @@
 //! the heuristic's cycle-first topological order, with every edge routed
 //! by the shared Dijkstra router the moment its second endpoint is
 //! placed — but exhaustively, with chronological backtracking upgraded to
-//! conservative conflict-driven backjumping. A `Refuted` verdict is a
+//! conservative conflict-driven backjumping. It commits through the
+//! mapper's own commit kernel (`iced_mapper::engine_internals::Partial`):
+//! routing, route records, island state and the finished mapping are the
+//! placer's code, and only the slot loop, FU-slot ownership, conflicts and
+//! backjumping live here. A `Refuted` verdict is a
 //! certificate that *no assignment in this decision space* maps the
 //! kernel at the given II (see the crate docs for the exact space
 //! definition and its relation to full place-and-route freedom).
@@ -19,7 +23,7 @@
 //!
 //! Arithmetic window: before routing anything for a candidate tile, the
 //! search bounds the FU start cycles the tile could accept. No in-route
-//! arrives before [`arrival_lower_bound`], so no slot starts before
+//! arrives before its `arrival_lower_bound`, so no slot starts before
 //! `lo = max(asap, max over placed in-edges of (bound − d·II))`. A placed
 //! consumer read by `deadline` is out of reach from slot `s` when the
 //! bound from `(tile, s + 1)` exceeds the deadline; the router rejects

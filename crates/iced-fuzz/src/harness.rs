@@ -5,7 +5,11 @@
 //!
 //! 1. **heuristic vs certified bound** — `iced_exact::lower_bound` is
 //!    admissible on the intact fabric, and faults only *remove* resources,
-//!    so `lower_bound ≤ II` must hold for every mapping, degraded or not;
+//!    so `lower_bound ≤ II` must hold for every mapping, degraded or not.
+//!    The heuristic starts its II search at that same bound, so for
+//!    its mappings this holds by construction and cannot catch a bound
+//!    that is too high; `tests/mapping_pin.rs` guards that instead, by
+//!    pinning the mappings a too-high bound would change;
 //! 2. **heuristic vs exact** — for small fault-free kernels, full
 //!    certification: the certified II may never exceed the heuristic's
 //!    (the portfolio contains it), and an exact *refutation* while the

@@ -64,14 +64,19 @@ mod place;
 mod relax;
 mod router;
 
-/// Internal engine pieces re-exported for the `iced-exact` backend.
+/// The commit kernel, re-exported for the `iced-exact` backend.
 ///
 /// The exact mapper must account for resources *exactly* the way the
 /// heuristic does — same router, same reservation journal, same MRRG
-/// occupancy rules — or its certificates would speak about a different
-/// machine. Rather than duplicating the router, `iced-exact` drives the
-/// real one through this facade. Not a public API: hidden from docs and
-/// exempt from stability promises.
+/// occupancy rules, same island pinning — or its certificates would speak
+/// about a different machine. So the placer and the exact search commit
+/// through one kernel: [`Prepared`](engine_internals::Prepared) prepares a
+/// kernel once per call, [`lower_bound`](engine_internals::lower_bound)
+/// is the start II of both, and [`Partial`](engine_internals::Partial)
+/// holds the partial mapping with every commit primitive. Only slot
+/// selection differs: the placer takes the first FU slot that fits, the
+/// exact search tries each slot of its window and backtracks. Not a
+/// public API: hidden from docs and exempt from stability promises.
 #[doc(hidden)]
 pub mod engine_internals {
     pub use crate::commit::{

@@ -70,10 +70,9 @@ pub struct Mapping {
 }
 
 impl Mapping {
-    /// Assembles a mapping from externally computed parts. Used by the
-    /// exact backend (`iced-exact`), which builds placements and routes
-    /// with its own search but must hand back the same result type the
-    /// heuristic produces. `island_levels` and `tile_levels` must cover
+    /// Assembles a mapping from externally computed parts, e.g. a
+    /// hand-built schedule that breaks one machine rule on purpose in a
+    /// simulator test. `island_levels` and `tile_levels` must cover
     /// every island/tile of `config`; `placements` is indexed by dense
     /// node id.
     #[allow(clippy::too_many_arguments)]
