@@ -35,11 +35,11 @@ pub struct Prepared<'a> {
     /// The target fabric.
     pub cfg: &'a CgraConfig,
     /// Dead resources, pre-occupied in every MRRG this kernel is mapped on.
-    pub mask: Option<&'a FaultMask>,
+    mask: Option<&'a FaultMask>,
     /// Tiles nodes may be placed on ([`usable_tiles`]).
     pub tiles: Vec<TileId>,
     /// Whether each node lies on a recurrence cycle.
-    pub on_cycle: Vec<bool>,
+    pub(crate) on_cycle: Vec<bool>,
     /// The order nodes are placed in.
     pub order: Vec<NodeId>,
 }
@@ -330,17 +330,17 @@ impl<'a> Partial<'a> {
     }
 
     /// Where `node` is placed, if it is.
-    pub fn placement(&self, node: NodeId) -> Option<Placement> {
+    pub(crate) fn placement(&self, node: NodeId) -> Option<Placement> {
         self.placements[node.index()]
     }
 
     /// The level `island` is assigned, if any.
-    pub fn island_level(&self, island: IslandId) -> Option<DvfsLevel> {
+    pub(crate) fn island_level(&self, island: IslandId) -> Option<DvfsLevel> {
         self.islands[island.index()]
     }
 
     /// Assigns `level` to the unassigned `island`, recorded in `draft`.
-    pub fn open_island(&mut self, island: IslandId, level: DvfsLevel, draft: &mut Draft) {
+    pub(crate) fn open_island(&mut self, island: IslandId, level: DvfsLevel, draft: &mut Draft) {
         debug_assert!(self.islands[island.index()].is_none());
         self.islands[island.index()] = Some(level);
         let div = level.rate_divisor().expect("active level");
