@@ -3,8 +3,8 @@
 //!
 //! For every standalone kernel and a ladder of fault densities, seeded
 //! [`FaultPlan`]s are generated and remapped with `map_with_faults`; the
-//! sweep reports remap success rate, mean II penalty over the fault-free
-//! baseline, and how much of the fabric each density knocks out. A second
+//! sweep reports remap success rate, mean II penalty (faulted minus clean
+//! II), and how much of the fabric each density knocks out. A second
 //! stage sweeps SEU rate scaling through the fault-aware cycle engine and
 //! reports the rollback-recovery overhead. Results go to
 //! `BENCH_fault.json` (and `fault_sweep.csv` under `ICED_CSV_DIR`).
@@ -60,10 +60,10 @@ fn sweep_mapper(quick: bool) -> Vec<Point> {
                 FaultPlan::generate(&cfg, (0xFA11 ^ dfg.canonical_hash()) + seed * 7919, density);
             let dead = plan.excluded(&cfg);
             dead_sum += dead.tiles.len() + dead.fus.len();
-            if let Ok(d) = map_with_faults(&dfg, &cfg, &opts, &plan) {
+            if let Ok(m) = map_with_faults(&dfg, &cfg, &opts, &plan) {
                 remapped += 1;
-                ii_sum += u64::from(d.mapping.ii());
-                pen_sum += u64::from(d.ii_penalty);
+                ii_sum += u64::from(m.ii());
+                pen_sum += u64::from(m.ii().saturating_sub(clean.ii()));
             }
         }
         let n = remapped.max(1) as f64;

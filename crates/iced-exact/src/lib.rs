@@ -62,7 +62,7 @@ mod search;
 
 use iced_arch::CgraConfig;
 use iced_dfg::Dfg;
-use iced_fault::{FaultMask, FaultPlan};
+use iced_fault::FaultPlan;
 use iced_mapper::engine_internals::{self, usable_tiles, RouterScratch};
 use iced_mapper::{map_with, map_with_faults, MapError, MapperOptions, Mapping};
 use iced_trace::Phase;
@@ -209,7 +209,7 @@ pub fn certify(
     heur: &MapperOptions,
     opts: &ExactOptions,
 ) -> Result<Certified, MapError> {
-    certify_inner(dfg, cfg, heur, opts, None, None)
+    certify_with_plan(dfg, cfg, heur, opts, &FaultPlan::empty())
 }
 
 /// [`certify`] on a partially dead fabric: resources excluded by `plan`
@@ -222,23 +222,9 @@ pub fn certify_with_plan(
     opts: &ExactOptions,
     plan: &FaultPlan,
 ) -> Result<Certified, MapError> {
-    if plan.is_empty() {
-        return certify(dfg, cfg, heur, opts);
-    }
-    let mask = plan.mask(cfg);
-    certify_inner(dfg, cfg, heur, opts, Some(&mask), Some(plan))
-}
-
-fn certify_inner(
-    dfg: &Dfg,
-    cfg: &CgraConfig,
-    heur: &MapperOptions,
-    opts: &ExactOptions,
-    mask: Option<&FaultMask>,
-    plan: Option<&FaultPlan>,
-) -> Result<Certified, MapError> {
     dfg.validate()?;
-    let space = Space::new(dfg, cfg, mask);
+    let mask = (!plan.is_empty()).then(|| plan.mask(cfg));
+    let space = Space::new(dfg, cfg, mask.as_ref());
     let bound = engine_internals::lower_bound(dfg, cfg, &space.prep.tiles)?;
     let lb = bound.max(opts.min_ii);
     let _span = iced_trace::span(
@@ -275,11 +261,7 @@ fn certify_inner(
         if upper.as_ref().is_some_and(|u| u.ii() == bound) {
             break;
         }
-        let res = match plan {
-            Some(p) => map_with_faults(dfg, cfg, arm, p).map(|d| d.mapping),
-            None => map_with(dfg, cfg, arm),
-        };
-        match res {
+        match map_with_faults(dfg, cfg, arm, plan) {
             Ok(m) => {
                 if upper.as_ref().is_none_or(|u| m.ii() < u.ii()) {
                     upper = Some(m);
@@ -478,7 +460,7 @@ mod tests {
             ..MapperOptions::default()
         };
         assert_eq!(
-            map_with_faults(&dfg, &cfg, &heur, &plan).map(|d| d.mapping.ii()),
+            map_with_faults(&dfg, &cfg, &heur, &plan).map(|m| m.ii()),
             Err(MapError::MemoryPressure)
         );
         assert_eq!(
@@ -486,6 +468,57 @@ mod tests {
                 .map(|c| c.certificate),
             Err(MapError::MemoryPressure)
         );
+    }
+
+    #[test]
+    fn a_faulted_certify_maps_once_per_heuristic_arm() {
+        // Each heuristic arm maps the masked fabric once (one
+        // `map_faulted` span around one `map` span) and nothing else: no
+        // healthy-fabric map rides along. fft's starved fabric runs both
+        // arms; fir's single dead FU leaves the caller's arm on the bound,
+        // so the companion is skipped.
+        let cfg = CgraConfig::iced_prototype();
+        let starved = FaultPlan {
+            seed: 1,
+            permanent: cfg
+                .tiles()
+                .filter(|&t| !cfg.is_memory_tile(t))
+                .skip(3)
+                .map(iced_fault::PermanentFault::DeadFu)
+                .collect(),
+            ..FaultPlan::empty()
+        };
+        let one_fu = FaultPlan {
+            seed: 2,
+            permanent: vec![iced_fault::PermanentFault::DeadFu(cfg.tile_at(1, 2))],
+            ..FaultPlan::empty()
+        };
+        let heur = MapperOptions {
+            threads: 1,
+            ..MapperOptions::default()
+        };
+        for (kernel, plan, arms) in [
+            (iced_kernels::Kernel::Fft, &starved, 2),
+            (iced_kernels::Kernel::Fir, &one_fu, 1),
+        ] {
+            let dfg = kernel.dfg(iced_kernels::UnrollFactor::X1);
+            let rec = std::sync::Arc::new(iced_trace::RecordingCollector::new());
+            {
+                let _overlay = iced_trace::overlay(rec.clone());
+                certify_with_plan(&dfg, &cfg, &heur, &ExactOptions::default(), plan).unwrap();
+            }
+            let spans = |want: &str| {
+                let begins = |r: &iced_trace::Record| match r {
+                    iced_trace::Record::SpanBegin { phase, name, .. } => {
+                        *phase == Phase::Mapper && name == want
+                    }
+                    _ => false,
+                };
+                rec.records().iter().filter(|r| begins(r)).count()
+            };
+            assert_eq!(spans("map_faulted"), arms, "{}: arms run", kernel.name());
+            assert_eq!(spans("map"), arms, "{}: one map per arm", kernel.name());
+        }
     }
 
     #[test]

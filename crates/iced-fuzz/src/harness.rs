@@ -141,8 +141,6 @@ pub enum Outcome {
     Degraded {
         /// Achieved II.
         ii: u32,
-        /// II penalty vs the healthy-fabric baseline.
-        penalty: u32,
     },
     /// The mapper rejected the case with a typed error — an acceptable
     /// outcome by contract.
@@ -242,7 +240,7 @@ pub fn run_case(dfg: &Dfg, density: f64, fault_seed: u64, opts: &HarnessOptions)
     };
     // (2) Heuristic map (degraded-aware path; empty plan is bit-identical
     // to the plain mapper).
-    let degraded = match catching(|| map_with_faults(dfg, &opts.cgra, &opts.mapper, &plan)) {
+    let mapping = match catching(|| map_with_faults(dfg, &opts.cgra, &opts.mapper, &plan)) {
         Err(message) => {
             return Outcome::Fault(Bug::Panic {
                 stage: "map",
@@ -254,12 +252,11 @@ pub fn run_case(dfg: &Dfg, density: f64, fault_seed: u64, opts: &HarnessOptions)
                 class: map_error_class(&e),
             }
         }
-        Ok(Ok(d)) => d,
+        Ok(Ok(m)) => m,
     };
-    let mapping = &degraded.mapping;
     let ii = mapping.ii();
     // (3) Dependency checker must accept.
-    match catching(|| check_dependencies(dfg, mapping)) {
+    match catching(|| check_dependencies(dfg, &mapping)) {
         Ok(true) => {}
         Ok(false) => return Outcome::Fault(Bug::DependencyViolation),
         Err(message) => {
@@ -343,8 +340,8 @@ pub fn run_case(dfg: &Dfg, density: f64, fault_seed: u64, opts: &HarnessOptions)
         }
     }
     // (6) Engine vs oracle bit-identity on the mapped result.
-    let eng = catching(|| run_engine(dfg, mapping, opts.iterations, opts.sim_seed));
-    let ora = catching(|| run_oracle(dfg, mapping, opts.iterations, opts.sim_seed));
+    let eng = catching(|| run_engine(dfg, &mapping, opts.iterations, opts.sim_seed));
+    let ora = catching(|| run_oracle(dfg, &mapping, opts.iterations, opts.sim_seed));
     match (eng, ora) {
         (Err(message), _) => {
             return Outcome::Fault(Bug::Panic {
@@ -381,7 +378,7 @@ pub fn run_case(dfg: &Dfg, density: f64, fault_seed: u64, opts: &HarnessOptions)
     // (7) SEU fault-sim smoke on degraded rungs: typed contract says a
     // correct mapping never errors.
     if !plan.is_empty() {
-        match catching(|| run_with_faults(dfg, mapping, opts.iterations, opts.sim_seed, &plan)) {
+        match catching(|| run_with_faults(dfg, &mapping, opts.iterations, opts.sim_seed, &plan)) {
             Err(message) => {
                 return Outcome::Fault(Bug::Panic {
                     stage: "fault_sim",
@@ -395,10 +392,7 @@ pub fn run_case(dfg: &Dfg, density: f64, fault_seed: u64, opts: &HarnessOptions)
             }
             Ok(Ok(_)) => {}
         }
-        return Outcome::Degraded {
-            ii,
-            penalty: degraded.ii_penalty,
-        };
+        return Outcome::Degraded { ii };
     }
     Outcome::Mapped {
         ii,

@@ -87,7 +87,7 @@ pub mod engine_internals {
 
 pub use bitstream::{Bitstream, ConfigWord, LinkSource};
 pub use error::MapError;
-pub use fault::{map_with_faults, DegradedMapping};
+pub use fault::map_with_faults;
 pub use labeling::{label_dvfs_levels, LabelSummary};
 pub use mapping::{Hop, Mapping, Placement, Route};
 pub use place::{check_dependencies, map_baseline, map_dvfs_aware, map_with, MapperOptions};

@@ -3,10 +3,13 @@
 //! with an empty plan — stay bit-identical to the fault-free path at any
 //! thread count.
 
+use std::sync::Arc;
+
 use iced_arch::{CgraConfig, Dir, TileId};
 use iced_fault::{FaultMask, FaultPlan, PermanentFault};
 use iced_kernels::{Kernel, UnrollFactor};
 use iced_mapper::{check_dependencies, map_with, map_with_faults, MapperOptions};
+use iced_trace::{Phase, Record, RecordingCollector};
 use proptest::prelude::*;
 
 fn opts(threads: usize) -> MapperOptions {
@@ -49,15 +52,14 @@ fn empty_plan_is_bit_identical_to_fault_free() {
     for kernel in Kernel::STANDALONE {
         let dfg = kernel.dfg(UnrollFactor::X1);
         let clean = map_with(&dfg, &cfg, &opts(1)).unwrap();
-        let degraded = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
+        let mapping = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
         assert!(
-            clean.result_eq(&degraded.mapping),
+            clean.result_eq(&mapping),
             "{}: empty plan diverged from map_with",
             kernel.name()
         );
-        assert_eq!(degraded.ii_penalty, 0, "{}", kernel.name());
-        assert!(degraded.excluded.is_empty(), "{}", kernel.name());
-        assert!(degraded.is_lossless(), "{}", kernel.name());
+        assert_eq!(mapping.ii(), clean.ii(), "{}", kernel.name());
+        assert!(plan.excluded(&cfg).is_empty(), "{}", kernel.name());
     }
 }
 
@@ -74,17 +76,12 @@ fn remaps_around_dead_tile() {
     );
     let mut plan = FaultPlan::empty();
     plan.permanent.push(PermanentFault::DeadTile(victim));
-    let degraded = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
+    let mapping = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
     let mask = plan.mask(&cfg);
-    assert_avoids_mask(&degraded.mapping, &mask, "dead tile");
-    assert!(check_dependencies(&dfg, &degraded.mapping));
-    assert_eq!(degraded.baseline_ii, Some(clean.ii()));
-    assert_eq!(
-        degraded.ii_penalty,
-        degraded.mapping.ii() - clean.ii(),
-        "penalty accounting"
-    );
-    assert_eq!(degraded.excluded.tiles, vec![victim]);
+    assert_avoids_mask(&mapping, &mask, "dead tile");
+    assert!(check_dependencies(&dfg, &mapping));
+    assert!(mapping.ii() >= clean.ii(), "penalty accounting");
+    assert_eq!(plan.excluded(&cfg).tiles, vec![victim]);
 }
 
 #[test]
@@ -100,17 +97,13 @@ fn remaps_around_broken_links_and_dead_fu() {
         .push(PermanentFault::BrokenLink(cfg.tile_at(1, 1), Dir::East));
     plan.permanent
         .push(PermanentFault::StuckPort(cfg.tile_at(2, 1), Dir::North));
-    let degraded = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
+    let mapping = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
     let mask = plan.mask(&cfg);
-    assert_avoids_mask(&degraded.mapping, &mask, "links+fu");
-    assert!(check_dependencies(&dfg, &degraded.mapping));
+    assert_avoids_mask(&mapping, &mask, "links+fu");
+    assert!(check_dependencies(&dfg, &mapping));
     // The FU is dead but the tile's crossbar lives: routing through it is
     // legal, placing on it is not.
-    assert!(degraded
-        .mapping
-        .placements()
-        .iter()
-        .all(|p| p.tile != fu_victim));
+    assert!(mapping.placements().iter().all(|p| p.tile != fu_victim));
 }
 
 #[test]
@@ -136,20 +129,16 @@ fn dead_islands_shrink_the_fabric_without_breaking_the_map() {
         }
         plan.permanent.push(PermanentFault::DeadIsland(island));
     }
-    let degraded = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
+    let mapping = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
     let mask = plan.mask(&cfg);
-    assert_avoids_mask(&degraded.mapping, &mask, "dead islands");
-    assert!(check_dependencies(&dfg, &degraded.mapping));
-    assert!(degraded.mapping.ii() >= clean.ii());
-    assert_eq!(
-        degraded.ii_penalty,
-        degraded.mapping.ii() - clean.ii(),
-        "penalty accounting"
-    );
+    assert_avoids_mask(&mapping, &mask, "dead islands");
+    assert!(check_dependencies(&dfg, &mapping));
+    assert!(mapping.ii() >= clean.ii(), "penalty accounting");
     // Every tile of every killed island is reported excluded.
+    let excluded = plan.excluded(&cfg);
     for f in &plan.permanent {
         if let PermanentFault::DeadIsland(i) = *f {
-            assert!(degraded.excluded.islands.contains(&i));
+            assert!(excluded.islands.contains(&i));
         }
     }
 }
@@ -176,17 +165,15 @@ fn fu_starvation_escalates_ii() {
         }
         plan.permanent.push(PermanentFault::DeadFu(t));
     }
-    let degraded = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
-    assert_avoids_mask(&degraded.mapping, &plan.mask(&cfg), "fu starvation");
-    assert!(check_dependencies(&dfg, &degraded.mapping));
+    let mapping = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
+    assert_avoids_mask(&mapping, &plan.mask(&cfg), "fu starvation");
+    assert!(check_dependencies(&dfg, &mapping));
     assert!(
-        degraded.mapping.ii() > clean.ii(),
+        mapping.ii() > clean.ii(),
         "starving the FU pool must escalate II ({} vs {})",
-        degraded.mapping.ii(),
+        mapping.ii(),
         clean.ii()
     );
-    assert_eq!(degraded.ii_penalty, degraded.mapping.ii() - clean.ii());
-    assert!(!degraded.is_lossless());
 }
 
 #[test]
@@ -203,12 +190,11 @@ fn faulted_mapping_is_thread_count_invariant() {
         for threads in [2, 4] {
             let parallel = map_with_faults(&dfg, &cfg, &opts(threads), &plan).unwrap();
             assert!(
-                serial.mapping.result_eq(&parallel.mapping),
+                serial.result_eq(&parallel),
                 "{}: threads={threads} diverged under faults",
                 kernel.name()
             );
-            assert_eq!(serial.ii_penalty, parallel.ii_penalty);
-            assert_eq!(serial.excluded, parallel.excluded);
+            assert_eq!(serial.ii(), parallel.ii());
         }
     }
 }
@@ -225,38 +211,49 @@ fn total_fabric_loss_is_memory_pressure() {
     assert!(matches!(err, iced_mapper::MapError::MemoryPressure));
 }
 
+#[test]
+fn a_faulted_map_maps_once() {
+    // The masked fabric is the only one mapped: no hidden healthy-fabric
+    // map rides along to price the faults.
+    let cfg = CgraConfig::iced_prototype();
+    let dfg = Kernel::Fir.dfg(UnrollFactor::X1);
+    let mut plan = FaultPlan::empty();
+    plan.permanent
+        .push(PermanentFault::DeadFu(cfg.tile_at(1, 2)));
+    let rec = Arc::new(RecordingCollector::new());
+    {
+        let _overlay = iced_trace::overlay(rec.clone());
+        map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
+    }
+    let maps = rec
+        .records()
+        .iter()
+        .filter(
+            |r| matches!(r, Record::SpanBegin { phase: Phase::Mapper, name, .. } if name == "map"),
+        )
+        .count();
+    assert_eq!(maps, 1, "a faulted map must run the mapper once");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Generated plans at any density either map (avoiding every masked
-    /// resource, with consistent penalty accounting) or fail with a typed
-    /// error — never panic, never touch a dead resource.
+    /// resource: no placement on a dead FU, no hop over a dead link or
+    /// into a dead tile) or fail with a typed error — never panic, never
+    /// touch a dead resource.
     #[test]
     fn generated_plans_remap_cleanly(seed in any::<u64>(), density in 0.0f64..=0.8) {
         let cfg = CgraConfig::iced_prototype();
         let plan = FaultPlan::generate(&cfg, seed, density);
         let dfg = Kernel::Mvt.dfg(UnrollFactor::X1);
         match map_with_faults(&dfg, &cfg, &opts(1), &plan) {
-            Ok(degraded) => {
-                let mask = plan.mask(&cfg);
-                for p in degraded.mapping.placements() {
-                    prop_assert!(mask.fu_usable(p.tile));
-                }
-                for r in degraded.mapping.routes() {
-                    for h in &r.hops {
-                        prop_assert!(mask.link_usable(h.from, h.dir));
-                    }
-                }
-                prop_assert!(check_dependencies(&dfg, &degraded.mapping));
-                if let Some(base) = degraded.baseline_ii {
-                    prop_assert_eq!(
-                        degraded.ii_penalty,
-                        degraded.mapping.ii().saturating_sub(base)
-                    );
-                }
+            Ok(mapping) => {
+                assert_avoids_mask(&mapping, &plan.mask(&cfg), "generated plan");
+                prop_assert!(check_dependencies(&dfg, &mapping));
                 // Re-running is bit-identical: the whole pipeline is pure.
                 let again = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
-                prop_assert!(degraded.mapping.result_eq(&again.mapping));
+                prop_assert!(mapping.result_eq(&again));
             }
             Err(e) => {
                 // Typed failure is acceptable on a heavily dead fabric.
@@ -274,7 +271,7 @@ proptest! {
         let mut plan = FaultPlan::empty();
         plan.permanent.push(PermanentFault::DeadFu(victim));
         let dfg = Kernel::Fir.dfg(UnrollFactor::X1);
-        let degraded = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
-        prop_assert!(degraded.mapping.placements().iter().all(|p| p.tile != victim));
+        let mapping = map_with_faults(&dfg, &cfg, &opts(1), &plan).unwrap();
+        prop_assert!(mapping.placements().iter().all(|p| p.tile != victim));
     }
 }
