@@ -64,7 +64,7 @@ use iced_arch::CgraConfig;
 use iced_dfg::Dfg;
 use iced_fault::FaultPlan;
 use iced_mapper::engine_internals::{self, usable_tiles, RouterScratch};
-use iced_mapper::{map_with, map_with_faults, MapError, MapperOptions, Mapping};
+use iced_mapper::{map_with_faults, MapError, MapperOptions, Mapping};
 use iced_trace::Phase;
 
 use crate::search::{Limits, Search, Space, Verdict};
@@ -343,46 +343,21 @@ pub fn certify_with_plan(
     }
 }
 
-/// Default node-count threshold below which `auto` picks the exact
+/// Node-count threshold at or below which `auto` picks the exact
 /// backend ("exact when small, heuristic when big").
 pub const DEFAULT_AUTO_MAX_NODES: usize = 12;
-
-/// The `auto` threshold: `ICED_EXACT_AUTO_MAX_NODES` when set and
-/// parseable, [`DEFAULT_AUTO_MAX_NODES`] otherwise.
-pub fn auto_max_nodes() -> usize {
-    std::env::var("ICED_EXACT_AUTO_MAX_NODES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_AUTO_MAX_NODES)
-}
 
 /// Whether the `auto` strategy resolves to the exact backend for a
 /// kernel of `node_count` nodes.
 pub fn auto_prefers_exact(node_count: usize) -> bool {
-    node_count <= auto_max_nodes()
-}
-
-/// Size-dispatched portfolio entry point: exact (with certificate) for
-/// kernels at or below the [`auto_max_nodes`] threshold, plain heuristic
-/// (no certificate) above it.
-pub fn map_auto(
-    dfg: &Dfg,
-    cfg: &CgraConfig,
-    heur: &MapperOptions,
-    opts: &ExactOptions,
-) -> Result<(Mapping, Option<CertifiedII>), MapError> {
-    if auto_prefers_exact(dfg.node_count()) {
-        let c = certify(dfg, cfg, heur, opts)?;
-        Ok((c.mapping, Some(c.certificate)))
-    } else {
-        Ok((map_with(dfg, cfg, heur)?, None))
-    }
+    node_count <= DEFAULT_AUTO_MAX_NODES
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use iced_dfg::{DfgBuilder, Opcode};
+    use iced_mapper::map_with;
 
     fn chain(n: usize) -> Dfg {
         let mut b = DfgBuilder::new("chain");

@@ -42,7 +42,6 @@ mod suite;
 mod synth;
 
 pub mod pipelines;
-pub mod reference;
 pub mod spm;
 pub mod workloads;
 

@@ -507,4 +507,28 @@ mod tests {
             1
         );
     }
+
+    #[test]
+    fn work_models_agree_with_reference_trip_shapes() {
+        use crate::pipelines::Pipeline;
+        // The GCN aggregate stage is spmv-like: doubling nnz must roughly
+        // double its modeled iterations, while combine stays fixed.
+        let p = Pipeline::gcn();
+        let agg = p
+            .stage_kernels()
+            .find(|k| k.source.is_kernel(crate::Kernel::GcnAggregate))
+            .unwrap();
+        let comb = p
+            .stage_kernels()
+            .find(|k| k.source.is_kernel(crate::Kernel::GcnCombine))
+            .unwrap();
+        let a1 = agg.work.iterations(100) as f64;
+        let a2 = agg.work.iterations(200) as f64;
+        assert!(
+            (a2 / a1 - 2.0).abs() < 0.2,
+            "spmv-like scaling: {}",
+            a2 / a1
+        );
+        assert_eq!(comb.work.iterations(100), comb.work.iterations(200));
+    }
 }

@@ -150,14 +150,6 @@ impl Mapping {
         self.tile_levels[tile.index()] = level;
     }
 
-    /// Nodes placed on `tile`, in node-id order.
-    pub fn nodes_on(&self, tile: TileId) -> Vec<NodeId> {
-        (0..self.placements.len())
-            .filter(|&i| self.placements[i].tile == tile)
-            .map(NodeId::from_index)
-            .collect()
-    }
-
     /// Whether `tile` hosts any FU op or drives any hop.
     pub fn tile_is_used(&self, tile: TileId) -> bool {
         self.placements.iter().any(|p| p.tile == tile)

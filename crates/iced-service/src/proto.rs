@@ -938,10 +938,7 @@ impl CompileSpec {
     /// The mapper options this request runs with. `deadline` is installed
     /// by the worker at execution time, not here.
     pub fn mapper_options(&self) -> MapperOptions {
-        let mut opts = match self.strategy {
-            Strategy::IcedIslands => MapperOptions::default(),
-            _ => MapperOptions::baseline(),
-        };
+        let mut opts = self.strategy.mapper_options();
         if let Some(m) = self.max_ii {
             opts.max_ii = m;
         }

@@ -49,11 +49,10 @@ use std::time::{Duration, Instant};
 use iced::arch::CgraConfig;
 use iced::kernels::pipelines::Pipeline;
 use iced::kernels::workloads;
-use iced::mapper::{map_with, power_gate_idle, relax_islands, relax_per_tile, Bitstream, MapError};
+use iced::mapper::{map_with, Bitstream, MapError};
 use iced::power::PowerModel;
 use iced::sim::{run_engine, EnergyBreakdown, FabricStats};
 use iced::streaming::{simulate, Partition};
-use iced::Strategy;
 
 use iced_hash::StableHasher;
 
@@ -752,9 +751,10 @@ fn map_err_to_svc(e: MapError, entity: &str) -> SvcError {
     }
 }
 
-/// Maps per the requested strategy (the `Toolchain::compile` recipe, but
-/// with per-request deadline/II options threaded through). For the exact
-/// backend the mapping comes with its minimum-II certificate.
+/// Maps per the requested strategy (its [`iced::Strategy::mapper_options`]
+/// and [`iced::Strategy::post_pass`], with per-request deadline/II options
+/// threaded through). For the exact backend the mapping comes with its
+/// minimum-II certificate.
 fn compile_mapping(
     shared: &Shared,
     spec: &CompileSpec,
@@ -779,12 +779,7 @@ fn compile_mapping(
         return Ok((dfg, c.mapping, Some(c.certificate)));
     }
     let base = map_with(&dfg, &shared.config, &opts).map_err(|e| map_err_to_svc(e, dfg.name()))?;
-    let mapping = match spec.strategy {
-        Strategy::Baseline => base,
-        Strategy::BaselinePowerGated => power_gate_idle(&dfg, &base),
-        Strategy::PerTileDvfs => relax_per_tile(&dfg, &base),
-        Strategy::IcedIslands => relax_islands(&dfg, &base),
-    };
+    let mapping = spec.strategy.post_pass(&dfg, base);
     Ok((dfg, mapping, None))
 }
 
@@ -909,6 +904,7 @@ mod tests {
     use super::*;
     use crate::proto::Source;
     use iced::kernels::{Kernel, UnrollFactor};
+    use iced::Strategy;
 
     #[test]
     fn service_config_env_parsing_clamps() {

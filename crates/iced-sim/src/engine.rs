@@ -1,10 +1,9 @@
 //! Cycle-stepped execution engine over a compiled periodic event table.
 //!
-//! Where [`crate::functional::replay`] checks per-edge legality
-//! analytically, this module actually *runs* the machine: FU executions
-//! fire at their scheduled cycles, link transfers drive the mesh, value
-//! tokens move through per-edge elastic FIFOs, and opcode semantics execute
-//! as tokens meet at consumers. It is the closest equivalent of the paper's
+//! This module is the value check of a mapping: it actually *runs* the
+//! machine. FU executions fire at their scheduled cycles, link transfers
+//! drive the mesh, value tokens move through per-edge elastic FIFOs, and
+//! opcode semantics execute as tokens meet at consumers. It is the closest equivalent of the paper's
 //! "cycle-accurate simulation according to the kernel mapping".
 //!
 //! The engine checks, at every event:

@@ -1,67 +1,28 @@
-//! Functional (value-level) simulation.
-//!
-//! Two executions of the same kernel:
+//! Functional (value-level) reference semantics.
 //!
 //! * [`interpret`] — the reference: a token-dataflow interpreter that
 //!   evaluates the DFG iteration by iteration with well-defined integer
 //!   semantics per opcode. Loads produce a pure pseudorandom stream
 //!   (function of node id, iteration, and seed), so any two runs agree.
-//! * [`replay`] — the same values computed *through the mapping*: every
-//!   edge is checked for elastic-buffer legality (the value of iteration
-//!   `i − d` must have arrived before the consumer's read in iteration `i`,
-//!   and the number of in-flight instances — the required FIFO depth — is
-//!   reported), then the dataflow is evaluated in schedule order.
+//! * [`ReferenceStream`] — the same frames, produced one iteration at a
+//!   time in bounded memory.
 //!
-//! If the mapper ever produced a schedule that reads a value before it can
-//! exist, `replay` fails; otherwise its values equal `interpret`'s
-//! bit-for-bit, which the test-suite asserts for the whole kernel suite.
+//! Neither reads a mapping. The value check *through* the mapping is the
+//! cycle-stepped engine ([`crate::engine`]): it moves real tokens through
+//! per-edge FIFOs at their scheduled cycles and compares every fired value
+//! with a [`ReferenceStream`], so a schedule that reads a value before it
+//! arrives, or computes a wrong one, fails there.
 //!
 //! Predication semantics: iterations `i < d` of a loop-carried input read
 //! the initial value 0 — the paper's "output is invalid until the first
 //! valid execution" prologue behaviour.
 
-use std::error::Error;
-use std::fmt;
 use std::marker::PhantomData;
 
-use iced_dfg::{Dfg, Edge, EdgeId, NodeId, Opcode};
-use iced_mapper::Mapping;
+use iced_dfg::{Dfg, Edge, NodeId, Opcode};
 
 /// Value-level trace: `trace[iteration][node]`.
 pub type Trace = Vec<Vec<i64>>;
-
-/// Error from [`replay`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ReplayError {
-    /// A consumer would read a value before it can arrive.
-    ValueNotReady {
-        /// The offending edge.
-        edge: EdgeId,
-    },
-    /// An edge needs more in-flight instances than the FIFO depth.
-    FifoOverflow {
-        /// The offending edge.
-        edge: EdgeId,
-        /// Instances that would have to be buffered.
-        needed: u64,
-    },
-}
-
-impl fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReplayError::ValueNotReady { edge } => {
-                write!(f, "edge {edge} read before its value arrives")
-            }
-            ReplayError::FifoOverflow { edge, needed } => {
-                write!(f, "edge {edge} needs fifo depth {needed}")
-            }
-        }
-    }
-}
-
-impl Error for ReplayError {}
 
 /// Pure pseudorandom input stream for a load node (splitmix64-style).
 fn load_value(node: NodeId, iteration: u64, seed: u64) -> i64 {
@@ -325,59 +286,12 @@ impl<'a> ReferenceStream<'a> {
     }
 }
 
-/// Replays the mapped schedule, checking elastic-buffer legality per edge,
-/// and returns the value trace plus the deepest FIFO any edge required.
-///
-/// # Errors
-///
-/// Returns [`ReplayError`] if any edge's value would be read before its
-/// arrival, or an edge needs more than `fifo_depth` in-flight instances.
-pub fn replay(
-    dfg: &Dfg,
-    mapping: &Mapping,
-    iterations: u64,
-    seed: u64,
-    fifo_depth: u64,
-) -> Result<(Trace, u64), ReplayError> {
-    let ii = mapping.ii() as u64;
-    let mut max_depth = 0u64;
-    // Per-edge legality: instance i of the producer arrives at
-    // arrival + i·II and is consumed at start_dst + (i + d)·II. Elasticity
-    // requires arrival ≤ read, and the FIFO must hold every instance that
-    // has arrived but is not yet consumed — the per-edge hardware bound
-    // computed by [`crate::edge_fifo_depths`] (steady-state in-flight depth
-    // or the batch-drain residue, whichever is larger).
-    let depths = crate::validate::edge_fifo_depths(dfg, mapping);
-    for e in dfg.edges() {
-        let src = mapping.placement(e.src());
-        let dst = mapping.placement(e.dst());
-        let d = e.kind().distance() as u64;
-        let route = mapping.routes().iter().find(|r| r.edge == e.id());
-        let arrival = route.map_or(src.ready(), |r| r.arrival);
-        let read = dst.start + d * ii;
-        if read < arrival {
-            return Err(ReplayError::ValueNotReady { edge: e.id() });
-        }
-        let depth = depths[e.id().index()];
-        max_depth = max_depth.max(depth);
-        if depth > fifo_depth {
-            return Err(ReplayError::FifoOverflow {
-                edge: e.id(),
-                needed: depth,
-            });
-        }
-    }
-    // With per-edge legality established, in-order elastic delivery makes
-    // the dataflow values identical to the reference interpretation.
-    Ok((interpret(dfg, iterations, seed), max_depth))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use iced_arch::CgraConfig;
     use iced_kernels::{Kernel, UnrollFactor};
-    use iced_mapper::{map_baseline, map_dvfs_aware};
+    use iced_mapper::map_dvfs_aware;
 
     #[test]
     fn interpret_is_deterministic_and_seed_sensitive() {
@@ -402,23 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_matches_interpret_for_the_whole_suite() {
-        let cfg = CgraConfig::iced_prototype();
-        for k in Kernel::STANDALONE {
-            let dfg = k.dfg(UnrollFactor::X1);
-            for mapping in [
-                map_baseline(&dfg, &cfg).unwrap(),
-                map_dvfs_aware(&dfg, &cfg).unwrap(),
-            ] {
-                let (trace, depth) = replay(&dfg, &mapping, 32, 42, 64)
-                    .unwrap_or_else(|e| panic!("{}: {e}", k.name()));
-                assert_eq!(trace, interpret(&dfg, 32, 42), "{}", k.name());
-                assert!(depth >= 1, "{}", k.name());
-            }
-        }
-    }
-
-    #[test]
     fn fifo_depths_stay_small() {
         // The mapper holds values between arrival and read; elastic depth
         // beyond a handful of entries would be unrealistic hardware.
@@ -426,20 +323,9 @@ mod tests {
         for k in [Kernel::Fir, Kernel::Gemm, Kernel::Histogram] {
             let dfg = k.dfg(UnrollFactor::X1);
             let m = map_dvfs_aware(&dfg, &cfg).unwrap();
-            let (_, depth) = replay(&dfg, &m, 8, 7, 64).unwrap();
+            let depth = crate::run_engine(&dfg, &m, 8, 7).unwrap().fifo_peak;
             assert!(depth <= 16, "{}: depth {depth}", k.name());
         }
-    }
-
-    #[test]
-    fn tampered_mapping_is_rejected() {
-        // Force an impossible read by shrinking the II after mapping:
-        // replay must notice that loop-carried slack disappeared.
-        let cfg = CgraConfig::iced_prototype();
-        let dfg = Kernel::Fir.dfg(UnrollFactor::X1);
-        let m = map_baseline(&dfg, &cfg).unwrap();
-        let err = replay(&dfg, &m, 4, 1, 0);
-        assert!(matches!(err, Err(ReplayError::FifoOverflow { .. })));
     }
 
     #[test]

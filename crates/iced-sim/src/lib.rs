@@ -12,14 +12,16 @@
 //!   (used by tests and as a sanity gate by the benchmark harness);
 //! * [`energy`] — Equation (2)–(4) accounting: activity-scaled tile power,
 //!   DVFS controller overhead, SRAM activity, execution time → mW / nJ;
-//! * [`functional`] — a token-dataflow interpreter plus a *schedule replay*
-//!   simulator with elastic-buffer edge semantics: replaying the mapped
-//!   schedule must reproduce the reference interpretation value-for-value,
-//!   which catches timing bugs that structural checks cannot;
+//! * [`functional`] — the reference token-dataflow interpreter
+//!   ([`functional::interpret`]) and its bounded-memory streaming form,
+//!   which never read a mapping;
 //! * [`engine`] — a cycle-stepped machine simulation (FU firings, link
 //!   transfers, per-edge token FIFOs) driven by a compiled periodic event
-//!   table, with memory independent of the iteration count, that
-//!   cross-checks the analytic metrics and values;
+//!   table, with memory independent of the iteration count. It is the
+//!   value check: every fired value is compared with the reference
+//!   interpreter, so a timing bug that structural checks miss surfaces as
+//!   a missing token or a wrong value. It also cross-checks the analytic
+//!   metrics;
 //! * [`oracle`] — the original naive per-cycle engine, kept as the compiled
 //!   engine's bit-identical reference for the equivalence tests and
 //!   benchmark baselines;

@@ -24,14 +24,15 @@ pub struct PhaseSummary {
 /// Per-phase aggregation of a recording, printable with `{}`.
 ///
 /// The `Display` form lists, for every phase that recorded anything, the
-/// top-k counters and span time totals — the "where did the work go"
+/// top 8 counters and span time totals — the "where did the work go"
 /// report the bench binaries print when `ICED_TRACE` is set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSummary {
     phases: Vec<PhaseSummary>,
-    /// How many entries per list `Display` prints.
-    top_k: usize,
 }
+
+/// How many entries per list `Display` prints.
+const TOP_K: usize = 8;
 
 impl TraceSummary {
     /// Builds a summary from raw records.
@@ -105,13 +106,7 @@ impl TraceSummary {
                 (!empty).then_some(summary)
             })
             .collect();
-        TraceSummary { phases, top_k: 8 }
-    }
-
-    /// Limits how many counters/spans `Display` prints per phase.
-    pub fn with_top_k(mut self, k: usize) -> TraceSummary {
-        self.top_k = k.max(1);
-        self
+        TraceSummary { phases }
     }
 
     /// The per-phase aggregates (phases that recorded nothing are omitted).
@@ -140,7 +135,7 @@ impl fmt::Display for TraceSummary {
         if self.phases.is_empty() {
             return writeln!(f, "trace summary: no records");
         }
-        writeln!(f, "trace summary (top {} per phase):", self.top_k)?;
+        writeln!(f, "trace summary (top {TOP_K} per phase):")?;
         for p in &self.phases {
             writeln!(
                 f,
@@ -150,10 +145,10 @@ impl fmt::Display for TraceSummary {
                 p.instants,
                 p.completes
             )?;
-            for (name, count, us) in p.spans.iter().take(self.top_k) {
+            for (name, count, us) in p.spans.iter().take(TOP_K) {
                 writeln!(f, "    span    {name:<28} x{count:<6} {}", fmt_us(*us))?;
             }
-            for (name, total) in p.counters.iter().take(self.top_k) {
+            for (name, total) in p.counters.iter().take(TOP_K) {
                 writeln!(f, "    counter {name:<28} {total}")?;
             }
         }
@@ -211,8 +206,9 @@ mod tests {
         for i in 0..20 {
             c.counter(Phase::Bench, &format!("c{i}"), i + 1);
         }
-        let text = c.summary().with_top_k(3).to_string();
-        assert_eq!(text.matches("counter c").count(), 3);
+        let text = c.summary().to_string();
+        assert_eq!(text.matches("counter c").count(), 8);
+        assert!(text.contains("top 8 per phase"));
         // Highest totals win.
         assert!(text.contains("c19"));
     }

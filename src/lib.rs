@@ -14,7 +14,7 @@
 //! | [`arch`] | `iced-arch` | CGRA configuration, islands, MRRG |
 //! | [`power`] | `iced-power` | V/F levels, power/energy/area model (ASAP7 calibration) |
 //! | [`mapper`] | `iced-mapper` | Algorithm 1 + 2, baseline/per-tile comparators |
-//! | [`sim`] | `iced-sim` | schedule validation, activity metrics, functional replay |
+//! | [`sim`] | `iced-sim` | schedule validation, activity metrics, value-checking engine |
 //! | [`streaming`] | `iced-streaming` | partitioning, runtime DVFS controller, DRIPS |
 //! | [`fault`] | `iced-fault` | deterministic fault plans, masks, SEU schedules |
 //! | [`fuzz`] | `iced-fuzz` | seeded DFG corpus generator, differential cross-backend harness |
@@ -63,8 +63,7 @@ pub use iced_trace as trace;
 use iced_arch::CgraConfig;
 use iced_dfg::Dfg;
 use iced_mapper::{
-    map_baseline, map_with, power_gate_idle, relax_islands, relax_per_tile, MapError,
-    MapperOptions, Mapping,
+    map_with, power_gate_idle, relax_islands, relax_per_tile, MapError, MapperOptions, Mapping,
 };
 use iced_power::PowerModel;
 use iced_sim::{DvfsSupport, EnergyBreakdown, FabricStats};
@@ -113,6 +112,29 @@ impl Strategy {
             Strategy::IcedIslands => DvfsSupport::PerIsland,
         }
     }
+
+    /// The mapper options this configuration maps with: Algorithm 1
+    /// labeling and Algorithm 2 island-aware placement for ICED, the
+    /// all-normal mapper for the others.
+    pub fn mapper_options(self) -> MapperOptions {
+        match self {
+            Strategy::IcedIslands => MapperOptions::default(),
+            _ => MapperOptions::baseline(),
+        }
+    }
+
+    /// The post-pass this configuration applies to `base`, a mapping made
+    /// with [`Strategy::mapper_options`].
+    pub fn post_pass(self, dfg: &Dfg, base: Mapping) -> Mapping {
+        match self {
+            Strategy::Baseline => base,
+            Strategy::BaselinePowerGated => power_gate_idle(dfg, &base),
+            Strategy::PerTileDvfs => relax_per_tile(dfg, &base),
+            // Final per-island adjustment: islands pinned to normal by
+            // routing alone are lowered where legal (§IV-A).
+            Strategy::IcedIslands => relax_islands(dfg, &base),
+        }
+    }
 }
 
 /// The integrated compiler toolchain (paper Figure 7): architecture
@@ -155,23 +177,8 @@ impl Toolchain {
     /// Returns a [`MapError`] when the kernel cannot be mapped onto the
     /// configured fabric.
     pub fn compile(&self, dfg: &Dfg, strategy: Strategy) -> Result<Compiled, MapError> {
-        let mapping = match strategy {
-            Strategy::Baseline => map_baseline(dfg, &self.config)?,
-            Strategy::BaselinePowerGated => {
-                let base = map_baseline(dfg, &self.config)?;
-                power_gate_idle(dfg, &base)
-            }
-            Strategy::PerTileDvfs => {
-                let base = map_baseline(dfg, &self.config)?;
-                relax_per_tile(dfg, &base)
-            }
-            Strategy::IcedIslands => {
-                let mapped = map_with(dfg, &self.config, &MapperOptions::default())?;
-                // Final per-island adjustment: islands pinned to normal by
-                // routing alone are lowered where legal (§IV-A).
-                relax_islands(dfg, &mapped)
-            }
-        };
+        let base = map_with(dfg, &self.config, &strategy.mapper_options())?;
+        let mapping = strategy.post_pass(dfg, base);
         let stats = FabricStats::analyze(&mapping);
         Ok(Compiled {
             dfg: dfg.clone(),

@@ -1,8 +1,10 @@
 //! End-to-end integration: every Table I kernel through the full toolchain,
-//! every strategy, with schedule validation and functional replay.
+//! every strategy, with schedule validation, and a run of each mapping on
+//! the cycle-stepped engine, which compares every fired value with the
+//! reference interpreter.
 
 use iced::kernels::{Kernel, UnrollFactor};
-use iced::sim::{functional, validate_schedule};
+use iced::sim::{run_engine, validate_schedule};
 use iced::{Strategy, Toolchain};
 
 #[test]
@@ -56,18 +58,19 @@ fn iced_never_slower_than_baseline() {
 }
 
 #[test]
-fn replay_reproduces_reference_values_for_all_mapped_kernels() {
+fn engine_reproduces_reference_values_for_all_mapped_kernels() {
     let tc = Toolchain::prototype();
     for kernel in Kernel::STANDALONE {
         let dfg = kernel.dfg(UnrollFactor::X1);
         for strategy in [Strategy::Baseline, Strategy::IcedIslands] {
             let c = tc.compile(&dfg, strategy).unwrap();
-            let (trace, _depth) = functional::replay(&dfg, c.mapping(), 24, 1234, 128)
+            let report = run_engine(&dfg, c.mapping(), 24, 1234)
                 .unwrap_or_else(|e| panic!("{} {}: {e}", kernel.name(), strategy.name()));
+            // Every firing went through the engine's value comparison.
             assert_eq!(
-                trace,
-                functional::interpret(&dfg, 24, 1234),
-                "{} {} value divergence",
+                report.ops_executed,
+                dfg.node_count() as u64 * 24,
+                "{} {}",
                 kernel.name(),
                 strategy.name()
             );
