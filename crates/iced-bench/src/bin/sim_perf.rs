@@ -4,7 +4,11 @@
 //! naive oracle, simulated cycles per second on a long run, and a peak-RSS
 //! proxy — so the simulator's speed trajectory is tracked across PRs.
 //! Every compiled-engine report is checked bit-identical against the
-//! oracle's; the process exits non-zero on divergence.
+//! oracle's, and every long-run report against the engine's full loop
+//! (`run_with_faults` with the empty plan, which steps every period where
+//! `run_engine` skips the proven-periodic band); the process exits
+//! non-zero on divergence. `cycles_per_sec` counts simulated cycles,
+//! those of skipped periods included, per second of wall time.
 //!
 //! Phases run engine-first so the recorded peak RSS covers only the
 //! compiled engine's long runs: a growing high-water mark here would mean
@@ -21,8 +25,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use iced::fault::FaultPlan;
 use iced::kernels::{Kernel, UnrollFactor};
-use iced::sim::{run_engine, run_oracle};
+use iced::sim::{run_engine, run_oracle, run_with_faults};
 use iced::{Strategy, Toolchain};
 
 struct KernelRow {
@@ -136,6 +141,7 @@ fn run() {
     // comparison-length runs. Peak RSS sampled here is an engine-only
     // figure (the oracle has not allocated anything yet).
     let mut rows: Vec<KernelRow> = Vec::new();
+    let mut long_reports = Vec::new();
     for (k, dfg, mapping) in &suite {
         let start = Instant::now();
         let long = run_engine(dfg, mapping, long_iters, 42)
@@ -152,10 +158,26 @@ fn run() {
             long_wall_us,
             long_cycles: long.cycles,
         });
+        long_reports.push(long);
     }
     let engine_peak_rss = peak_rss_kb();
 
-    // Phase 2 — naive oracle at the comparison length, with the report
+    // Phase 2 — the long runs again through the full loop, which must
+    // reach the skipping engine's report.
+    let plan = FaultPlan::empty();
+    for ((k, dfg, mapping), skipped) in suite.iter().zip(&long_reports) {
+        let full = run_with_faults(dfg, mapping, long_iters, 42, &plan)
+            .unwrap_or_else(|e| panic!("{} full-loop long run: {e}", k.name()));
+        if *skipped != full.report {
+            eprintln!(
+                "sim_perf: {} diverged — skipping engine report != full-loop report at {long_iters} iterations",
+                k.name()
+            );
+            std::process::exit(1);
+        }
+    }
+
+    // Phase 3 — naive oracle at the comparison length, with the report
     // equality check that backs the "equivalence: ok" field.
     for (row, (k, dfg, mapping)) in rows.iter_mut().zip(&suite) {
         let fast = run_engine(dfg, mapping, compare_iters, 42).unwrap();
@@ -199,7 +221,10 @@ fn run() {
         long_iters,
         engine_peak_rss
     );
-    println!("equivalence: ok (every compiled-engine report matched the oracle)");
+    println!(
+        "equivalence: ok (every compiled-engine report matched the oracle, \
+         every long run the full loop)"
+    );
 
     let json = emit_json(&rows, compare_iters, long_iters, engine_peak_rss);
     if let Err(e) = std::fs::write(&out_path, &json) {

@@ -39,12 +39,47 @@
 //! hop its link, tile and length. The loop never looks up the mapping or
 //! the DFG per event. Periods `k ∈ [max_shift, iterations)` have every
 //! event live, so they run a copy of the loop without the liveness and
-//! horizon tests; every machine check below still runs on every event.
+//! horizon tests; every machine check above still runs on every event
+//! of every period the machine steps.
+//!
+//! # The steady-state skip
+//!
+//! An all-live period is a pure function of the machine's value-free
+//! state at its start, taken relative to that start: every FIFO entry as
+//! `(k − iteration, k·II − delivered)`, and `fu_free_at`, `link_free_at`
+//! and `link_cover_until` as cycles past `k·II` (0 when already free).
+//! No check and no counter there reads a value or an absolute cycle,
+//! except the horizon clamp on link-busy intervals. So once that state
+//! at two consecutive all-live boundaries is equal (`repeats`), every
+//! later all-live period repeats the verified one: same checks passed,
+//! same counter deltas, same relative state at its end. The clamp does
+//! not break this before period `iterations − 1`. A hop longer than II
+//! leaves its link busy past the next instance's start, so the verified
+//! period, which starts in its own end state, would have failed its link
+//! check. Every hop of an earlier period therefore ends by
+//! `iterations·II`, before the horizon.
+//!
+//! The run then jumps from the verified boundary to period
+//! `iterations − 1`. It adds the skipped periods times the verified
+//! period's deltas of `fu_busy`, `link_busy`, `token_wait` and
+//! `ops_executed`, shifts every absolute cycle and iteration by the skip,
+//! and runs the remaining periods and the epilogue with every check.
+//!
+//! Values need no stepping through the band either. Each FIFO hands its
+//! k-th pop the k-th push, so a firing there consumes exactly the
+//! reference's own tokens and computes the reference value. The
+//! [`ReferenceStream`] still advances through the band (it is a
+//! recurrence), and the jump reloads the in-flight FIFO tokens and
+//! value-ring slots from its frames; the remaining periods compare every
+//! value against it as before. `fifo_peak` repeats too, so the verified
+//! periods have already reached it. Fault-injected runs, which draw an
+//! upset per firing, and runs recording per-firing detail events step
+//! every period.
 //!
 //! All machine state is flat-indexed: per-edge token FIFOs preallocated to
 //! the [`crate::edge_fifo_depths`] bound, tile×direction link-occupancy
 //! arrays, a node-value ring covering the in-flight iteration window, and a
-//! streaming [`crate::functional::ReferenceStream`] that retires reference
+//! streaming [`ReferenceStream`] that retires reference
 //! frames as soon as the last consumer has used them. The value ring and
 //! the reference ring are rounded up to a power of two, so a slot is a
 //! mask, not a division. Memory is O(fabric + DFG) — **independent of the
@@ -307,6 +342,8 @@ struct Program {
     /// Largest shift of any event: from period `max_shift` on, every
     /// event is live until the last iteration has started.
     max_shift: u64,
+    /// Each edge's producer: the node whose values its FIFO carries.
+    edge_src: Vec<u32>,
 }
 
 impl Program {
@@ -387,6 +424,7 @@ impl Program {
             operands,
             arity,
             max_shift,
+            edge_src: dfg.edges().map(|e| e.src().index() as u32).collect(),
         }
     }
 }
@@ -410,7 +448,7 @@ pub fn run(
     iterations: u64,
     seed: u64,
 ) -> Result<EngineReport, EngineError> {
-    run_inner(dfg, mapping, iterations, seed, None).map(|r| r.report)
+    run_inner(dfg, mapping, iterations, seed, None).map(|(r, _)| r.report)
 }
 
 /// [`run`] with seeded transient-fault injection and re-execution recovery.
@@ -438,17 +476,18 @@ pub fn run_with_faults(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<FaultSimReport, EngineError> {
-    run_inner(dfg, mapping, iterations, seed, Some(plan))
+    run_inner(dfg, mapping, iterations, seed, Some(plan)).map(|(r, _)| r)
 }
 
+/// The run behind [`run`] and [`run_with_faults`]; also returns how many
+/// periods the steady-state skip jumped over.
 fn run_inner(
     dfg: &Dfg,
     mapping: &Mapping,
     iterations: u64,
     seed: u64,
     faults: Option<&FaultPlan>,
-) -> Result<FaultSimReport, EngineError> {
-    let cfg = mapping.config();
+) -> Result<(FaultSimReport, u64), EngineError> {
     // Arity gate: a mapping only indexes into the kernel it was compiled
     // from. Service callers can pair an arbitrary kernel with a cached
     // mapping, so the mismatch must surface as a typed error up front.
@@ -464,84 +503,52 @@ fn run_inner(
             placements: mapping.placements().len(),
         });
     }
-    let ii = mapping.ii() as u64;
-    let tiles = cfg.tile_count();
     let _run_span = iced_trace::span(
         Phase::Sim,
         "engine_run",
         &[
             ("kernel", mapping.kernel().into()),
-            ("ii", ii.into()),
+            ("ii", u64::from(mapping.ii()).into()),
             ("iterations", iterations.into()),
         ],
     );
-    let makespan = mapping.makespan();
-    let horizon = makespan + iterations * ii + 1;
-
-    // Value ring: slot `node·win + (i & (win − 1))` holds the node's
-    // iteration-`i` value from its firing until every delivery has read
-    // it. A delivery trails its producer's firing by at most one makespan
-    // plus the edge's carried distance in periods (arrival ≤ consume =
-    // dst.start + d·II), and within a cycle delivers run before fires, so
-    // `makespan/II + 2 + maxd` periods of slack guarantee the slot is only
-    // recycled after its last reader; the window is rounded up to a power
-    // of two so a slot is a mask, not a division.
-    let maxd = dfg
-        .edges()
-        .map(|e| u64::from(e.kind().distance()))
-        .max()
-        .unwrap_or(0);
-    let win = (makespan / ii + 2 + maxd).next_power_of_two();
-    let program = Program::compile(dfg, mapping, win as usize);
-
-    let mut m = Machine {
-        dfg,
-        mapping,
-        iterations,
-        horizon,
-        makespan,
-        faults,
-        detail: iced_trace::detail_enabled(),
-        fu_free_at: vec![0; tiles],
-        link_free_at: vec![0; tiles * Dir::ALL.len()],
-        link_cover_until: vec![0; tiles],
-        fu_busy: vec![0; tiles],
-        link_busy: vec![0; tiles],
-        token_wait: vec![0; tiles],
-        fifos: crate::validate::edge_fifo_depths(dfg, mapping)
-            .iter()
-            .map(|&d| VecDeque::with_capacity(d as usize + 1))
-            .collect(),
-        fifo_peak: 0,
-        ops_executed: 0,
-        upsets_injected: 0,
-        rollbacks: 0,
-        recovery_cycles: 0,
-        values: vec![0; dfg.node_count() * win as usize],
-        mask: win - 1,
-        // Period `k` fires iterations `k − max_shift ..= k`, so no frame
-        // older than `max_shift` behind the newest is ever read.
-        reference: ReferenceStream::new(dfg, seed, program.max_shift),
-        args: vec![0; program.arity],
-    };
-
+    let (program, mut m) = Machine::new(dfg, mapping, iterations, seed, faults);
     let periods = if iterations == 0 {
         0
     } else {
         program.max_shift + iterations
     };
-    for k in 0..periods {
+    // The steady-state skip replays no per-firing side effect, so runs
+    // that draw upsets or record firings step every period.
+    let mut probe = (faults.is_none() && !m.detail).then(Probe::default);
+    let mut skipped = 0;
+    let mut k = 0;
+    while k < periods {
         if k >= program.max_shift && k < iterations {
+            if let Some(p) = probe.as_mut() {
+                match m.probe(&program, p, k) {
+                    Probing::Continue => {}
+                    Probing::Stop => probe = None,
+                    Probing::Jump(to) => {
+                        m.jump(&program, p, k, to);
+                        probe = None;
+                        skipped = to - k;
+                        k = to;
+                        continue;
+                    }
+                }
+            }
             m.period::<true>(&program, k)?;
         } else {
             m.period::<false>(&program, k)?;
         }
+        k += 1;
     }
 
     if iced_trace::enabled() {
         emit_run_counters(
             mapping,
-            horizon,
+            m.horizon,
             m.ops_executed,
             &m.fu_busy,
             &m.link_busy,
@@ -557,9 +564,9 @@ fn run_inner(
         }
     }
 
-    Ok(FaultSimReport {
+    let report = FaultSimReport {
         report: EngineReport {
-            cycles: horizon,
+            cycles: m.horizon,
             iterations,
             fu_busy: m.fu_busy,
             link_busy: m.link_busy,
@@ -570,7 +577,8 @@ fn run_inner(
         upsets_detected: m.upsets_injected,
         rollbacks: m.rollbacks,
         recovery_cycles: m.recovery_cycles,
-    })
+    };
+    Ok((report, skipped))
 }
 
 /// The running machine: flat state, all O(fabric + DFG).
@@ -595,18 +603,17 @@ struct Machine<'a> {
     fu_busy: Vec<u64>,
     link_busy: Vec<u64>,
     token_wait: Vec<u64>,
-    /// Per-edge FIFO entries: (iteration, value, base cycle the token
-    /// landed); the delivery cycle feeds the per-tile token-wait counters.
-    /// Capacities come from the analytic per-edge bound; `VecDeque` still
-    /// grows if an invalid schedule overshoots it.
-    fifos: Vec<VecDeque<(u64, i64, u64)>>,
+    /// Per-edge FIFO entries; the delivery cycle feeds the per-tile
+    /// token-wait counters. Capacities come from the analytic per-edge
+    /// bound; `VecDeque` still grows if an invalid schedule overshoots it.
+    fifos: Vec<VecDeque<Token>>,
     fifo_peak: usize,
     ops_executed: u64,
     // Resilience accounting (stays zero on the fault-free path).
     upsets_injected: u64,
     rollbacks: u64,
     recovery_cycles: u64,
-    /// The value ring (see `run_inner`), `win` slots per node.
+    /// The value ring (see `Machine::new`), `win` slots per node.
     values: Vec<i64>,
     /// `win − 1`.
     mask: u64,
@@ -616,7 +623,154 @@ struct Machine<'a> {
     args: Vec<i64>,
 }
 
-impl Machine<'_> {
+impl<'a> Machine<'a> {
+    /// The compiled program and a machine at its start.
+    fn new(
+        dfg: &'a Dfg,
+        mapping: &'a Mapping,
+        iterations: u64,
+        seed: u64,
+        faults: Option<&'a FaultPlan>,
+    ) -> (Program, Machine<'a>) {
+        let ii = u64::from(mapping.ii());
+        let tiles = mapping.config().tile_count();
+        let makespan = mapping.makespan();
+        let horizon = makespan + iterations * ii + 1;
+
+        // Value ring: slot `node·win + (i & (win − 1))` holds the node's
+        // iteration-`i` value from its firing until every delivery has read
+        // it. A delivery trails its producer's firing by at most one makespan
+        // plus the edge's carried distance in periods (arrival ≤ consume =
+        // dst.start + d·II), and within a cycle delivers run before fires, so
+        // `makespan/II + 2 + maxd` periods of slack guarantee the slot is only
+        // recycled after its last reader; the window is rounded up to a power
+        // of two so a slot is a mask, not a division.
+        let maxd = dfg
+            .edges()
+            .map(|e| u64::from(e.kind().distance()))
+            .max()
+            .unwrap_or(0);
+        let win = (makespan / ii + 2 + maxd).next_power_of_two();
+        let program = Program::compile(dfg, mapping, win as usize);
+
+        let m = Machine {
+            dfg,
+            mapping,
+            iterations,
+            horizon,
+            makespan,
+            faults,
+            detail: iced_trace::detail_enabled(),
+            fu_free_at: vec![0; tiles],
+            link_free_at: vec![0; tiles * Dir::ALL.len()],
+            link_cover_until: vec![0; tiles],
+            fu_busy: vec![0; tiles],
+            link_busy: vec![0; tiles],
+            token_wait: vec![0; tiles],
+            fifos: crate::validate::edge_fifo_depths(dfg, mapping)
+                .iter()
+                .map(|&d| VecDeque::with_capacity(d as usize + 1))
+                .collect(),
+            fifo_peak: 0,
+            ops_executed: 0,
+            upsets_injected: 0,
+            rollbacks: 0,
+            recovery_cycles: 0,
+            values: vec![0; dfg.node_count() * win as usize],
+            mask: win - 1,
+            // Period `k` fires iterations `k − max_shift ..= k`, and a FIFO
+            // token waits at most `maxd` more periods for its consumer, so no
+            // frame older than `max_shift + maxd` behind the newest is ever
+            // read, by a firing or by the steady-state jump's reload.
+            reference: ReferenceStream::new(dfg, seed, program.max_shift + maxd),
+            args: vec![0; program.arity],
+        };
+        (program, m)
+    }
+
+    fn timing(&self) -> Timing<'_> {
+        Timing {
+            fifos: &self.fifos,
+            fu_free_at: &self.fu_free_at,
+            link_free_at: &self.link_free_at,
+            link_cover_until: &self.link_cover_until,
+        }
+    }
+
+    /// Steady-state detection at all-live boundary `k`: jumps once the
+    /// relative timing state equals the previous boundary's, or records
+    /// this boundary for the next comparison. A run that does not fail
+    /// always gets to jump: from boundary `max_shift` + the largest
+    /// carried distance on, every period pushes and pops each FIFO once
+    /// and drives every resource, so the state repeats.
+    fn probe(&self, program: &Program, p: &mut Probe, k: u64) -> Probing {
+        // The run jumps to the last all-live period, which steps with
+        // every check like the epilogue after it.
+        let last = self.iterations - 1;
+        if k + 1 >= last {
+            return Probing::Stop;
+        }
+        let timing = self.timing();
+        if p.armed && repeats(&p.boundary, timing, k, program.ii) {
+            return Probing::Jump(last);
+        }
+        p.boundary.capture(timing, k, program.ii);
+        p.fu_busy.clone_from(&self.fu_busy);
+        p.link_busy.clone_from(&self.link_busy);
+        p.token_wait.clone_from(&self.token_wait);
+        p.ops_executed = self.ops_executed;
+        p.armed = true;
+        Probing::Continue
+    }
+
+    /// Moves the machine from boundary `from` to boundary `to` as if it
+    /// had stepped every period between. Period `from − 1` (whose start
+    /// `p` holds) was verified to leave the relative timing state
+    /// unchanged, so each skipped period repeats its checks and its
+    /// counter deltas.
+    fn jump(&mut self, program: &Program, p: &Probe, from: u64, to: u64) {
+        let skipped = to - from;
+        let dt = skipped * program.ii;
+        for (now, then) in [
+            (&mut self.fu_busy, &p.fu_busy),
+            (&mut self.link_busy, &p.link_busy),
+            (&mut self.token_wait, &p.token_wait),
+        ] {
+            for (c, &was) in now.iter_mut().zip(then) {
+                *c += skipped * (*c - was);
+            }
+        }
+        self.ops_executed += skipped * (self.ops_executed - p.ops_executed);
+        for c in self
+            .fu_free_at
+            .iter_mut()
+            .chain(&mut self.link_free_at)
+            .chain(&mut self.link_cover_until)
+        {
+            *c += dt;
+        }
+        // Every value the band computed is its reference value: the
+        // stream steps through the band, and the in-flight tokens and the
+        // value-ring slots still to be delivered reload from its frames.
+        self.reference.frame(to - 1);
+        for (q, &src) in self.fifos.iter_mut().zip(&program.edge_src) {
+            for (it, v, delivered) in q.iter_mut() {
+                *it += skipped;
+                *delivered += dt;
+                *v = self.reference.frame(*it)[src as usize];
+            }
+        }
+        // By boundary `to` a node of shift `s` has fired iterations below
+        // `to − s`; deliveries from `to` on read iterations from
+        // `to − max_shift` on.
+        for (shift, f) in &program.firings.items {
+            for j in to.saturating_sub(program.max_shift)..to.saturating_sub(*shift) {
+                self.values[f.slot + (j & self.mask) as usize] =
+                    self.reference.frame(j)[f.node as usize];
+            }
+        }
+    }
+
     /// Runs period `k`: every phase's deliveries, firings and hops, in
     /// that order. With `ALL_LIVE` the caller guarantees
     /// `max_shift ≤ k < iterations`, where every event's iteration
@@ -783,6 +937,99 @@ impl Machine<'_> {
     }
 }
 
+/// An entry of an edge's FIFO: (iteration, value, base cycle the token
+/// landed).
+type Token = (u64, i64, u64);
+
+/// The machine's timing state, borrowed: everything an all-live period
+/// reads apart from values.
+#[derive(Clone, Copy)]
+struct Timing<'s> {
+    fifos: &'s [VecDeque<Token>],
+    fu_free_at: &'s [u64],
+    link_free_at: &'s [u64],
+    link_cover_until: &'s [u64],
+}
+
+impl<'s> Timing<'s> {
+    /// Every FIFO entry, FIFO by FIFO, relative to the start of period
+    /// `k`: `(k − iteration, k·II − delivered)`.
+    fn tokens(self, k: u64, ii: u64) -> impl Iterator<Item = (u64, u64)> + 's {
+        let start = k * ii;
+        self.fifos
+            .iter()
+            .flatten()
+            .map(move |&(it, _, delivered)| (k.wrapping_sub(it), start.wrapping_sub(delivered)))
+    }
+
+    /// `fu_free_at`, `link_free_at` and `link_cover_until` as cycles past
+    /// the start of period `k`. Every event of the period starts at or
+    /// after it, so a resource free by then reads 0 however long ago it
+    /// was freed.
+    fn resources(self, k: u64, ii: u64) -> impl Iterator<Item = u64> + 's {
+        let start = k * ii;
+        self.fu_free_at
+            .iter()
+            .chain(self.link_free_at)
+            .chain(self.link_cover_until)
+            .map(move |&c| c.saturating_sub(start))
+    }
+}
+
+/// A [`Timing`] recorded at a period boundary, relative to its start.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Boundary {
+    /// Entries per FIFO.
+    lens: Vec<usize>,
+    tokens: Vec<(u64, u64)>,
+    resources: Vec<u64>,
+}
+
+impl Boundary {
+    fn capture(&mut self, now: Timing<'_>, k: u64, ii: u64) {
+        self.lens.clear();
+        self.lens.extend(now.fifos.iter().map(VecDeque::len));
+        self.tokens.clear();
+        self.tokens.extend(now.tokens(k, ii));
+        self.resources.clear();
+        self.resources.extend(now.resources(k, ii));
+    }
+}
+
+/// Whether the timing state `now` at the start of period `k` is `prev`,
+/// the state recorded at the start of period `k − 1`, one period on: the
+/// steady-state skip's only license to jump.
+fn repeats(prev: &Boundary, now: Timing<'_>, k: u64, ii: u64) -> bool {
+    prev.lens.len() == now.fifos.len()
+        && prev.lens.iter().zip(now.fifos).all(|(&n, q)| n == q.len())
+        && prev.tokens.iter().copied().eq(now.tokens(k, ii))
+        && prev.resources.iter().copied().eq(now.resources(k, ii))
+}
+
+/// Steady-state detection state across consecutive all-live boundaries.
+#[derive(Debug, Default)]
+struct Probe {
+    /// The relative timing state at the previous boundary.
+    boundary: Boundary,
+    /// Counters at the previous boundary, the verified period's start.
+    fu_busy: Vec<u64>,
+    link_busy: Vec<u64>,
+    token_wait: Vec<u64>,
+    ops_executed: u64,
+    /// Whether `boundary` and the counters hold the previous boundary.
+    armed: bool,
+}
+
+/// What the run does at an all-live boundary.
+enum Probing {
+    /// Step this period and compare again at the next boundary.
+    Continue,
+    /// Step every remaining period.
+    Stop,
+    /// Skip to the start of this period.
+    Jump(u64),
+}
+
 /// End-of-run trace counters, shared by the compiled engine and the naive
 /// oracle so both emit the exact same observability surface.
 pub(crate) fn emit_run_counters(
@@ -821,7 +1068,7 @@ mod tests {
     use super::*;
     use iced_arch::CgraConfig;
     use iced_kernels::{Kernel, UnrollFactor};
-    use iced_mapper::{map_baseline, map_dvfs_aware};
+    use iced_mapper::{map_baseline, map_dvfs_aware, relax_islands};
 
     #[test]
     fn engine_error_messages_name_the_culprit() {
@@ -958,5 +1205,221 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A hand-built timing state: two FIFOs, three tiles.
+    #[derive(Clone)]
+    struct State {
+        fifos: Vec<VecDeque<Token>>,
+        fu_free_at: Vec<u64>,
+        link_free_at: Vec<u64>,
+        link_cover_until: Vec<u64>,
+    }
+
+    impl State {
+        fn timing(&self) -> Timing<'_> {
+            Timing {
+                fifos: &self.fifos,
+                fu_free_at: &self.fu_free_at,
+                link_free_at: &self.link_free_at,
+                link_cover_until: &self.link_cover_until,
+            }
+        }
+
+        /// The state one period of `ii` cycles on, with fresh values.
+        /// Resources already free stay wherever they were freed.
+        fn next(&self, ii: u64) -> State {
+            let mut s = self.clone();
+            for q in &mut s.fifos {
+                for (it, v, delivered) in q.iter_mut() {
+                    *it += 1;
+                    *v = v.wrapping_mul(31).wrapping_add(7);
+                    *delivered += ii;
+                }
+            }
+            for c in s
+                .fu_free_at
+                .iter_mut()
+                .chain(&mut s.link_free_at)
+                .chain(&mut s.link_cover_until)
+            {
+                if *c > 7 * ii {
+                    *c += ii;
+                }
+            }
+            s
+        }
+    }
+
+    #[test]
+    fn repeats_detects_any_single_change_of_the_relative_state() {
+        // Boundary 7 of an II-4 schedule starts at cycle 28; boundary 8
+        // at 32. Resources at or below 28 are free at either start.
+        let ii = 4;
+        let at7 = State {
+            fifos: vec![
+                VecDeque::from([(5, 11, 25), (6, -3, 27)]),
+                VecDeque::from([(6, 40, 26)]),
+            ],
+            fu_free_at: vec![30, 0, 29],
+            link_free_at: vec![0, 31, 0, 0, 12, 0, 0, 0, 0, 0, 30, 0],
+            link_cover_until: vec![29, 3, 31],
+        };
+        let mut prev = Boundary::default();
+        prev.capture(at7.timing(), 7, ii);
+        let at8 = at7.next(ii);
+        assert!(repeats(&prev, at8.timing(), 8, ii), "one period on repeats");
+        // The same state read against the wrong period start does not.
+        assert!(!repeats(&prev, at7.timing(), 8, ii));
+        assert!(!repeats(&prev, at8.timing(), 9, ii));
+
+        let mut cases: Vec<(&str, State)> = Vec::new();
+        let mut s = at8.clone();
+        s.fifos[0][1].0 += 1;
+        cases.push(("a token's iteration", s));
+        let mut s = at8.clone();
+        s.fifos[1][0].2 -= 1;
+        cases.push(("a token's delivery cycle", s));
+        let mut s = at8.clone();
+        let moved = s.fifos[0].pop_back().expect("two tokens");
+        s.fifos[1].push_front(moved);
+        cases.push(("which FIFO holds a token", s));
+        let mut s = at8.clone();
+        s.fifos[1].clear();
+        cases.push(("a FIFO's occupancy", s));
+        let mut s = at8.clone();
+        s.fu_free_at[2] += 1;
+        cases.push(("an fu_free_at", s));
+        let mut s = at8.clone();
+        s.fu_free_at[1] = 33;
+        cases.push(("an fu_free_at becoming busy", s));
+        let mut s = at8.clone();
+        s.link_free_at[10] -= 1;
+        cases.push(("a link_free_at", s));
+        let mut s = at8.clone();
+        s.link_cover_until[0] += 1;
+        cases.push(("a link_cover_until", s));
+        for (what, state) in &cases {
+            assert!(
+                !repeats(&prev, state.timing(), 8, ii),
+                "changing {what} must break the repetition"
+            );
+        }
+        // Values are not timing state: they never break a repetition.
+        let mut s = at8.clone();
+        s.fifos[0][0].1 ^= 1;
+        assert!(repeats(&prev, s.timing(), 8, ii));
+    }
+
+    #[test]
+    fn long_runs_step_only_prologue_verified_period_and_epilogue() {
+        // On every suite schedule the state repeats at the first chance:
+        // the machine steps the `max_shift` prologue periods, the one
+        // verified period, the last all-live period and the `max_shift`
+        // epilogue periods, and skips the rest.
+        let cfg = CgraConfig::iced_prototype();
+        for k in Kernel::STANDALONE {
+            let dfg = k.dfg(UnrollFactor::X1);
+            let mapping = relax_islands(&dfg, &map_dvfs_aware(&dfg, &cfg).unwrap());
+            let max_shift = Program::compile(&dfg, &mapping, 1).max_shift;
+            let iters = 20_000;
+            let (r, skipped) = run_inner(&dfg, &mapping, iters, 5, None).unwrap();
+            let stepped = max_shift + iters - skipped;
+            assert_eq!(stepped, 2 * max_shift + 2, "{}", k.name());
+            assert_eq!(
+                r.report,
+                full_loop(&dfg, &mapping, iters, 5),
+                "{}",
+                k.name()
+            );
+        }
+    }
+
+    #[test]
+    fn a_jump_lands_in_the_state_stepping_reaches() {
+        // Jump one machine at its first chance and step a second one to
+        // the same boundary: same relative timing state, same counters,
+        // same FIFO tokens (values included), and the same value-ring
+        // slots wherever a later delivery reads them.
+        let cfg = CgraConfig::iced_prototype();
+        for k in Kernel::STANDALONE {
+            for uf in [UnrollFactor::X1, UnrollFactor::X2] {
+                let dfg = k.dfg(uf);
+                for mapping in [
+                    map_baseline(&dfg, &cfg).unwrap(),
+                    relax_islands(&dfg, &map_dvfs_aware(&dfg, &cfg).unwrap()),
+                ] {
+                    let label = format!("{} {uf:?} ii {}", k.name(), mapping.ii());
+                    let (program, mut jumped) = Machine::new(&dfg, &mapping, 300, 9, None);
+                    let mut probe = Probe::default();
+                    let mut from = 0;
+                    let to = loop {
+                        if from >= program.max_shift {
+                            match jumped.probe(&program, &mut probe, from) {
+                                Probing::Continue => {}
+                                Probing::Stop => panic!("{label}: the state never repeated"),
+                                Probing::Jump(to) => break to,
+                            }
+                        }
+                        jumped.period::<false>(&program, from).unwrap();
+                        from += 1;
+                    };
+                    jumped.jump(&program, &probe, from, to);
+                    let (_, mut stepped) = Machine::new(&dfg, &mapping, 300, 9, None);
+                    for k in 0..to {
+                        stepped.period::<false>(&program, k).unwrap();
+                    }
+
+                    let mut a = Boundary::default();
+                    a.capture(jumped.timing(), to, program.ii);
+                    let mut b = Boundary::default();
+                    b.capture(stepped.timing(), to, program.ii);
+                    assert_eq!(a, b, "{label}: timing state");
+                    // Every event fires in every all-live period, so a
+                    // resource in use is last freed exactly `to − from`
+                    // periods later than at the jump; one never used is 0.
+                    for (j, s) in [
+                        (&jumped.fu_free_at, &stepped.fu_free_at),
+                        (&jumped.link_free_at, &stepped.link_free_at),
+                        (&jumped.link_cover_until, &stepped.link_cover_until),
+                    ] {
+                        for (&j, &s) in j.iter().zip(s) {
+                            assert!(s == 0 || j == s, "{label}: free at {j}, stepped {s}");
+                        }
+                    }
+                    assert_eq!(jumped.fifos, stepped.fifos, "{label}: FIFO tokens");
+                    assert_eq!(jumped.fu_busy, stepped.fu_busy, "{label}");
+                    assert_eq!(jumped.link_busy, stepped.link_busy, "{label}");
+                    assert_eq!(jumped.token_wait, stepped.token_wait, "{label}");
+                    assert_eq!(jumped.ops_executed, stepped.ops_executed, "{label}");
+                    assert_eq!(jumped.fifo_peak, stepped.fifo_peak, "{label}");
+                    // A delivery of shift `s` reads iterations from `to − s`
+                    // on; those below `to − shift(src)` fired before `to`.
+                    let mut fired_shift = vec![0; dfg.node_count()];
+                    for &(shift, f) in &program.firings.items {
+                        fired_shift[f.node as usize] = shift;
+                    }
+                    for &(shift, d) in &program.deliveries.items {
+                        let src = program.edge_src[d.edge as usize] as usize;
+                        for i in to.saturating_sub(shift)..to.saturating_sub(fired_shift[src]) {
+                            let slot = d.src_slot + (i & jumped.mask) as usize;
+                            assert_eq!(
+                                jumped.values[slot], stepped.values[slot],
+                                "{label}: edge {} iteration {i}",
+                                d.edge
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The report of a run that steps every period: the fault path.
+    fn full_loop(dfg: &Dfg, mapping: &Mapping, iters: u64, seed: u64) -> EngineReport {
+        let plan = FaultPlan::empty();
+        let (r, skipped) = run_inner(dfg, mapping, iters, seed, Some(&plan)).unwrap();
+        assert_eq!(skipped, 0);
+        r.report
     }
 }

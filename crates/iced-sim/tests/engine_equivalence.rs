@@ -9,6 +9,8 @@
 //! bound, and a third proves the engine's memory does not scale with the
 //! iteration count by completing a million-iteration run that would need
 //! hundreds of megabytes under the oracle's materialise-everything scheme.
+//! A fourth compares at every run length up to 64 iterations, across
+//! each threshold of the engine's steady-state skip.
 
 use iced_arch::CgraConfig;
 use iced_kernels::{Kernel, UnrollFactor};
@@ -62,6 +64,28 @@ fn reports_are_bit_identical_across_the_matrix() {
 }
 
 #[test]
+fn every_skip_threshold_matches_the_oracle() {
+    // Every short run length: no skip, a skip of one or two periods, and
+    // each distance between the verified period and the epilogue.
+    let cfg = CgraConfig::iced_prototype();
+    for k in [Kernel::Fir, Kernel::Conv] {
+        for uf in [UnrollFactor::X1, UnrollFactor::X2] {
+            let dfg = k.dfg(uf);
+            for mapping in [
+                map_baseline(&dfg, &cfg).unwrap(),
+                map_dvfs_aware(&dfg, &cfg).unwrap(),
+            ] {
+                for iters in 0..=64u64 {
+                    let fast = run_engine(&dfg, &mapping, iters, 23).unwrap();
+                    let slow = run_oracle(&dfg, &mapping, iters, 23).unwrap();
+                    assert_eq!(fast, slow, "{} {uf:?}: iters={iters}", k.name());
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn fifo_peak_matches_analytic_capacity_bound() {
     let cfg = CgraConfig::iced_prototype();
     for (label, dfg, mapping) in suite_mappings(&cfg, UnrollFactor::X1) {
@@ -80,13 +104,9 @@ fn long_runs_complete_with_flat_memory() {
     // per-iteration structure. Under the oracle this run would allocate a
     // full reference trace plus a timeline entry per event×iteration; the
     // compiled engine holds only the fabric- and DFG-sized state, so this
-    // completes in seconds. Debug builds step fewer iterations to keep the
-    // default `cargo test` snappy; release CI exercises the full million.
-    let iters: u64 = if cfg!(debug_assertions) {
-        200_000
-    } else {
-        1_000_000
-    };
+    // completes in seconds; the steady-state skip makes it fast in debug
+    // builds too.
+    let iters: u64 = 1_000_000;
     let cfg = CgraConfig::iced_prototype();
     let dfg = Kernel::Fir.dfg(UnrollFactor::X1);
     let mapping = map_dvfs_aware(&dfg, &cfg).unwrap();

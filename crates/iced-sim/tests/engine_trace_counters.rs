@@ -64,4 +64,20 @@ fn engine_and_oracle_emit_identical_counters() {
             "counter {name:?} diverged (oracle total {oracle_total})"
         );
     }
+
+    // A run long enough for the engine to skip its steady-state band
+    // must still emit what the oracle, which steps every cycle, does.
+    run_oracle(&dfg, &mapping, 2_000, 11).unwrap();
+    let after_long_oracle = sim_totals(&collector);
+    run_engine(&dfg, &mapping, 2_000, 11).unwrap();
+    let after_long_both = sim_totals(&collector);
+    assert_eq!(after_long_both.len(), after_oracle.len());
+    for (name, &total) in &after_long_oracle {
+        let oracle_long = total - after_both.get(name).copied().unwrap_or(0);
+        assert_eq!(
+            after_long_both.get(name),
+            Some(&(total + oracle_long)),
+            "counter {name:?} diverged over 2,000 iterations (oracle {oracle_long})"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 use iced_arch::CgraConfig;
 use iced_fault::{FaultPlan, SeuRates};
 use iced_kernels::{Kernel, UnrollFactor};
-use iced_mapper::{map_baseline, map_dvfs_aware};
+use iced_mapper::{map_baseline, map_dvfs_aware, relax_islands};
 use iced_sim::{run_engine, run_with_faults};
 use proptest::prelude::*;
 
@@ -40,6 +40,44 @@ fn empty_plan_is_bit_identical_to_clean_run() {
             assert_eq!(faulty.rollbacks, 0, "{}", k.name());
             assert_eq!(faulty.recovery_cycles, 0, "{}", k.name());
             assert_eq!(faulty.recovery_overhead(), 0.0, "{}", k.name());
+        }
+    }
+}
+
+#[test]
+fn steady_state_skip_matches_the_full_loop_at_long_counts() {
+    // The fault path steps every period, so with an empty plan its report
+    // is the full loop's; the clean engine skips the proven-periodic band.
+    let cfg = CgraConfig::iced_prototype();
+    let plan = FaultPlan::empty();
+    let full = |dfg: &iced_dfg::Dfg, mapping: &iced_mapper::Mapping, iters: u64, seed: u64| {
+        run_with_faults(dfg, mapping, iters, seed, &plan)
+            .unwrap()
+            .report
+    };
+    // The cluster-churn workload's kernels and run length, on ICED
+    // island mappings.
+    for k in [
+        Kernel::Relu,
+        Kernel::Histogram,
+        Kernel::LuInit,
+        Kernel::LuInvert,
+        Kernel::GcnPooling,
+        Kernel::Conv,
+    ] {
+        let dfg = k.dfg(UnrollFactor::X1);
+        let mapping = relax_islands(&dfg, &map_dvfs_aware(&dfg, &cfg).unwrap());
+        let skipped = run_engine(&dfg, &mapping, 20_000, 31).unwrap();
+        assert_eq!(skipped, full(&dfg, &mapping, 20_000, 31), "{}", k.name());
+    }
+    for k in Kernel::STANDALONE {
+        let dfg = k.dfg(UnrollFactor::X1);
+        for mapping in [
+            map_baseline(&dfg, &cfg).unwrap(),
+            map_dvfs_aware(&dfg, &cfg).unwrap(),
+        ] {
+            let skipped = run_engine(&dfg, &mapping, 500, 8).unwrap();
+            assert_eq!(skipped, full(&dfg, &mapping, 500, 8), "{}", k.name());
         }
     }
 }
