@@ -7,7 +7,7 @@
 //! II), and how much of the fabric each density knocks out. A second
 //! stage sweeps SEU rate scaling through the fault-aware cycle engine and
 //! reports the rollback-recovery overhead. Results go to
-//! `BENCH_fault.json` (and `fault_sweep.csv` under `ICED_CSV_DIR`).
+//! `BENCH_fault.json`.
 //!
 //! ```sh
 //! cargo run --release -p iced-bench --bin fault_sweep -- [--quick] [--out PATH]
@@ -20,7 +20,7 @@ use iced::fault::{FaultPlan, SeuRates};
 use iced::kernels::{Kernel, UnrollFactor};
 use iced::mapper::{map_with, map_with_faults, MapperOptions};
 use iced::sim::run_with_faults;
-use iced_bench::{emit_csv, par_sweep};
+use iced_bench::par_sweep;
 
 /// One (kernel, density) sample point, aggregated over several seeds.
 struct Point {
@@ -131,7 +131,6 @@ fn run() {
         "{:>10} {:>8} {:>8} {:>9} {:>11} {:>9} {:>11}",
         "kernel", "density", "remaps", "clean ii", "faulted ii", "penalty", "dead tiles"
     );
-    let mut csv: Vec<Vec<String>> = Vec::new();
     for p in &points {
         println!(
             "{:>10} {:>8.2} {:>5}/{:<2} {:>9} {:>11.1} {:>9.1} {:>11.1}",
@@ -144,31 +143,7 @@ fn run() {
             p.mean_penalty,
             p.mean_dead_tiles,
         );
-        csv.push(vec![
-            p.kernel.name().to_string(),
-            format!("{:.2}", p.density),
-            p.remapped.to_string(),
-            p.attempts.to_string(),
-            p.clean_ii.to_string(),
-            format!("{:.2}", p.mean_faulted_ii),
-            format!("{:.2}", p.mean_penalty),
-            format!("{:.1}", p.mean_dead_tiles),
-        ]);
     }
-    emit_csv(
-        "fault_sweep",
-        &[
-            "kernel",
-            "density",
-            "remapped",
-            "attempts",
-            "clean_ii",
-            "mean_faulted_ii",
-            "mean_ii_penalty",
-            "mean_dead_tiles",
-        ],
-        &csv,
-    );
 
     let seu = sweep_seu(quick);
     println!();

@@ -8,8 +8,7 @@
 //! taxonomy (`mapped`, `degraded`, `rejected:<class>`, `bug:<kind>`); the
 //! whole sweep then runs a second pass over the same seeds and asserts the
 //! taxonomy is byte-for-byte identical, and replays the committed
-//! regression corpus. Results go to `BENCH_fuzz.json` (and
-//! `fuzz_sweep.csv` under `ICED_CSV_DIR`). Exit status is non-zero when
+//! regression corpus. Results go to `BENCH_fuzz.json`. Exit status is non-zero when
 //! any bug, determinism mismatch, or corpus regression is found — CI runs
 //! this as the `fuzz-smoke` gate.
 //!
@@ -27,7 +26,6 @@ use std::time::Instant;
 use iced::fuzz::corpus::replay_failures;
 use iced::fuzz::harness::with_quiet_panics;
 use iced::fuzz::{env_cases, env_seed, run_seed, GenOptions, HarnessOptions, Outcome};
-use iced_bench::emit_csv;
 
 /// One density rung's aggregate.
 struct Rung {
@@ -119,7 +117,6 @@ fn run() {
         "{:>8} {:>7} {:>9} {:>7} {:>9}  taxonomy",
         "density", "cases", "cases/s", "bugs", "survival"
     );
-    let mut csv: Vec<Vec<String>> = Vec::new();
     let mut total_bugs = 0usize;
     for r in &rungs {
         println!(
@@ -135,19 +132,7 @@ fn run() {
             println!("    BUG d={:.2} seed={seed:#x}: {class}", r.density);
         }
         total_bugs += r.bugs.len();
-        csv.push(vec![
-            format!("{:.2}", r.density),
-            r.cases.to_string(),
-            format!("{:.4}", r.survival),
-            r.bugs.len().to_string(),
-            taxonomy_line(&r.taxonomy),
-        ]);
     }
-    emit_csv(
-        "fuzz_sweep",
-        &["density", "cases", "survival", "bugs", "taxonomy"],
-        &csv,
-    );
 
     // Determinism: the same seeds must reproduce the identical taxonomy,
     // byte for byte.

@@ -1,21 +1,14 @@
-//! Shared plumbing for the figure/table regeneration binaries.
-//!
-//! Each `src/bin/*.rs` binary regenerates one table or figure of the
-//! paper's evaluation (see `DESIGN.md` §5 for the index). This library
-//! holds the bits they share: suite iteration, formatting, and the
-//! iteration count used for power accounting.
+//! The evaluation harness: [`figures`] computes every table and figure of
+//! the paper's evaluation (see `DESIGN.md` §5 for the index), and the
+//! `src/bin/` measurement binaries share the sweep and tracing plumbing
+//! here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use iced::kernels::{Kernel, UnrollFactor};
-use iced::{Compiled, Strategy, Toolchain};
-
-/// Loop iterations charged when converting activity to energy; the figures
-/// compare averages, so any value cancels out (kept explicit for clarity).
-pub const POWER_ITERATIONS: u64 = 4096;
+pub mod figures;
 
 /// Worker-thread count for [`par_sweep`]: the `ICED_BENCH_THREADS`
 /// environment variable wins, then available parallelism.
@@ -31,13 +24,13 @@ fn sweep_threads() -> usize {
 }
 
 /// Fans `work` over `items` on scoped worker threads, returning results in
-/// input order — the sweep harness behind every figure/bench binary.
+/// input order — the sweep harness behind the figures and bench binaries.
 ///
 /// Items are claimed from a shared counter (same pattern as the mapper's
 /// portfolio search), so long points — one kernel mapping much slower than
 /// the rest, say — never leave workers idle behind a static partition.
 /// `work` must be order-independent; output order is restored afterwards,
-/// so printing/CSV emission stays deterministic. Worker count comes from
+/// so printing stays deterministic. Worker count comes from
 /// `ICED_BENCH_THREADS`, defaulting to available parallelism; set it to 1
 /// to debug with a strictly serial sweep.
 pub fn par_sweep<T, R>(items: &[T], work: impl Fn(&T) -> R + Sync) -> Vec<R>
@@ -84,91 +77,28 @@ where
         .collect()
 }
 
-/// A compiled result for every standalone kernel under one strategy.
-pub fn compile_suite(
-    toolchain: &Toolchain,
-    uf: UnrollFactor,
-    strategy: Strategy,
-) -> Vec<(Kernel, Compiled)> {
-    par_sweep(&Kernel::STANDALONE, |&k| {
-        let c = toolchain
-            .compile(&k.dfg(uf), strategy)
-            .unwrap_or_else(|e| panic!("{} {:?} {}: {e}", k.name(), uf, strategy.name()));
-        (k, c)
-    })
-}
-
-/// Mean of a metric over compiled results.
-pub fn mean(rows: &[(Kernel, Compiled)], metric: impl Fn(&Compiled) -> f64) -> f64 {
-    rows.iter().map(|(_, c)| metric(c)).sum::<f64>() / rows.len().max(1) as f64
-}
-
-/// Render a percentage with one decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}", 100.0 * x)
-}
-
-/// Writes a figure's data series as CSV when `ICED_CSV_DIR` is set —
-/// artifact-style output ("the script directly generates the figures"),
-/// ready for any plotting tool. Silently does nothing otherwise.
-pub fn emit_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
-    let Some(dir) = std::env::var_os("ICED_CSV_DIR") else {
-        return;
+/// Runs a bench binary's body, recording it when the `ICED_TRACE`
+/// environment variable names an output file: every `fn main` in
+/// `src/bin/` runs its body through it. Set `ICED_TRACE_DETAIL=1` as well
+/// to record one event per simulated FU firing (large, but gives full
+/// timeline replay). A path ending in `.jsonl` exports line-delimited
+/// JSON; anything else gets Chrome `trace_event` JSON (loadable in
+/// Perfetto / `chrome://tracing`). The run's
+/// [`iced::trace::TraceSummary`] goes to stderr. With `ICED_TRACE` unset
+/// tracing stays disabled and costs nothing.
+pub fn with_tracing(body: impl FnOnce()) {
+    let Some(path) = std::env::var_os("ICED_TRACE").map(std::path::PathBuf::from) else {
+        return body();
     };
-    let dir = std::path::PathBuf::from(dir);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("iced-bench: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.csv"));
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    if let Err(e) = std::fs::write(&path, out) {
-        eprintln!("iced-bench: cannot write {}: {e}", path.display());
-    } else {
-        eprintln!("wrote {}", path.display());
-    }
-}
-
-/// An active `ICED_TRACE` recording session: the collector to drain and
-/// the path to export to when the binary finishes.
-#[derive(Debug)]
-pub struct TraceSession {
-    path: std::path::PathBuf,
-    collector: std::sync::Arc<iced::trace::RecordingCollector>,
-}
-
-/// Installs a process-wide [`iced::trace::RecordingCollector`] when the
-/// `ICED_TRACE` environment variable names an output file. Set
-/// `ICED_TRACE_DETAIL=1` as well to record one event per simulated FU
-/// firing (large, but gives full timeline replay). Returns `None` — and
-/// leaves tracing disabled, costing nothing — when `ICED_TRACE` is unset.
-pub fn init_tracing() -> Option<TraceSession> {
-    let path = std::path::PathBuf::from(std::env::var_os("ICED_TRACE")?);
     let collector = std::sync::Arc::new(iced::trace::RecordingCollector::new());
     if iced::trace::install(collector.clone()).is_err() {
         eprintln!("iced-bench: a trace collector is already installed");
-        return None;
+        return body();
     }
     if std::env::var_os("ICED_TRACE_DETAIL").is_some() {
         iced::trace::set_detail(true);
     }
-    Some(TraceSession { path, collector })
-}
-
-/// Exports a recording finished by [`init_tracing`] and prints its
-/// [`iced::trace::TraceSummary`]. A path ending in `.jsonl` exports
-/// line-delimited JSON; anything else gets Chrome `trace_event` JSON
-/// (loadable in Perfetto / `chrome://tracing`).
-pub fn finish_tracing(session: Option<TraceSession>) {
-    let Some(TraceSession { path, collector }) = session else {
-        return;
-    };
+    body();
     let records = collector.records();
     let jsonl = path.extension().is_some_and(|e| e == "jsonl");
     let mut out = Vec::new();
@@ -190,14 +120,6 @@ pub fn finish_tracing(session: Option<TraceSession>) {
     eprint!("{}", iced::trace::TraceSummary::from_records(&records));
 }
 
-/// Runs a bench binary's body under the `ICED_TRACE` tracing session:
-/// every `fn main` in `src/bin/` is `iced_bench::with_tracing(run)`.
-pub fn with_tracing(body: impl FnOnce()) {
-    let session = init_tracing();
-    body();
-    finish_tracing(session);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,15 +130,5 @@ mod tests {
         let doubled = par_sweep(&items, |&x| x * 2);
         assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
         assert!(par_sweep::<usize, usize>(&[], |&x| x).is_empty());
-    }
-
-    #[test]
-    fn suite_compiles_under_iced() {
-        let tc = Toolchain::prototype();
-        let rows = compile_suite(&tc, UnrollFactor::X1, Strategy::IcedIslands);
-        assert_eq!(rows.len(), 10);
-        let m = mean(&rows, |c| c.average_utilization());
-        assert!(m > 0.0 && m <= 1.0);
-        assert_eq!(pct(0.5), "50.0");
     }
 }

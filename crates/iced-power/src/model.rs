@@ -44,10 +44,11 @@ impl PowerModel {
     /// leakage is small), a 15 % residual clock share when idle (clock
     /// gating leaves the local clock spine toggling — this sets how much a
     /// power-gating-only design can still save, the paper's 1.12×), a 20 %
-    /// SRAM static share (selected by the calibration sweep in
-    /// `iced-bench/src/bin/calibrate.rs` against the paper's Fig. 11
-    /// ratios), and a DVFS controller (LDO + ADPLL + control unit)
-    /// costing 30 % of a nominal tile (UE-CGRA's published overhead).
+    /// SRAM static share, and a DVFS controller (LDO + ADPLL + control
+    /// unit) costing 30 % of a nominal tile (UE-CGRA's published overhead).
+    /// The fractions are fixed calibration constants; the numbers they
+    /// produce are pinned through Figs. 8 and 11 in `BENCH_figures.json`
+    /// (`cargo run --release -p iced-bench --bin figures`).
     pub fn asap7() -> Self {
         PowerModel::with_fractions(0.05, 0.15, 0.20)
     }
@@ -55,8 +56,8 @@ impl PowerModel {
     /// A custom calibration: `static_fraction` of nominal tile power is
     /// leakage, `clock_fraction` of dynamic power persists when idle, and
     /// `sram_static_fraction` of SRAM peak power persists at zero activity.
-    /// Used by calibration sweeps and sensitivity studies; the evaluation
-    /// uses [`PowerModel::asap7`].
+    /// Used by sensitivity studies; the evaluation uses
+    /// [`PowerModel::asap7`].
     pub fn with_fractions(
         static_fraction: f64,
         clock_fraction: f64,

@@ -165,7 +165,8 @@ pub fn simulate_with_faults(
 /// [`simulate`] with an explicit adaptation window. The paper adapts every
 /// 10 inputs for a fair comparison with DRIPS, but notes that ICED's
 /// ns-scale LDO/ADPLL would allow much finer-grained switching — sweeping
-/// the window quantifies that headroom (see the `window_sweep` harness).
+/// the window quantifies that headroom (the adaptation-window tables of
+/// `BENCH_figures.json`).
 pub fn simulate_with_window(
     pipeline: &Pipeline,
     partition: &Partition,
