@@ -1,12 +1,16 @@
-//! The paper's evaluation as data: Table I, Figs. 2, 4 and 8–14, and the
-//! three extension studies (ablations, adaptation window, design space).
+//! The paper's evaluation as data: Table I, Figs. 2, 4 and 8–14, the
+//! three extension studies (ablations, adaptation window, design space),
+//! the certified minimum II of every Table I kernel and the fault ladders.
 //!
 //! Every artifact is a [`Table`] of rounded values. One renderer prints a
 //! table for the console ([`Table::text`]) and the same cells go into
 //! `BENCH_figures.json` ([`json`]), so the committed file holds exactly
 //! the numbers the console shows. Work the figures share is done once:
 //! Figs. 9, 10, 11 and 14 read one prototype grid of compiles, and
-//! Fig. 13 reads the window-10 runs of the adaptation-window sweep.
+//! Fig. 13 reads the window-10 runs of the adaptation-window sweep. The
+//! builders assert the invariants of what they measure (bound ≤ certified
+//! II ≤ heuristic II, faulted II ≥ clean II, ...), so a broken answer
+//! fails the run instead of landing in the file.
 //!
 //! ```sh
 //! cargo run --release -p iced-bench --bin figures
@@ -16,11 +20,13 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use iced::arch::{CgraConfig, DvfsLevel, FuLayout};
+use iced::exact::{certify, lower_bound, CertifiedII, ExactOptions, Proof};
+use iced::fault::{FaultPlan, SeuRates};
 use iced::kernels::pipelines::Pipeline;
 use iced::kernels::{workloads, Kernel, UnrollFactor};
-use iced::mapper::{map_with, MapperOptions};
+use iced::mapper::{check_dependencies, map_with, map_with_faults, MapperOptions};
 use iced::power::{AreaModel, PowerModel, VfPoint};
-use iced::sim::{EnergyBreakdown, FabricStats};
+use iced::sim::{run_with_faults, EnergyBreakdown, FabricStats};
 use iced::streaming::{simulate, simulate_with_window, Partition, RuntimePolicy, StreamReport};
 use iced::{Compiled, Strategy, Toolchain};
 
@@ -180,6 +186,7 @@ pub fn all() -> Vec<Table> {
     tables.push(ablations());
     tables.extend(streams.iter().map(Stream::window_table));
     tables.push(dse());
+    tables.extend([certified_ii(), fault_remap(), fault_seu()]);
     tables
 }
 
@@ -717,6 +724,187 @@ fn dse() -> Table {
             "area mm2",
             "mapped",
         ],
+        rows,
+    }
+}
+
+/// Node budget of the certified-II table: fft and aggregate spend all of
+/// it, every other Table I kernel certifies without searching.
+const EXACT_NODE_BUDGET: u64 = 20_000;
+
+/// The exact mapper judging the heuristic one: per Table I kernel at unroll
+/// factor 1, the admissible lower bound, the certified minimum II, the best
+/// heuristic II over both strategy families, their gap, the proof and the
+/// search effort.
+fn certified_ii() -> Table {
+    let cfg = CgraConfig::iced_prototype();
+    let opts = ExactOptions {
+        node_budget: EXACT_NODE_BUDGET,
+        ..ExactOptions::default()
+    };
+    let certificates = par_sweep(&Kernel::ALL, |&k| {
+        let (dfg, name) = (k.dfg(UnrollFactor::X1), k.name());
+        let c = certify(&dfg, &cfg, &MapperOptions::baseline(), &opts);
+        let c = c.unwrap_or_else(|e| panic!("{name}: certification failed: {e}"));
+        let cert = c.certificate;
+        // The best heuristic II over both strategy families.
+        let heuristic = [MapperOptions::baseline(), MapperOptions::default()]
+            .iter()
+            .filter_map(|o| Some(map_with(&dfg, &cfg, o).ok()?.ii()))
+            .min()
+            .unwrap_or_else(|| panic!("{name}: no heuristic mapping"));
+        assert_eq!(cert.lower_bound, lower_bound(&dfg, &cfg), "{name}: bound");
+        assert!(
+            cert.lower_bound <= cert.ii && cert.ii <= heuristic,
+            "{name}: IIs"
+        );
+        assert_eq!(c.mapping.ii(), cert.ii, "{name}: mapping II");
+        assert!(check_dependencies(&dfg, &c.mapping), "{name}: dependencies");
+        (dfg.node_count(), cert, heuristic)
+    });
+    let row = |(k, &(nodes, cert, heuristic)): (&Kernel, &(usize, CertifiedII, u32))| {
+        let counts = [
+            nodes as u32,
+            cert.lower_bound,
+            cert.ii,
+            heuristic,
+            heuristic - cert.ii,
+        ];
+        let mut cells: Vec<Cell> = counts.map(|v| Cell::num(v.into(), 0)).to_vec();
+        cells.push(Cell::Text(cert.proof.name().into()));
+        cells.push(Cell::num(cert.nodes_explored as f64, 0));
+        (k.name().to_string(), cells)
+    };
+    let mut rows: Vec<Row> = Kernel::ALL.iter().zip(&certificates).map(row).collect();
+    let sum = |f: fn(&(usize, CertifiedII, u32)) -> u64| {
+        Cell::num(certificates.iter().map(f).sum::<u64>() as f64, 0)
+    };
+    let mut total = vec![Cell::Blank; 4];
+    total.push(sum(|(_, c, h)| (h - c.ii).into()));
+    total.push(sum(|(_, c, _)| (c.proof == Proof::Optimal).into()));
+    total.push(sum(|(_, c, _)| c.nodes_explored));
+    rows.push(("total".into(), total));
+    Table {
+        key: "certified_ii".into(),
+        title: format!(
+            "Certified minimum II, Table I at unroll factor 1, node budget \
+             {EXACT_NODE_BUDGET} (total: gap and nodes summed, proofs counted optimal)"
+        ),
+        columns: vec![
+            "kernel",
+            "nodes",
+            "bound",
+            "certified",
+            "heuristic",
+            "gap",
+            "proof",
+            "explored",
+        ],
+        rows,
+    }
+}
+
+/// Seeded fault plans drawn per (kernel, density) point of the remap
+/// ladder.
+const FAULT_SEEDS: u64 = 4;
+
+/// How the mapper degrades as the fabric breaks: each standalone kernel
+/// remapped around [`FAULT_SEEDS`] seeded permanent-fault plans per
+/// density, with the remaps that succeeded, the clean II, the mean faulted
+/// II and penalty over them, and the mean count of dead tiles and FUs.
+fn fault_remap() -> Table {
+    let cfg = CgraConfig::iced_prototype();
+    let opts = MapperOptions::default();
+    let points = pairs(&Kernel::STANDALONE, &[0.0, 0.05, 0.1, 0.2, 0.4]);
+    let rows = par_sweep(&points, |&(kernel, density)| {
+        let (dfg, name) = (kernel.dfg(UnrollFactor::X1), kernel.name());
+        let clean = map_with(&dfg, &cfg, &opts);
+        let clean = clean.unwrap_or_else(|e| panic!("{name}: {e}")).ii();
+        let (mut faulted, mut dead) = (Vec::new(), 0);
+        for seed in 0..FAULT_SEEDS {
+            // Salt the plan seed per kernel so the ladder samples distinct
+            // fabrics instead of reusing one fault draw across all rows.
+            let seed = (0xFA11 ^ dfg.canonical_hash()).wrapping_add(seed * 7919);
+            let plan = FaultPlan::generate(&cfg, seed, density);
+            let excluded = plan.excluded(&cfg);
+            dead += excluded.tiles.len() + excluded.fus.len();
+            let remap = map_with_faults(&dfg, &cfg, &opts, &plan).ok();
+            faulted.extend(remap.map(|m| m.ii()));
+        }
+        let at = format!("{name} at density {density}");
+        assert!(
+            faulted.iter().all(|&ii| ii >= clean),
+            "{at}: beats clean II"
+        );
+        if density == 0.0 {
+            assert_eq!(dead, 0, "{at}: dead resources");
+            assert!(faulted.iter().all(|&ii| ii == clean), "{at}: II penalty");
+        }
+        let n = faulted.len().max(1) as f64;
+        let mean_ii = faulted.iter().sum::<u32>() as f64 / n;
+        let penalty = faulted.iter().map(|ii| ii - clean).sum::<u32>() as f64 / n;
+        let counts = [faulted.len() as u64, FAULT_SEEDS, clean.into()];
+        let cells = counts.map(|v| Cell::num(v as f64, 0)).into_iter();
+        let means = [
+            (mean_ii, 2),
+            (penalty, 2),
+            (dead as f64 / FAULT_SEEDS as f64, 1),
+        ];
+        let cells = cells.chain(means.map(|(v, dp)| Cell::num(v, dp)));
+        (format!("{name} {density:.2}"), cells.collect())
+    });
+    Table {
+        key: "fault_remap".into(),
+        title: format!(
+            "Fault ladder: remaps around {FAULT_SEEDS} seeded permanent-fault plans per \
+             density, unroll factor 1"
+        ),
+        columns: vec![
+            "kernel density",
+            "remapped",
+            "attempts",
+            "clean II",
+            "faulted II",
+            "penalty",
+            "dead",
+        ],
+        rows,
+    }
+}
+
+/// Rollback recovery of the fault-aware cycle engine as the SEU rates
+/// scale, on fir at 1024 iterations.
+fn fault_seu() -> Table {
+    let cfg = CgraConfig::iced_prototype();
+    let dfg = Kernel::Fir.dfg(UnrollFactor::X1);
+    let mapping = map_with(&dfg, &cfg, &MapperOptions::default()).expect("fir maps");
+    let rows = par_sweep(&[0u32, 2, 8, 32], |&scale| {
+        let plan = FaultPlan {
+            seed: 0x5E0 + u64::from(scale),
+            permanent: Vec::new(),
+            seu: SeuRates {
+                normal_per_million: 500 * scale,
+                relax_per_million: 2000 * scale,
+                rest_per_million: 4000 * scale,
+            },
+            midrun: Vec::new(),
+        };
+        let r = run_with_faults(&dfg, &mapping, 1024, 0xBEE5, &plan);
+        let r = r.expect("fault-aware run completes");
+        if scale == 0 {
+            assert_eq!(r.upsets_injected, 0, "upsets at zero SEU rates");
+        }
+        let counts = [r.upsets_injected, r.rollbacks].map(|v| Cell::num(v as f64, 0));
+        let overhead = Cell::num(r.recovery_overhead(), 4);
+        (
+            scale.to_string(),
+            counts.into_iter().chain([overhead]).collect(),
+        )
+    });
+    Table {
+        key: "fault_seu".into(),
+        title: "Fault ladder: SEU rate scale vs rollback recovery, fir, 1024 iterations".into(),
+        columns: vec!["SEU scale", "upsets", "rollbacks", "overhead"],
         rows,
     }
 }

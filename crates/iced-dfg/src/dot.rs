@@ -28,11 +28,6 @@ impl NodeColor {
     }
 }
 
-/// Renders `dfg` in DOT format without colouring.
-pub fn to_dot(dfg: &Dfg) -> String {
-    render(dfg, &HashMap::new())
-}
-
 /// Renders `dfg` with recurrence-cycle colouring as in the paper's Figure 1.
 pub fn to_dot_colored(dfg: &Dfg) -> String {
     let report = RecurrenceReport::new(dfg);
@@ -100,7 +95,7 @@ mod tests {
         b.data(phi, add).unwrap();
         b.carry(add, phi).unwrap();
         let g = b.finish().unwrap();
-        let dot = to_dot(&g);
+        let dot = to_dot_colored(&g);
         assert!(dot.contains("n0"));
         assert!(dot.contains("n1"));
         assert!(dot.contains("style=dashed"));

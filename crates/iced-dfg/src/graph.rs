@@ -264,13 +264,6 @@ impl Dfg {
             .map(Edge::dst)
     }
 
-    /// Predecessor nodes through intra-iteration data edges only.
-    pub fn data_preds(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_edges(id)
-            .filter(|e| !e.kind().is_loop_carried())
-            .map(Edge::src)
-    }
-
     /// Number of nodes whose opcode satisfies `pred`.
     pub fn count_ops(&self, pred: impl Fn(Opcode) -> bool) -> usize {
         self.nodes.iter().filter(|n| pred(n.op())).count()
@@ -508,8 +501,8 @@ mod tests {
         b.data(phi, add).unwrap();
         b.edge(add, phi, EdgeKind::loop_carried(1)).unwrap();
         let g = b.finish().unwrap();
-        assert_eq!(g.data_preds(phi).count(), 0);
-        assert_eq!(g.in_edges(phi).count(), 1);
+        assert_eq!(g.data_succs(phi).collect::<Vec<_>>(), vec![add]);
+        assert_eq!(g.out_edges(add).count(), 1);
         assert_eq!(g.data_succs(add).count(), 0);
     }
 }

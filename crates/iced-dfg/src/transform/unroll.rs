@@ -32,12 +32,6 @@ impl UnrollOptions {
         self
     }
 
-    /// Marks several nodes as shared. See [`share`](UnrollOptions::share).
-    pub fn share_all(mut self, nodes: impl IntoIterator<Item = NodeId>) -> Self {
-        self.shared.extend(nodes);
-        self
-    }
-
     /// The configured unroll factor.
     pub fn factor(&self) -> u32 {
         self.factor
@@ -224,7 +218,9 @@ mod tests {
         b.data(phi, add).unwrap();
         b.carry(add, phi).unwrap();
         let g = b.finish().unwrap();
-        let opts = UnrollOptions::new(2).share_all(g.node_ids());
+        let opts = g
+            .node_ids()
+            .fold(UnrollOptions::new(2), UnrollOptions::share);
         assert!(matches!(
             unroll(&g, &opts),
             Err(DfgError::UnsupportedControlFlow(_))

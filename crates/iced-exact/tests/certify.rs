@@ -72,9 +72,18 @@ fn certification_is_thread_count_invariant() {
     // The exact search is single-threaded by design; the heuristic arm
     // runs under the portfolio at any thread count with a bit-identity
     // guarantee. The combination must yield the same certificate and the
-    // same mapping bytes for every thread count.
+    // same mapping bytes for every thread count. Fft and aggregate are
+    // the Table I kernels whose certification searches (to the budget);
+    // the rest certify without exploring a node.
     let cfg = CgraConfig::iced_prototype();
-    for kernel in [Kernel::Fir, Kernel::Mvt, Kernel::Latnrm] {
+    let kernels = [
+        Kernel::Fir,
+        Kernel::Mvt,
+        Kernel::Latnrm,
+        Kernel::Fft,
+        Kernel::GcnAggregate,
+    ];
+    for kernel in kernels {
         let dfg = kernel.dfg(UnrollFactor::X1);
         let serial = certify(&dfg, &cfg, &heur(1), &opts()).unwrap();
         for threads in [2, 4] {
@@ -99,13 +108,18 @@ fn certification_is_thread_count_invariant() {
 #[test]
 fn certification_is_run_invariant() {
     // No hidden seed: two identical calls must agree on everything,
-    // including the explored-node count.
+    // including the explored-node count, on a kernel that certifies
+    // without searching and on the two that search.
     let cfg = CgraConfig::iced_prototype();
-    let dfg = Kernel::Fir.dfg(UnrollFactor::X1);
-    let a = certify(&dfg, &cfg, &heur(1), &opts()).unwrap();
-    let b = certify(&dfg, &cfg, &heur(1), &opts()).unwrap();
-    assert_eq!(a.certificate, b.certificate);
-    assert!(a.mapping.result_eq(&b.mapping));
+    for kernel in [Kernel::Fir, Kernel::Fft, Kernel::GcnAggregate] {
+        let dfg = kernel.dfg(UnrollFactor::X1);
+        let a = certify(&dfg, &cfg, &heur(1), &opts()).unwrap();
+        let b = certify(&dfg, &cfg, &heur(1), &opts()).unwrap();
+        assert_eq!(a.certificate, b.certificate, "{}", kernel.name());
+        assert!(a.mapping.result_eq(&b.mapping), "{}", kernel.name());
+        let searched = a.certificate.nodes_explored > 0;
+        assert_eq!(searched, kernel != Kernel::Fir, "{}", kernel.name());
+    }
 }
 
 #[test]

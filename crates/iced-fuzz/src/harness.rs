@@ -426,7 +426,7 @@ pub fn run_seed(
         ),
         Ok(Ok(dfg)) => {
             // Salt the fault seed per kernel so rungs do not reuse one
-            // fault pattern across the corpus (same scheme as fault_sweep).
+            // fault pattern across the corpus (same scheme as the figures' fault ladder).
             let fault_seed = (0xFA11 ^ dfg.canonical_hash()).wrapping_add(seed.wrapping_mul(7919));
             let outcome = run_case(&dfg, density, fault_seed, hopts);
             (Some(dfg), outcome)

@@ -61,14 +61,6 @@ impl Value {
         }
     }
 
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, if it is one.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
@@ -576,7 +568,7 @@ mod tests {
         let v = parse(r#"{"verb":"compile","id":7,"kernel":"fir","warm":true}"#).unwrap();
         assert_eq!(v.get("verb").and_then(Value::as_str), Some("compile"));
         assert_eq!(v.get("id").and_then(Value::as_u64), Some(7));
-        assert_eq!(v.get("warm").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("warm"), Some(&Value::Bool(true)));
         assert_eq!(v.get("missing"), None);
     }
 
