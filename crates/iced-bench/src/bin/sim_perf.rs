@@ -8,7 +8,11 @@
 //! (`run_with_faults` with the empty plan, which steps every period where
 //! `run_engine` skips the proven-periodic band); the process exits
 //! non-zero on divergence. `cycles_per_sec` counts simulated cycles,
-//! those of skipped periods included, per second of wall time.
+//! those of skipped periods included, per second of wall time. A long
+//! run's wall time does not grow with its length (the engine finishes
+//! it as a run of a few periods), so `cycles_per_sec` grows in
+//! proportion to the long-run count: it reads the fixed cost of a run,
+//! not a stepping rate.
 //!
 //! Phases run engine-first so the recorded peak RSS covers only the
 //! compiled engine's long runs: a growing high-water mark here would mean

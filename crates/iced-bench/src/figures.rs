@@ -1,4 +1,4 @@
-//! The paper's evaluation as data: Table I, Figs. 2, 4 and 8–14, the
+//! The paper's evaluation as data: Table I, Figs. 1–4 and 8–14, the
 //! three extension studies (ablations, adaptation window, design space),
 //! the certified minimum II of every Table I kernel and the fault ladders.
 //!
@@ -23,7 +23,7 @@ use iced::arch::{CgraConfig, DvfsLevel, FuLayout};
 use iced::exact::{certify, lower_bound, CertifiedII, ExactOptions, Proof};
 use iced::fault::{FaultPlan, SeuRates};
 use iced::kernels::pipelines::Pipeline;
-use iced::kernels::{workloads, Kernel, UnrollFactor};
+use iced::kernels::{motivating_example, workloads, Kernel, UnrollFactor};
 use iced::mapper::{check_dependencies, map_with, map_with_faults, MapperOptions};
 use iced::power::{AreaModel, PowerModel, VfPoint};
 use iced::sim::{run_with_faults, EnergyBreakdown, FabricStats};
@@ -175,17 +175,17 @@ pub fn all() -> Vec<Table> {
         Stream::run("GCN", Pipeline::gcn(), &gcn),
         Stream::run("LU", Pipeline::lu(), &lu),
     ];
-    let mut tables = vec![table1(), fig02(), fig04()];
+    let mut tables = vec![table1(), fig02(&grid), fig03(), fig04()];
     tables.extend(fig08());
     tables.extend(fig09(&grid));
     tables.extend(fig10(&grid));
     tables.extend(fig11(&grid));
-    tables.push(fig12());
+    tables.push(fig12(&grid));
     tables.extend(fig13(&streams));
     tables.push(fig14(&grid));
     tables.push(ablations());
     tables.extend(streams.iter().map(Stream::window_table));
-    tables.push(dse());
+    tables.push(dse(&grid));
     tables.extend([certified_ii(), fault_remap(), fault_seu()]);
     tables
 }
@@ -221,11 +221,17 @@ fn pairs<A: Copy, B: Copy>(a: &[A], b: &[B]) -> Vec<(A, B)> {
 }
 
 /// The prototype grid: every standalone kernel at both unroll factors
-/// under all four strategies on the 6×6 fabric, compiled once.
+/// under all four strategies on the 6×6 fabric, compiled once. Figs. 2
+/// and 12 and the design space read their 6×6 points from it.
 struct Grid(Vec<Compiled>);
 
 impl Grid {
     fn compile() -> Grid {
+        assert_eq!(
+            CgraConfig::square(6).ok(),
+            Some(CgraConfig::iced_prototype()),
+            "the 6x6 fabric of Figs. 2 and 12 is the prototype"
+        );
         let tc = Toolchain::prototype();
         let kernels = pairs(&UnrollFactor::ALL, &Kernel::STANDALONE);
         Grid(par_sweep(
@@ -281,9 +287,14 @@ fn table1() -> Table {
     }
 }
 
-fn fig02() -> Table {
+fn fig02(grid: &Grid) -> Table {
     let kernels = pairs(&Kernel::STANDALONE, &UnrollFactor::ALL);
     let util = par_sweep(&pairs(&kernels, &[4, 6, 8]), |&((k, uf), n)| {
+        if n == 6 {
+            return grid
+                .get(uf, k, Strategy::Baseline)
+                .average_utilization_all_tiles();
+        }
         let tc = Toolchain::new(CgraConfig::square(n).expect("valid size"));
         let c = tc.compile(&k.dfg(uf), Strategy::Baseline);
         let c = c.unwrap_or_else(|e| panic!("{} {n} {uf:?}: {e}", k.name()));
@@ -297,6 +308,35 @@ fn fig02() -> Table {
             "kernel", "4x4 uf1", "6x6 uf1", "8x8 uf1", "4x4 uf2", "6x6 uf2", "8x8 uf2",
         ],
         rows: suite_rows(&values, 100.0, 1),
+    }
+}
+
+/// The motivating example (Figs. 1 and 3) on a 4×4 fabric with 2×2
+/// islands: the conventional mapping, per-tile DVFS on it, and ICED.
+fn fig03() -> Table {
+    let tc = Toolchain::new(CgraConfig::square(4).expect("valid size"));
+    let dfg = motivating_example();
+    let strategies = [
+        Strategy::Baseline,
+        Strategy::PerTileDvfs,
+        Strategy::IcedIslands,
+    ];
+    let row = |s: &Strategy| {
+        let c = tc.compile(&dfg, *s);
+        let c = c.unwrap_or_else(|e| panic!("fig1 {}: {e}", s.name()));
+        let cells = vec![
+            Cell::num(c.mapping().ii() as f64, 0),
+            Cell::num(100.0 * c.average_utilization(), 1),
+            Cell::num(100.0 * c.average_dvfs_level(), 1),
+            Cell::num(c.power_mw(POWER_ITERATIONS), 1),
+        ];
+        (s.name().to_string(), cells)
+    };
+    Table {
+        key: "fig03".into(),
+        title: "Figures 1 and 3: motivating kernel on 4x4, 2x2 islands (paper: 1.14x power)".into(),
+        columns: vec!["strategy", "II", "util %", "avg lvl %", "power mW"],
+        rows: strategies.iter().map(row).collect(),
     }
 }
 
@@ -458,11 +498,15 @@ fn fig11(grid: &Grid) -> [Table; 3] {
     [uf1, uf2, ratios]
 }
 
-fn fig12() -> Table {
+fn fig12(grid: &Grid) -> Table {
     let sizes = [2, 4, 6, 8];
     // Small fabrics cannot hold the big kernels; a pair that does not map
     // under both designs is left out of both averages.
     let levels = par_sweep(&pairs(&sizes, &Kernel::STANDALONE), |&(n, k)| {
+        if n == 6 {
+            let level = |s| grid.get(UnrollFactor::X1, k, s).average_dvfs_level();
+            return Some((level(Strategy::PerTileDvfs), level(Strategy::IcedIslands)));
+        }
         let tc = Toolchain::new(CgraConfig::square(n).expect("valid size"));
         let dfg = k.dfg(UnrollFactor::X1);
         let pt = tc.compile(&dfg, Strategy::PerTileDvfs).ok()?;
@@ -691,7 +735,7 @@ fn mapped_means(results: &[Option<[f64; 3]>]) -> Vec<Cell> {
 /// "DVFS island size is a design parameter that can be optimized
 /// specifically"; each point reports the suite-average II, DVFS level,
 /// power and the area cost.
-fn dse() -> Table {
+fn dse(grid: &Grid) -> Table {
     use iced::kernels::Kernel::{Conv, Fir, Gemm, Histogram, Spmv};
     let layouts = [FuLayout::Homogeneous, FuLayout::CheckerboardMul];
     let area = AreaModel::asap7();
@@ -702,12 +746,18 @@ fn dse() -> Table {
             .fu_layout(layout)
             .build();
         let tc = Toolchain::new(cfg.expect("valid design point"));
-        let point = |k: Kernel| {
-            let c = tc
-                .compile(&k.dfg(UnrollFactor::X1), Strategy::IcedIslands)
-                .ok()?;
+        let prototype = tc.config() == &CgraConfig::iced_prototype();
+        let measure = |c: &Compiled| {
             let ii = c.mapping().ii() as f64;
-            Some([ii, c.average_dvfs_level(), c.power_mw(POWER_ITERATIONS)])
+            [ii, c.average_dvfs_level(), c.power_mw(POWER_ITERATIONS)]
+        };
+        let point = |k: Kernel| {
+            let strategy = Strategy::IcedIslands;
+            if prototype {
+                return Some(measure(grid.get(UnrollFactor::X1, k, strategy)));
+            }
+            let c = tc.compile(&k.dfg(UnrollFactor::X1), strategy).ok()?;
+            Some(measure(&c))
         };
         let mut cells = mapped_means(&[Fir, Spmv, Conv, Histogram, Gemm].map(point));
         cells.insert(3, Cell::num(area.breakdown(tc.config()).total_mm2(), 2));

@@ -2,8 +2,8 @@
 //!
 //! The suite's kernels carry values at most one iteration deep. Generated
 //! kernels carry edges up to four deep, so their FIFOs hold tokens across
-//! several periods, and the jump reloads tokens from further back in the
-//! reference stream. Over seed sweeps, the skipping engine must return
+//! several periods, into the shorter run the skip finishes as. Over seed
+//! sweeps, the skipping engine must return
 //! the oracle's report at every run length around the skip's thresholds,
 //! and the full loop's (the fault path with the empty plan, which steps
 //! every period) at a long one.
@@ -54,8 +54,6 @@ fn skip_matches_the_oracle_around_every_threshold() {
 
 #[test]
 fn skip_matches_the_full_loop_on_long_runs() {
-    // Seeds 71 and 111 are among those whose jump reloads a token from
-    // further back than a reference lookback of `max_shift` keeps.
     let plan = FaultPlan::empty();
     let mut checked = 0;
     for seed in 0..128u64 {

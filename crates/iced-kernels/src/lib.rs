@@ -45,5 +45,5 @@ pub mod pipelines;
 pub mod spm;
 pub mod workloads;
 
-pub use suite::{Domain, Kernel, UnrollFactor};
+pub use suite::{motivating_example, Domain, Kernel, UnrollFactor};
 pub use synth::SynthSpec;

@@ -1,6 +1,6 @@
 //! The evaluated kernel suite (paper Table I).
 
-use iced_dfg::{Dfg, Opcode};
+use iced_dfg::{Dfg, DfgBuilder, Opcode};
 
 use crate::synth::SynthSpec;
 
@@ -414,9 +414,53 @@ impl Kernel {
     }
 }
 
+/// The synthetic kernel of the paper's motivating example (Figs. 1
+/// and 3): 11 nodes with a 4-node critical recurrence cycle (n1, n4, n7,
+/// n9 in the paper), a 2-node secondary cycle (n10, n11), and grey feeder
+/// nodes including loads that must sit on the SPM-connected column.
+/// The critical cycle pins RecMII at 4.
+pub fn motivating_example() -> Dfg {
+    let mut b = DfgBuilder::new("fig1");
+    let n1 = b.node(Opcode::Phi, "n1");
+    let n4 = b.node(Opcode::Add, "n4");
+    let n7 = b.node(Opcode::Cmp, "n7");
+    let n9 = b.node(Opcode::Select, "n9");
+    let n10 = b.node(Opcode::Add, "n10");
+    let n11 = b.node(Opcode::Mov, "n11");
+    let n5 = b.node(Opcode::Load, "n5");
+    let n6 = b.node(Opcode::Mul, "n6");
+    let n8 = b.node(Opcode::Mul, "n8");
+    let n2 = b.node(Opcode::Load, "n2");
+    let n3 = b.node(Opcode::Store, "n3");
+    let wire = |b: &mut DfgBuilder| -> Result<(), iced_dfg::DfgError> {
+        b.data(n1, n4)?;
+        b.data(n4, n7)?;
+        b.data(n7, n9)?;
+        b.carry(n9, n1)?; // II-critical cycle of length 4
+        b.data(n9, n10)?;
+        b.data(n10, n11)?;
+        b.carry(n11, n10)?; // secondary cycle of length 2
+        b.data(n5, n6)?;
+        b.data(n6, n8)?;
+        b.data(n2, n8)?;
+        b.data(n8, n4)?;
+        b.data(n9, n3)
+    };
+    wire(&mut b).expect("the edges join nodes of this graph");
+    b.finish().expect("the motivating example is well formed")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn motivating_example_has_the_figure_1_shape() {
+        let dfg = motivating_example();
+        assert_eq!(dfg.node_count(), 11);
+        assert_eq!(dfg.edge_count(), 12);
+        assert_eq!(dfg.rec_mii(), 4);
+    }
 
     /// The published Table I, transcribed verbatim:
     /// (kernel, nodes@1, edges@1, recmii@1, nodes@2, edges@2, recmii@2).

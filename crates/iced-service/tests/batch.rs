@@ -269,7 +269,7 @@ fn saturated_queue_rejects_the_whole_batch() {
     };
 
     let mut a = RawClient::connect(addr);
-    a.send("{\"id\":1,\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":2000000,\"seed\":1}");
+    a.send("{\"id\":1,\"verb\":\"compile\",\"kernel\":\"fft\",\"strategy\":\"exact\"}");
     wait_for("in_flight", 1); // the worker has picked up the pin job
     a.send("{\"id\":2,\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":1000,\"seed\":2}");
     wait_for("queue_depth", 1); // the only queue slot is now occupied

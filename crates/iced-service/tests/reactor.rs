@@ -100,9 +100,9 @@ fn result_payload(response: &str) -> &str {
     &response[idx + 9..response.len() - 1]
 }
 
-/// A simulate long enough to hold the only worker for a while.
-const PIN: &str =
-    "{\"id\":50,\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":2000000,\"seed\":50}";
+/// A compile long enough to hold the only worker for a while: the exact
+/// search over fft explores a fixed 200,000 nodes.
+const PIN: &str = "{\"id\":50,\"verb\":\"compile\",\"kernel\":\"fft\",\"strategy\":\"exact\"}";
 const WARM_NAMED: &str = "{\"id\":1,\"verb\":\"compile\",\"kernel\":\"fir\",\"strategy\":\"iced\"}";
 const WARM_INLINE: &str = "{\"id\":2,\"verb\":\"compile\",\"dfg\":\"dfg reactor_hit\\nnode n0 ld x\\nnode n1 add y\\nnode n2 st z\\nedge n0 n1\\nedge n1 n2\\n\"}";
 
@@ -216,7 +216,7 @@ fn pipeline_cap_rejects_excess_in_order() {
 
     // Ticket 0 occupies the single worker; nothing later may release
     // until it finishes, so `outstanding` climbs with each send.
-    c.send("{\"id\":1,\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":300000,\"seed\":1}");
+    c.send("{\"id\":1,\"verb\":\"compile\",\"kernel\":\"fft\",\"strategy\":\"exact\"}");
     std::thread::sleep(Duration::from_millis(100));
     // Ticket 1 sits in the queue (capacity 1).
     c.send("{\"id\":2,\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":1000,\"seed\":2}");
@@ -317,7 +317,7 @@ fn connection_ceiling_refuses_then_recovers() {
     server.wait();
 }
 
-/// With the only worker pinned by a long `simulate`, warm hits on
+/// With the only worker pinned by a long exact `compile`, warm hits on
 /// another connection — a named kernel and an inline DFG whose hash is
 /// memoized — are answered by the reactor while `in_flight` stays 1,
 /// byte-identical to their cold answers apart from the envelope.
@@ -405,7 +405,7 @@ fn a_hit_pipelined_behind_a_miss_keeps_ticket_order() {
         first.contains("\"id\":50,"),
         "the miss answers first: {first}"
     );
-    assert!(first.contains("\"cycles\":"), "{first}");
+    assert!(first.contains("\"nodes_explored\":"), "{first}");
     let second = c.recv();
     assert!(second.contains("\"id\":1,"), "{second}");
     assert!(second.contains("\"cached\":true"), "{second}");

@@ -174,10 +174,11 @@ fn saturated_queue_answers_queue_full_not_silence() {
     let (server, addr) = start(1, 1);
     let mut c = Client::connect(addr);
     for i in 0..4 {
-        // Distinct seeds defeat the cache; 200k iterations keeps the
-        // worker busy long after the pipelined lines land.
+        // Nothing is cached until the first search ends; its fixed
+        // 200,000 nodes keep the worker busy long after the pipelined
+        // lines land.
         c.send(&format!(
-            "{{\"id\":{i},\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":200000,\"seed\":{i}}}"
+            "{{\"id\":{i},\"verb\":\"compile\",\"kernel\":\"fft\",\"strategy\":\"exact\"}}"
         ));
     }
     let responses: Vec<String> = (0..4).map(|_| c.recv()).collect();
@@ -212,7 +213,7 @@ fn shutdown_drains_in_flight_work_before_closing() {
 
     // A's job occupies the single worker for a while. Wait until the
     // worker has picked it up, as the daemon's own in-flight gauge says.
-    a.send(r#"{"id":1,"verb":"simulate","kernel":"fir","iterations":300000}"#);
+    a.send(r#"{"id":1,"verb":"compile","kernel":"fft","strategy":"exact"}"#);
     let give_up = std::time::Instant::now() + Duration::from_secs(30);
     loop {
         let metrics = b.round_trip(r#"{"id":9,"verb":"metrics"}"#);
@@ -220,12 +221,12 @@ fn shutdown_drains_in_flight_work_before_closing() {
             .split_once("\"in_flight\":{")
             .and_then(|(_, rest)| rest.split_once('}'))
             .map_or("", |(obj, _)| obj);
-        if in_flight.contains("\"simulate\":1") {
+        if in_flight.contains("\"compile\":1") {
             break;
         }
         assert!(
             std::time::Instant::now() < give_up,
-            "simulate never went in flight: {metrics}"
+            "compile never went in flight: {metrics}"
         );
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -242,7 +243,7 @@ fn shutdown_drains_in_flight_work_before_closing() {
     // …but A's accepted request still completes before sockets close.
     let slow = a.recv();
     assert!(slow.contains("\"ok\":true"), "in-flight dropped: {slow}");
-    assert!(slow.contains("\"cycles\":"), "{slow}");
+    assert!(slow.contains("\"nodes_explored\":"), "{slow}");
 
     server.wait();
 

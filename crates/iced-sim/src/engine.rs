@@ -59,22 +59,24 @@
 //! check. Every hop of an earlier period therefore ends by
 //! `iterations·II`, before the horizon.
 //!
-//! The run then jumps from the verified boundary to period
-//! `iterations − 1`. It adds the skipped periods times the verified
-//! period's deltas of `fu_busy`, `link_busy`, `token_wait` and
-//! `ops_executed`, shifts every absolute cycle and iteration by the skip,
-//! and runs the remaining periods and the epilogue with every check.
+//! The run then finishes as the run `s = iterations − 1 − k` periods
+//! shorter, `k` being the verified boundary: it adds `s` times the
+//! verified period's deltas of `fu_busy`, `link_busy`, `token_wait` and
+//! `ops_executed`, lowers its iteration count by `s` and its horizon by
+//! `s·II`, and steps on from `k` with every check. The report's horizon
+//! gets `s·II` back, and an error raised past the skip moves `s`
+//! iterations and `s·II` cycles on, into the full run's coordinates.
 //!
-//! Values need no stepping through the band either. Each FIFO hands its
-//! k-th pop the k-th push, so a firing there consumes exactly the
-//! reference's own tokens and computes the reference value. The
-//! [`ReferenceStream`] still advances through the band (it is a
-//! recurrence), and the jump reloads the in-flight FIFO tokens and
-//! value-ring slots from its frames; the remaining periods compare every
-//! value against it as before. `fifo_peak` repeats too, so the verified
-//! periods have already reached it. Fault-injected runs, which draw an
-//! upset per firing, and runs recording per-firing detail events step
-//! every period.
+//! This is exact because no check and no counter reads a value: the
+//! seed only feeds the value compare. Each FIFO hands its k-th pop the
+//! k-th push, so a firing in the band, or in the tail (compared with
+//! frames near `iterations − s`, not near `iterations`), consumes the
+//! reference's own tokens and computes the reference value. So the
+//! [`ReferenceStream`] stops at the verified boundary, and a run's cost
+//! does not depend on its length. `fifo_peak` repeats too, so the
+//! verified periods have already reached it. Fault-injected runs, which
+//! draw an upset per firing, and runs recording per-firing detail
+//! events step every period.
 //!
 //! All machine state is flat-indexed: per-edge token FIFOs preallocated to
 //! the [`crate::edge_fifo_depths`] bound, tile×direction link-occupancy
@@ -169,6 +171,22 @@ impl fmt::Display for EngineError {
                 )
             }
         }
+    }
+}
+
+impl EngineError {
+    /// This error as the run `periods` periods longer reports it: after
+    /// the steady-state skip a run finishes as the shorter run it is
+    /// equivalent to, so its cycles and iterations trail the full run's.
+    fn shifted(mut self, periods: u64, ii: u64) -> Self {
+        match &mut self {
+            EngineError::TokenNotReady { cycle, .. }
+            | EngineError::FuCollision { cycle, .. }
+            | EngineError::LinkCollision { cycle, .. } => *cycle += periods * ii,
+            EngineError::ValueMismatch { iteration, .. } => *iteration += periods,
+            EngineError::KernelMismatch { .. } => {}
+        }
+        self
     }
 }
 
@@ -342,8 +360,6 @@ struct Program {
     /// Largest shift of any event: from period `max_shift` on, every
     /// event is live until the last iteration has started.
     max_shift: u64,
-    /// Each edge's producer: the node whose values its FIFO carries.
-    edge_src: Vec<u32>,
 }
 
 impl Program {
@@ -424,7 +440,6 @@ impl Program {
             operands,
             arity,
             max_shift,
-            edge_src: dfg.edges().map(|e| e.src().index() as u32).collect(),
         }
     }
 }
@@ -448,7 +463,7 @@ pub fn run(
     iterations: u64,
     seed: u64,
 ) -> Result<EngineReport, EngineError> {
-    run_inner(dfg, mapping, iterations, seed, None).map(|(r, _)| r.report)
+    run_inner(dfg, mapping, iterations, seed, None).map(|r| r.report)
 }
 
 /// [`run`] with seeded transient-fault injection and re-execution recovery.
@@ -476,18 +491,17 @@ pub fn run_with_faults(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<FaultSimReport, EngineError> {
-    run_inner(dfg, mapping, iterations, seed, Some(plan)).map(|(r, _)| r)
+    run_inner(dfg, mapping, iterations, seed, Some(plan))
 }
 
-/// The run behind [`run`] and [`run_with_faults`]; also returns how many
-/// periods the steady-state skip jumped over.
+/// The run behind [`run`] and [`run_with_faults`].
 fn run_inner(
     dfg: &Dfg,
     mapping: &Mapping,
     iterations: u64,
     seed: u64,
     faults: Option<&FaultPlan>,
-) -> Result<(FaultSimReport, u64), EngineError> {
+) -> Result<FaultSimReport, EngineError> {
     // Arity gate: a mapping only indexes into the kernel it was compiled
     // from. Service callers can pair an arbitrary kernel with a cached
     // mapping, so the mismatch must surface as a typed error up front.
@@ -513,37 +527,7 @@ fn run_inner(
         ],
     );
     let (program, mut m) = Machine::new(dfg, mapping, iterations, seed, faults);
-    let periods = if iterations == 0 {
-        0
-    } else {
-        program.max_shift + iterations
-    };
-    // The steady-state skip replays no per-firing side effect, so runs
-    // that draw upsets or record firings step every period.
-    let mut probe = (faults.is_none() && !m.detail).then(Probe::default);
-    let mut skipped = 0;
-    let mut k = 0;
-    while k < periods {
-        if k >= program.max_shift && k < iterations {
-            if let Some(p) = probe.as_mut() {
-                match m.probe(&program, p, k) {
-                    Probing::Continue => {}
-                    Probing::Stop => probe = None,
-                    Probing::Jump(to) => {
-                        m.jump(&program, p, k, to);
-                        probe = None;
-                        skipped = to - k;
-                        k = to;
-                        continue;
-                    }
-                }
-            }
-            m.period::<true>(&program, k)?;
-        } else {
-            m.period::<false>(&program, k)?;
-        }
-        k += 1;
-    }
+    m.run(&program)?;
 
     if iced_trace::enabled() {
         emit_run_counters(
@@ -564,7 +548,7 @@ fn run_inner(
         }
     }
 
-    let report = FaultSimReport {
+    Ok(FaultSimReport {
         report: EngineReport {
             cycles: m.horizon,
             iterations,
@@ -577,8 +561,7 @@ fn run_inner(
         upsets_detected: m.upsets_injected,
         rollbacks: m.rollbacks,
         recovery_cycles: m.recovery_cycles,
-    };
-    Ok((report, skipped))
+    })
 }
 
 /// The running machine: flat state, all O(fabric + DFG).
@@ -678,11 +661,9 @@ impl<'a> Machine<'a> {
             recovery_cycles: 0,
             values: vec![0; dfg.node_count() * win as usize],
             mask: win - 1,
-            // Period `k` fires iterations `k − max_shift ..= k`, and a FIFO
-            // token waits at most `maxd` more periods for its consumer, so no
-            // frame older than `max_shift + maxd` behind the newest is ever
-            // read, by a firing or by the steady-state jump's reload.
-            reference: ReferenceStream::new(dfg, seed, program.max_shift + maxd),
+            // Period `k` fires iterations `k − max_shift ..= k`, so no frame
+            // older than `max_shift` behind the newest is ever read.
+            reference: ReferenceStream::new(dfg, seed, program.max_shift),
             args: vec![0; program.arity],
         };
         (program, m)
@@ -697,22 +678,59 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Steady-state detection at all-live boundary `k`: jumps once the
+    /// Steps the run and returns how many periods the steady-state skip
+    /// left out: past the skip the machine is the shorter run, and only
+    /// its horizon and its errors move back to the full run's coordinates.
+    fn run(&mut self, program: &Program) -> Result<u64, EngineError> {
+        let ii = program.ii;
+        // The steady-state skip replays no per-firing side effect, so runs
+        // that draw upsets or record firings step every period.
+        let mut probe = (self.faults.is_none() && !self.detail).then(Probe::default);
+        let mut skipped = 0;
+        let mut k = 0;
+        // With no iterations, no event of the `max_shift` periods is live.
+        while k < program.max_shift + self.iterations {
+            let all_live = k >= program.max_shift && k < self.iterations;
+            if let Some(p) = probe.as_mut().filter(|_| all_live) {
+                match self.probe(program, p, k) {
+                    Probing::Continue => {}
+                    Probing::Stop => probe = None,
+                    Probing::Skip(s) => {
+                        self.shorten(p, s, ii);
+                        skipped = s;
+                        probe = None;
+                    }
+                }
+            }
+            let stepped = if all_live {
+                self.period::<true>(program, k)
+            } else {
+                self.period::<false>(program, k)
+            };
+            stepped.map_err(|e| e.shifted(skipped, ii))?;
+            k += 1;
+        }
+        self.iterations += skipped;
+        self.horizon += skipped * ii;
+        Ok(skipped)
+    }
+
+    /// Steady-state detection at all-live boundary `k`: skips once the
     /// relative timing state equals the previous boundary's, or records
     /// this boundary for the next comparison. A run that does not fail
-    /// always gets to jump: from boundary `max_shift` + the largest
+    /// always gets to skip: from boundary `max_shift` + the largest
     /// carried distance on, every period pushes and pops each FIFO once
     /// and drives every resource, so the state repeats.
     fn probe(&self, program: &Program, p: &mut Probe, k: u64) -> Probing {
-        // The run jumps to the last all-live period, which steps with
-        // every check like the epilogue after it.
+        // The last all-live period steps with every check, like the
+        // epilogue after it.
         let last = self.iterations - 1;
         if k + 1 >= last {
             return Probing::Stop;
         }
         let timing = self.timing();
         if p.armed && repeats(&p.boundary, timing, k, program.ii) {
-            return Probing::Jump(last);
+            return Probing::Skip(last - k);
         }
         p.boundary.capture(timing, k, program.ii);
         p.fu_busy.clone_from(&self.fu_busy);
@@ -723,52 +741,23 @@ impl<'a> Machine<'a> {
         Probing::Continue
     }
 
-    /// Moves the machine from boundary `from` to boundary `to` as if it
-    /// had stepped every period between. Period `from − 1` (whose start
-    /// `p` holds) was verified to leave the relative timing state
-    /// unchanged, so each skipped period repeats its checks and its
-    /// counter deltas.
-    fn jump(&mut self, program: &Program, p: &Probe, from: u64, to: u64) {
-        let skipped = to - from;
-        let dt = skipped * program.ii;
+    /// Turns the machine into the run `s` periods shorter, charged for
+    /// the periods it leaves out: period `k − 1` (whose start `p` holds)
+    /// left the relative timing state unchanged, so each left-out period
+    /// repeats its checks and its counter deltas.
+    fn shorten(&mut self, p: &Probe, s: u64, ii: u64) {
         for (now, then) in [
             (&mut self.fu_busy, &p.fu_busy),
             (&mut self.link_busy, &p.link_busy),
             (&mut self.token_wait, &p.token_wait),
         ] {
             for (c, &was) in now.iter_mut().zip(then) {
-                *c += skipped * (*c - was);
+                *c += s * (*c - was);
             }
         }
-        self.ops_executed += skipped * (self.ops_executed - p.ops_executed);
-        for c in self
-            .fu_free_at
-            .iter_mut()
-            .chain(&mut self.link_free_at)
-            .chain(&mut self.link_cover_until)
-        {
-            *c += dt;
-        }
-        // Every value the band computed is its reference value: the
-        // stream steps through the band, and the in-flight tokens and the
-        // value-ring slots still to be delivered reload from its frames.
-        self.reference.frame(to - 1);
-        for (q, &src) in self.fifos.iter_mut().zip(&program.edge_src) {
-            for (it, v, delivered) in q.iter_mut() {
-                *it += skipped;
-                *delivered += dt;
-                *v = self.reference.frame(*it)[src as usize];
-            }
-        }
-        // By boundary `to` a node of shift `s` has fired iterations below
-        // `to − s`; deliveries from `to` on read iterations from
-        // `to − max_shift` on.
-        for (shift, f) in &program.firings.items {
-            for j in to.saturating_sub(program.max_shift)..to.saturating_sub(*shift) {
-                self.values[f.slot + (j & self.mask) as usize] =
-                    self.reference.frame(j)[f.node as usize];
-            }
-        }
+        self.ops_executed += s * (self.ops_executed - p.ops_executed);
+        self.iterations -= s;
+        self.horizon -= s * ii;
     }
 
     /// Runs period `k`: every phase's deliveries, firings and hops, in
@@ -998,7 +987,7 @@ impl Boundary {
 
 /// Whether the timing state `now` at the start of period `k` is `prev`,
 /// the state recorded at the start of period `k − 1`, one period on: the
-/// steady-state skip's only license to jump.
+/// steady-state skip's only license to shorten the run.
 fn repeats(prev: &Boundary, now: Timing<'_>, k: u64, ii: u64) -> bool {
     prev.lens.len() == now.fifos.len()
         && prev.lens.iter().zip(now.fifos).all(|(&n, q)| n == q.len())
@@ -1026,8 +1015,9 @@ enum Probing {
     Continue,
     /// Step every remaining period.
     Stop,
-    /// Skip to the start of this period.
-    Jump(u64),
+    /// The verified period repeats this many more times: finish as the
+    /// run that many periods shorter.
+    Skip(u64),
 }
 
 /// End-of-run trace counters, shared by the compiled engine and the naive
@@ -1316,19 +1306,28 @@ mod tests {
         // On every suite schedule the state repeats at the first chance:
         // the machine steps the `max_shift` prologue periods, the one
         // verified period, the last all-live period and the `max_shift`
-        // epilogue periods, and skips the rest.
+        // epilogue periods of the shorter run, whatever the run length,
+        // and the reference stream stops near the start of the run.
         let cfg = CgraConfig::iced_prototype();
         for k in Kernel::STANDALONE {
             let dfg = k.dfg(UnrollFactor::X1);
             let mapping = relax_islands(&dfg, &map_dvfs_aware(&dfg, &cfg).unwrap());
-            let max_shift = Program::compile(&dfg, &mapping, 1).max_shift;
-            let iters = 20_000;
-            let (r, skipped) = run_inner(&dfg, &mapping, iters, 5, None).unwrap();
-            let stepped = max_shift + iters - skipped;
-            assert_eq!(stepped, 2 * max_shift + 2, "{}", k.name());
+            for iters in [20_000, 10_000_000] {
+                let (program, mut m) = Machine::new(&dfg, &mapping, iters, 5, None);
+                let max_shift = program.max_shift;
+                let skipped = m.run(&program).unwrap();
+                let stepped = max_shift + iters - skipped;
+                assert_eq!(stepped, 2 * max_shift + 2, "{} at {iters}", k.name());
+                assert!(
+                    m.reference.frames_computed() < 3 * max_shift + 3,
+                    "{} at {iters}: {} reference frames",
+                    k.name(),
+                    m.reference.frames_computed()
+                );
+            }
             assert_eq!(
-                r.report,
-                full_loop(&dfg, &mapping, iters, 5),
+                run(&dfg, &mapping, 20_000, 5).unwrap(),
+                full_loop(&dfg, &mapping, 20_000, 5),
                 "{}",
                 k.name()
             );
@@ -1336,90 +1335,74 @@ mod tests {
     }
 
     #[test]
-    fn a_jump_lands_in_the_state_stepping_reaches() {
-        // Jump one machine at its first chance and step a second one to
-        // the same boundary: same relative timing state, same counters,
-        // same FIFO tokens (values included), and the same value-ring
-        // slots wherever a later delivery reads them.
+    fn reports_do_not_depend_on_the_seed() {
+        // The seed only feeds the value compare: no check and no counter
+        // reads a value, which is what lets a skipped run finish as a
+        // shorter one whose tail compares other reference frames.
         let cfg = CgraConfig::iced_prototype();
         for k in Kernel::STANDALONE {
-            for uf in [UnrollFactor::X1, UnrollFactor::X2] {
-                let dfg = k.dfg(uf);
-                for mapping in [
-                    map_baseline(&dfg, &cfg).unwrap(),
-                    relax_islands(&dfg, &map_dvfs_aware(&dfg, &cfg).unwrap()),
-                ] {
-                    let label = format!("{} {uf:?} ii {}", k.name(), mapping.ii());
-                    let (program, mut jumped) = Machine::new(&dfg, &mapping, 300, 9, None);
-                    let mut probe = Probe::default();
-                    let mut from = 0;
-                    let to = loop {
-                        if from >= program.max_shift {
-                            match jumped.probe(&program, &mut probe, from) {
-                                Probing::Continue => {}
-                                Probing::Stop => panic!("{label}: the state never repeated"),
-                                Probing::Jump(to) => break to,
-                            }
-                        }
-                        jumped.period::<false>(&program, from).unwrap();
-                        from += 1;
-                    };
-                    jumped.jump(&program, &probe, from, to);
-                    let (_, mut stepped) = Machine::new(&dfg, &mapping, 300, 9, None);
-                    for k in 0..to {
-                        stepped.period::<false>(&program, k).unwrap();
-                    }
-
-                    let mut a = Boundary::default();
-                    a.capture(jumped.timing(), to, program.ii);
-                    let mut b = Boundary::default();
-                    b.capture(stepped.timing(), to, program.ii);
-                    assert_eq!(a, b, "{label}: timing state");
-                    // Every event fires in every all-live period, so a
-                    // resource in use is last freed exactly `to − from`
-                    // periods later than at the jump; one never used is 0.
-                    for (j, s) in [
-                        (&jumped.fu_free_at, &stepped.fu_free_at),
-                        (&jumped.link_free_at, &stepped.link_free_at),
-                        (&jumped.link_cover_until, &stepped.link_cover_until),
-                    ] {
-                        for (&j, &s) in j.iter().zip(s) {
-                            assert!(s == 0 || j == s, "{label}: free at {j}, stepped {s}");
-                        }
-                    }
-                    assert_eq!(jumped.fifos, stepped.fifos, "{label}: FIFO tokens");
-                    assert_eq!(jumped.fu_busy, stepped.fu_busy, "{label}");
-                    assert_eq!(jumped.link_busy, stepped.link_busy, "{label}");
-                    assert_eq!(jumped.token_wait, stepped.token_wait, "{label}");
-                    assert_eq!(jumped.ops_executed, stepped.ops_executed, "{label}");
-                    assert_eq!(jumped.fifo_peak, stepped.fifo_peak, "{label}");
-                    // A delivery of shift `s` reads iterations from `to − s`
-                    // on; those below `to − shift(src)` fired before `to`.
-                    let mut fired_shift = vec![0; dfg.node_count()];
-                    for &(shift, f) in &program.firings.items {
-                        fired_shift[f.node as usize] = shift;
-                    }
-                    for &(shift, d) in &program.deliveries.items {
-                        let src = program.edge_src[d.edge as usize] as usize;
-                        for i in to.saturating_sub(shift)..to.saturating_sub(fired_shift[src]) {
-                            let slot = d.src_slot + (i & jumped.mask) as usize;
-                            assert_eq!(
-                                jumped.values[slot], stepped.values[slot],
-                                "{label}: edge {} iteration {i}",
-                                d.edge
-                            );
-                        }
-                    }
-                }
+            let dfg = k.dfg(UnrollFactor::X1);
+            for mapping in [
+                map_baseline(&dfg, &cfg).unwrap(),
+                relax_islands(&dfg, &map_dvfs_aware(&dfg, &cfg).unwrap()),
+            ] {
+                assert_eq!(
+                    run(&dfg, &mapping, 300, 1).unwrap(),
+                    run(&dfg, &mapping, 300, 0xdead_beef).unwrap(),
+                    "{} ii {}",
+                    k.name(),
+                    mapping.ii()
+                );
             }
+        }
+    }
+
+    #[test]
+    fn errors_after_the_skip_read_in_the_full_runs_coordinates() {
+        let tile = CgraConfig::iced_prototype().tile_at(1, 2);
+        let edge = EdgeId::from_index(3);
+        let node = NodeId::from_index(2);
+        let kernel = EngineError::KernelMismatch {
+            nodes: 12,
+            placements: 31,
+        };
+        // 100 left-out periods of II 3: cycles move by 300, iterations
+        // by 100, and a mismatch of arities names no time at all.
+        let cases = [
+            (
+                EngineError::TokenNotReady { edge, cycle: 17 },
+                EngineError::TokenNotReady { edge, cycle: 317 },
+            ),
+            (
+                EngineError::FuCollision { tile, cycle: 23 },
+                EngineError::FuCollision { tile, cycle: 323 },
+            ),
+            (
+                EngineError::LinkCollision { tile, cycle: 29 },
+                EngineError::LinkCollision { tile, cycle: 329 },
+            ),
+            (
+                EngineError::ValueMismatch { node, iteration: 7 },
+                EngineError::ValueMismatch {
+                    node,
+                    iteration: 107,
+                },
+            ),
+            (kernel.clone(), kernel),
+        ];
+        for (short, full) in cases {
+            assert_eq!(short.clone().shifted(0, 3), short, "no skip, no shift");
+            assert_eq!(short.shifted(100, 3), full);
         }
     }
 
     /// The report of a run that steps every period: the fault path.
     fn full_loop(dfg: &Dfg, mapping: &Mapping, iters: u64, seed: u64) -> EngineReport {
         let plan = FaultPlan::empty();
-        let (r, skipped) = run_inner(dfg, mapping, iters, seed, Some(&plan)).unwrap();
-        assert_eq!(skipped, 0);
-        r.report
+        let (program, mut m) = Machine::new(dfg, mapping, iters, seed, Some(&plan));
+        assert_eq!(m.run(&program), Ok(0), "the fault path skips nothing");
+        run_with_faults(dfg, mapping, iters, seed, &plan)
+            .unwrap()
+            .report
     }
 }

@@ -251,6 +251,12 @@ impl<'a> ReferenceStream<'a> {
         &self.ring[at..at + self.width]
     }
 
+    /// How many frames the stream has computed.
+    #[cfg(test)]
+    pub(crate) fn frames_computed(&self) -> u64 {
+        self.next
+    }
+
     /// Computes the next frame in place, over the oldest one.
     fn advance(&mut self) {
         let i = self.next;

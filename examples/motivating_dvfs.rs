@@ -13,41 +13,15 @@
 //! ```
 
 use iced::arch::CgraConfig;
-use iced::dfg::{dot, DfgBuilder, Opcode};
+use iced::dfg::dot;
+use iced::kernels::motivating_example;
 use iced::{Strategy, Toolchain};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The synthetic kernel of Figure 1: an 11-node DFG with a 4-node
-    // critical recurrence cycle (n1, n4, n7, n9 in the paper), a 2-node
-    // secondary cycle (n10, n11), and grey feeder nodes including a load
-    // that must sit on the SPM-connected column.
-    let mut b = DfgBuilder::new("fig1");
-    let n1 = b.node(Opcode::Phi, "n1");
-    let n4 = b.node(Opcode::Add, "n4");
-    let n7 = b.node(Opcode::Cmp, "n7");
-    let n9 = b.node(Opcode::Select, "n9");
-    b.data(n1, n4)?;
-    b.data(n4, n7)?;
-    b.data(n7, n9)?;
-    b.carry(n9, n1)?; // II-critical cycle of length 4
-    let n10 = b.node(Opcode::Add, "n10");
-    let n11 = b.node(Opcode::Mov, "n11");
-    b.data(n9, n10)?;
-    b.data(n10, n11)?;
-    b.carry(n11, n10)?; // secondary cycle of length 2
-    let n5 = b.node(Opcode::Load, "n5");
-    let n6 = b.node(Opcode::Mul, "n6");
-    let n8 = b.node(Opcode::Mul, "n8");
-    let n2 = b.node(Opcode::Load, "n2");
-    let n3 = b.node(Opcode::Store, "n3");
-    b.data(n5, n6)?;
-    b.data(n6, n8)?;
-    b.data(n2, n8)?;
-    b.data(n8, n4)?;
-    b.data(n9, n3)?;
-    let dfg = b.finish()?;
-    assert_eq!(dfg.node_count(), 11);
-    assert_eq!(dfg.rec_mii(), 4);
+    // critical recurrence cycle, a 2-node secondary cycle, and grey
+    // feeder nodes. The figures run's `fig03` table maps the same graph.
+    let dfg = motivating_example();
 
     println!("--- Figure 1 DFG (DOT, recurrence-cycle coloring) ---");
     println!("{}", dot::to_dot_colored(&dfg));
