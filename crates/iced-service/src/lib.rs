@@ -14,8 +14,9 @@
 //! * [`queue`] — bounded request queue; saturation produces a typed
 //!   `queue_full` response instead of unbounded buffering.
 //! * [`server`] — worker pool (`ICED_SVC_THREADS`), per-request mapper
-//!   deadlines, batch dedup execution, and graceful shutdown that drains
-//!   in-flight work before closing sockets.
+//!   deadlines, a per-shard mapping memo `simulate` reuses across seeds
+//!   and iteration counts, batch dedup execution, and graceful shutdown
+//!   that drains in-flight work before closing sockets.
 //! * `conn` (internal) — the connection core the shard and the router
 //!   share: nonblocking accept, incremental newline framing, strict
 //!   per-connection response ordering via tickets, interest-driven
@@ -24,6 +25,8 @@
 //! * `reactor` (internal) — the shard's readiness loop and line handler
 //!   over that core: control verbs, warm hits, batch planning, and the
 //!   hand-off to the worker pool.
+//! * `memo` (internal) — the bounded, oldest-first memo behind the
+//!   inline-DFG key memo and each shard's mapping memo.
 //! * `poll` (internal) — `libc`-free `poll(2)` (direct syscall on Linux,
 //!   portable degradation elsewhere) plus the loopback wake token the
 //!   reactor sleeps on.
@@ -65,6 +68,7 @@ pub mod client;
 mod conn;
 pub mod json;
 pub mod log;
+mod memo;
 pub mod metrics;
 #[allow(unsafe_code)]
 mod poll;

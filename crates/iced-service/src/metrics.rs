@@ -430,6 +430,10 @@ pub struct Metrics {
     pub cache_misses: AtomicU64,
     /// Entries evicted to respect the byte budget.
     pub cache_evictions: AtomicU64,
+    /// `simulate` computations that reused a memoized mapping.
+    pub map_memo_hits: AtomicU64,
+    /// `simulate` computations that had to map (successfully or not).
+    pub map_memo_misses: AtomicU64,
     /// Requests rejected with `queue_full`.
     pub rejected: AtomicU64,
     /// Requests that returned a structured error.
@@ -486,6 +490,8 @@ impl Metrics {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
+            map_memo_hits: AtomicU64::new(0),
+            map_memo_misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             connections: AtomicU64::new(0),
@@ -559,6 +565,17 @@ impl Metrics {
         } else {
             self.cache_misses.fetch_add(1, Ordering::Relaxed);
             iced::trace::counter(Phase::Service, "svc_cache_misses", 1);
+        }
+    }
+
+    /// Records a mapping-memo hit or miss, mirroring into iced-trace.
+    pub fn map_memo_event(&self, hit: bool) {
+        if hit {
+            self.map_memo_hits.fetch_add(1, Ordering::Relaxed);
+            iced::trace::counter(Phase::Service, "svc_map_memo_hits", 1);
+        } else {
+            self.map_memo_misses.fetch_add(1, Ordering::Relaxed);
+            iced::trace::counter(Phase::Service, "svc_map_memo_misses", 1);
         }
     }
 
@@ -707,6 +724,10 @@ impl Metrics {
             counter("cache_hits", "Cache hits.", load(&self.cache_hits)),
             counter("cache_misses", "Cache misses.", load(&self.cache_misses)),
             counter("cache_evictions", "Cache evictions.", load(&self.cache_evictions)),
+            counter("map_memo_hits", "Simulate computations that reused a memoized mapping.",
+                load(&self.map_memo_hits)),
+            counter("map_memo_misses", "Simulate computations that mapped.",
+                load(&self.map_memo_misses)),
             gauge("cache_bytes", "Resident cache payload bytes.", cache_bytes),
             gauge("cache_entries", "Resident cache entries.", cache_entries as u64),
             gauge("queue_depth", "Current request queue depth.", queue_depth as u64),
@@ -1008,11 +1029,18 @@ mod tests {
         m.cache_event(false);
         m.cache_event(true);
         m.evicted(2);
+        m.map_memo_event(false);
+        m.map_memo_event(true);
+        m.map_memo_event(true);
         let s = m.render(3, 4096, 5, 1);
         let hits = s.find("\"cache_hits\":1").expect("hits");
         let misses = s.find("\"cache_misses\":1").expect("misses");
         assert!(hits < misses, "field order must be deterministic: {s}");
         assert!(s.contains("\"cache_evictions\":2"), "{s}");
+        assert!(
+            s.contains("\"map_memo_hits\":2,\"map_memo_misses\":1"),
+            "{s}"
+        );
         assert!(s.contains("\"queue_depth\":3"), "{s}");
         assert!(s.contains("\"compile\":{\"count\":1"), "{s}");
         assert!(s.contains("\"log_dropped\":1"), "{s}");
@@ -1100,6 +1128,7 @@ mod tests {
         let m = Metrics::new();
         m.observe(Verb::Compile, Duration::from_micros(123));
         m.cache_event(true);
+        m.map_memo_event(true);
         let text = m.render_prometheus(2, 100, 1, 0);
         for family in [
             "iced_svc_requests_total{verb=\"compile\"} 1",
@@ -1108,6 +1137,8 @@ mod tests {
             "iced_svc_service_time_us{verb=\"simulate\",quantile=\"0.95\"}",
             "iced_svc_in_flight{verb=\"stream\"} 0",
             "iced_svc_cache_hits_total 1",
+            "iced_svc_map_memo_hits_total 1",
+            "iced_svc_map_memo_misses_total 0",
             "iced_svc_queue_depth 2",
             "iced_svc_uptime_seconds",
             "# TYPE iced_svc_requests_total counter",

@@ -6,7 +6,6 @@
 //! carry either a `result` object or a structured `error` object — the
 //! daemon never answers with a panic or a closed socket mid-request.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock};
 
 use iced::dfg::{text, Dfg};
@@ -19,6 +18,7 @@ use iced_hash::StableHasher;
 
 use crate::cache::CacheKey;
 use crate::json::{self, Fields, Obj, Value};
+use crate::memo::Memo;
 
 /// Request verbs the daemon understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,7 +268,7 @@ impl InlineDfg {
     /// `dfg_parse_error` when the text does not parse.
     pub(crate) fn new(text: &str) -> Result<InlineDfg, SvcError> {
         let digest = TextDigest::of(text);
-        let (nodes, state) = match dfg_memo().get(digest) {
+        let (nodes, state) = match dfg_memo().get(&digest) {
             Some((hash, nodes)) => (nodes, InlineState::Keyed(hash)),
             None => {
                 let dfg = parse_dfg_text(text)?;
@@ -300,7 +300,7 @@ impl InlineDfg {
             InlineState::Keyed(hash) => *hash,
             InlineState::Parsed { dfg, hash } => *hash.get_or_init(|| {
                 let h = dfg.canonical_hash();
-                dfg_memo().insert(self.digest, h, self.nodes);
+                dfg_memo().insert(self.digest, (h, self.nodes));
                 h
             }),
         }
@@ -353,40 +353,8 @@ impl TextDigest {
 /// insertion is evicted first.
 const DFG_MEMO_CAP: usize = 4096;
 
-/// Text digest → `(canonical_hash, node_count)`, bounded by entry count
-/// with FIFO eviction.
-struct DfgMemo {
-    cap: usize,
-    map: HashMap<TextDigest, (u64, usize)>,
-    order: VecDeque<TextDigest>,
-}
-
-impl DfgMemo {
-    fn new(cap: usize) -> DfgMemo {
-        DfgMemo {
-            cap,
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    fn get(&self, digest: TextDigest) -> Option<(u64, usize)> {
-        self.map.get(&digest).copied()
-    }
-
-    fn insert(&mut self, digest: TextDigest, hash: u64, nodes: usize) {
-        if self.map.insert(digest, (hash, nodes)).is_some() {
-            return;
-        }
-        self.order.push_back(digest);
-        while self.map.len() > self.cap {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            self.map.remove(&oldest);
-        }
-    }
-}
+/// Text digest → `(canonical_hash, node_count)`.
+type DfgMemo = Memo<TextDigest, (u64, usize)>;
 
 fn dfg_memo() -> MutexGuard<'static, DfgMemo> {
     static MEMO: LazyLock<Mutex<DfgMemo>> =
@@ -461,7 +429,10 @@ pub struct CompileSpec {
     /// Mapper II ceiling override.
     pub max_ii: Option<u32>,
     /// Per-request mapping deadline in milliseconds (serving knob; not
-    /// part of the cache key).
+    /// part of the cache key). A request answered without mapping — a
+    /// result-cache hit, or a `simulate` whose mapping the shard has
+    /// memoized — does no mapping work, so its deadline cannot expire.
+    /// An exact-backend mapping made under a deadline is not memoized.
     pub deadline_ms: Option<u64>,
 }
 
@@ -1481,9 +1452,9 @@ mod tests {
             let pline = inline_line(&permuted);
             let preq = parse_request(&pline).expect("valid");
             assert_eq!(request_key(cfg(), &preq), Some(want));
-            assert!(dfg_memo().get(TextDigest::of(&permuted)).is_some());
-            assert!(dfg_memo().get(TextDigest::of(&text)).is_some());
-            assert!(dfg_memo().map.len() <= DFG_MEMO_CAP);
+            assert!(dfg_memo().get(&TextDigest::of(&permuted)).is_some());
+            assert!(dfg_memo().get(&TextDigest::of(&text)).is_some());
+            assert!(dfg_memo().len() <= DFG_MEMO_CAP);
         }
 
         fn check_malformed(seed: u64, cut: usize) {
@@ -1504,7 +1475,7 @@ mod tests {
                 let e = parse_request(&line).expect_err("malformed DFG text");
                 assert_eq!(e.error.code, "dfg_parse_error");
                 assert_eq!(e.verb, Some(Verb::Compile));
-                assert!(dfg_memo().get(TextDigest::of(&bad)).is_none());
+                assert!(dfg_memo().get(&TextDigest::of(&bad)).is_none());
             }
         }
 
@@ -1519,24 +1490,6 @@ mod tests {
             #[test]
             fn malformed_text_is_a_typed_error_and_never_memoized(seed in any::<u64>(), cut in 1usize..64) {
                 check_malformed(seed, cut);
-            }
-
-            #[test]
-            fn the_memo_never_grows_past_its_cap(cap in 1usize..32, extra in 0usize..64) {
-                let mut memo = DfgMemo::new(cap);
-                for i in 0..cap + extra {
-                    memo.insert(TextDigest(i as u64, !(i as u64)), i as u64, i);
-                    // Re-inserting a resident digest changes nothing.
-                    memo.insert(TextDigest(i as u64, !(i as u64)), i as u64, i);
-                    prop_assert!(memo.map.len() <= cap);
-                    prop_assert_eq!(memo.map.len(), memo.order.len());
-                }
-                // FIFO: the newest `cap` insertions survive.
-                let n = cap + extra;
-                for i in 0..n {
-                    let resident = memo.get(TextDigest(i as u64, !(i as u64))).is_some();
-                    prop_assert_eq!(resident, i + cap >= n, "entry {}", i);
-                }
             }
         }
 

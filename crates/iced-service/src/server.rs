@@ -47,9 +47,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use iced::arch::CgraConfig;
+use iced::dfg::Dfg;
 use iced::kernels::pipelines::Pipeline;
 use iced::kernels::workloads;
-use iced::mapper::{map_with, Bitstream, MapError};
+use iced::mapper::{map_with, Bitstream, MapError, Mapping};
 use iced::power::PowerModel;
 use iced::sim::{run_engine, EnergyBreakdown, FabricStats};
 use iced::streaming::{simulate, Partition};
@@ -60,6 +61,7 @@ use crate::cache::{CacheKey, ResultCache};
 use crate::chaos::ChaosInjector;
 use crate::conn::{Completion, ReplyTo};
 use crate::log::{EventLog, Level};
+use crate::memo::Memo;
 use crate::metrics::Metrics;
 use crate::poll::Waker;
 use crate::proto::{
@@ -209,6 +211,13 @@ impl Job {
     }
 }
 
+/// Mappings a shard's mapping memo keeps; the oldest insertion is
+/// evicted first.
+const MAPPING_MEMO_CAP: usize = 64;
+
+/// Compile key → the DFG and mapping `simulate` runs.
+type MappingMemo = Memo<CacheKey, Arc<(Dfg, Mapping)>>;
+
 /// State shared by the reactor and the workers.
 pub(crate) struct Shared {
     pub(crate) config: CgraConfig,
@@ -216,6 +225,9 @@ pub(crate) struct Shared {
     pub(crate) config_hash: u64,
     pub(crate) model: PowerModel,
     pub(crate) cache: ResultCache,
+    /// Successful mappings `simulate` reuses across seeds and iteration
+    /// counts (see [`memoized_mapping`]).
+    mappings: Mutex<MappingMemo>,
     pub(crate) queue: BoundedQueue<Job>,
     pub(crate) metrics: Metrics,
     pub(crate) chaos: Option<ChaosInjector>,
@@ -286,6 +298,7 @@ impl Server {
                     .unwrap_or_else(|| cfg.cache_mb.saturating_mul(1 << 20)),
                 cfg.cache_dir,
             ),
+            mappings: Mutex::new(MappingMemo::new(MAPPING_MEMO_CAP)),
             queue: BoundedQueue::new(cfg.queue_cap),
             metrics: Metrics::new(),
             chaos: cfg.chaos.map(ChaosInjector::new),
@@ -758,14 +771,7 @@ fn map_err_to_svc(e: MapError, entity: &str) -> SvcError {
 fn compile_mapping(
     shared: &Shared,
     spec: &CompileSpec,
-) -> Result<
-    (
-        iced::dfg::Dfg,
-        iced::mapper::Mapping,
-        Option<iced::exact::CertifiedII>,
-    ),
-    SvcError,
-> {
+) -> Result<(Dfg, Mapping, Option<iced::exact::CertifiedII>), SvcError> {
     let dfg = spec.source.try_dfg()?;
     let mut opts = spec.mapper_options();
     if let Some(ms) = spec.deadline_ms {
@@ -823,9 +829,40 @@ fn compile_result(shared: &Shared, spec: &CompileSpec) -> Result<String, SvcErro
         .finish())
 }
 
+/// The mapping a `simulate` runs: the shard's memoized one when this
+/// compile key was mapped before, else a fresh [`compile_mapping`] that
+/// is memoized if it succeeds. Exact because the compile key folds in
+/// every input the mapping depends on, while the iteration count and
+/// the engine seed never reach the mapper. A hit does no mapping work,
+/// so a `deadline_ms` cannot expire on it. Two workers that miss the
+/// same key at once both map; the mapping is deterministic, so either
+/// result is the memo's.
+///
+/// An exact mapping made under a deadline is not memoized: the deadline
+/// can cut the heuristic arms or the search and still leave a mapping
+/// (a heuristic arm's, possibly at a higher II than the search finds
+/// without one), and the compile key leaves the deadline out. The
+/// heuristic mapper checks its deadline only between attempts, so its
+/// mappings do not depend on one.
+fn memoized_mapping(shared: &Shared, spec: &CompileSpec) -> Result<Arc<(Dfg, Mapping)>, SvcError> {
+    let key = compile_key(shared.config_hash, spec);
+    let memoized = lock(&shared.mappings).get(&key);
+    shared.metrics.map_memo_event(memoized.is_some());
+    if let Some(hit) = memoized {
+        return Ok(hit);
+    }
+    let (dfg, mapping, _cert) = compile_mapping(shared, spec)?;
+    let mapped = Arc::new((dfg, mapping));
+    if spec.deadline_ms.is_none() || spec.backend == Backend::Heuristic {
+        lock(&shared.mappings).insert(key, Arc::clone(&mapped));
+    }
+    Ok(mapped)
+}
+
 fn simulate_result(shared: &Shared, spec: &SimulateSpec) -> Result<String, SvcError> {
-    let (dfg, mapping, _cert) = compile_mapping(shared, &spec.compile)?;
-    let report = run_engine(&dfg, &mapping, spec.iterations, spec.seed)
+    let mapped = memoized_mapping(shared, &spec.compile)?;
+    let (dfg, mapping) = &*mapped;
+    let report = run_engine(dfg, mapping, spec.iterations, spec.seed)
         .map_err(|e| SvcError::with_entity("sim_error", e.to_string(), dfg.name()))?;
     Ok(crate::json::Obj::new()
         .str("kernel", dfg.name())
@@ -883,6 +920,7 @@ pub(crate) fn test_shared() -> Arc<Shared> {
         config: cfg.cgra,
         model: PowerModel::asap7(),
         cache: ResultCache::new(cfg.cache_mb << 20, None),
+        mappings: Mutex::new(MappingMemo::new(MAPPING_MEMO_CAP)),
         queue: BoundedQueue::new(cfg.queue_cap),
         metrics: Metrics::new(),
         chaos: None,

@@ -3,10 +3,11 @@
 //!
 //! The scaling axis is aggregate cache capacity, not core count: every
 //! shard gets the same small LRU budget, and the working set is sized to
-//! ~1.7× one shard's budget. A single shard cycles through more keys than
-//! it can hold, so the LRU evicts each entry before its replay arrives and
-//! nearly every request recomputes cold; four shards partition the same
-//! keys into quarters that fit, so the drive runs at the warm-hit rate.
+//! ~1.7× one shard's budget, and every key is its own kernel. A single
+//! shard cycles through more keys than it can hold, so the LRU evicts
+//! each entry before its replay arrives and nearly every request maps and
+//! simulates cold; four shards partition the same keys into quarters that
+//! fit, so the drive runs at the warm-hit rate.
 //! That is what adding shards buys a content-addressed service, and it
 //! measures the same thing on a one-core machine as on a large one.
 
@@ -15,6 +16,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use iced_dfg::text;
+use iced_fuzz::gen::{generate, CfShape, GenOptions};
+use iced_service::json::escape_into;
 use iced_service::{Client, Router, RouterConfig, Server, ServiceConfig};
 
 /// Per-shard cache budget.
@@ -24,14 +28,26 @@ const CACHE_BYTES: u64 = 48 << 10;
 const DRIVERS: usize = 2;
 const ROUNDS: usize = 3;
 
-/// Simulate-request bodies (everything after `"id":N,`): one cheap
-/// kernel, distinct seeds. Every body is a distinct cache key whose
-/// rendered result has near-identical size, so the working set's byte
-/// volume is `n × entry_bytes`.
+/// Simulate-request bodies (everything after `"id":N,`), one per
+/// distinct generated straight-line DFG sent as inline text. Every body
+/// is a distinct cache key that needs a mapping of its own, so a shard
+/// that evicts an entry must map again to answer it (a shard memoizes
+/// far fewer mappings than the working set holds). The kernel names
+/// have a fixed length, so results have near-identical size and the
+/// working set's byte volume is `n × entry_bytes`.
 fn bodies(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|s| {
-            format!("\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":200,\"seed\":{s}")
+    let opts = GenOptions {
+        shapes: vec![CfShape::Straight],
+        ..GenOptions::default()
+    };
+    (0..)
+        .filter_map(|seed| generate(seed, &opts).ok())
+        .take(n)
+        .map(|dfg| {
+            let mut body = String::from("\"verb\":\"simulate\",\"dfg\":\"");
+            escape_into(&mut body, &text::to_text(&dfg));
+            body.push_str("\",\"iterations\":200,\"seed\":1");
+            body
         })
         .collect()
 }

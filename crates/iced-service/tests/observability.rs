@@ -189,6 +189,8 @@ fn metrics_and_stats_key_sequences_are_pinned() {
         "cache_hits",
         "cache_misses",
         "cache_evictions",
+        "map_memo_hits",
+        "map_memo_misses",
         "cache_bytes",
         "cache_entries",
         "queue_depth",
@@ -467,6 +469,8 @@ fn prometheus_text_passes_the_format_lint_for_shard_and_router() {
         "iced_svc_cache_hits_total",
         "iced_svc_cache_misses_total",
         "iced_svc_cache_evictions_total",
+        "iced_svc_map_memo_hits_total",
+        "iced_svc_map_memo_misses_total",
         "iced_svc_rejected_total",
         "iced_svc_errors_total",
         "iced_svc_connections_total",

@@ -405,3 +405,221 @@ fn exact_strategy_is_certified_cache_keyed_and_byte_stable() {
     server.shutdown();
     server.wait();
 }
+
+/// The envelope with its `req` token removed and the `cached` flag
+/// normalised: what must match between two daemons' answers.
+fn canonical(envelope: &str) -> String {
+    strip_req(envelope).replace("\"cached\":true", "\"cached\":false")
+}
+
+/// The answer a fresh daemon gives `line` as its only request.
+fn fresh_answer(line: &str) -> String {
+    let (server, addr) = start(1, 4);
+    let resp = Client::connect(addr).round_trip(line);
+    server.shutdown();
+    server.wait();
+    resp
+}
+
+/// A counter from the shard's `metrics`.
+fn counter(c: &mut Client, name: &str) -> u64 {
+    let metrics = c.round_trip(r#"{"id":0,"verb":"metrics"}"#);
+    iced_service::json::parse(&metrics)
+        .ok()
+        .and_then(|m| m.get("result")?.get(name)?.as_u64())
+        .unwrap_or_else(|| panic!("no {name} in {metrics}"))
+}
+
+/// `(map_memo_misses, map_memo_hits)`.
+fn memo_counters(c: &mut Client) -> (u64, u64) {
+    (counter(c, "map_memo_misses"), counter(c, "map_memo_hits"))
+}
+
+/// `simulate` bodies over two kernels, three seeds and two iteration
+/// counts, grouped by kernel.
+fn simulate_bodies() -> Vec<(&'static str, String)> {
+    let mut bodies = Vec::new();
+    for kernel in ["fir", "fft"] {
+        for iterations in [300, 1000] {
+            for seed in [1, 2, 3] {
+                bodies.push((
+                    kernel,
+                    format!(
+                        "\"verb\":\"simulate\",\"kernel\":\"{kernel}\",\"iterations\":{iterations},\"seed\":{seed}"
+                    ),
+                ));
+            }
+        }
+    }
+    bodies
+}
+
+/// A shard maps each kernel once and reuses that mapping for every other
+/// seed and iteration count: one memo miss per kernel, a hit for every
+/// later simulate computation, and answers byte-identical to a fresh
+/// daemon's, for standalone requests and batch slots alike.
+#[test]
+fn simulate_maps_each_kernel_once_and_answers_as_a_fresh_daemon() {
+    let bodies = simulate_bodies();
+    let fresh: Vec<String> = bodies
+        .iter()
+        .enumerate()
+        .map(|(i, (_, body))| fresh_answer(&format!("{{\"id\":{i},{body}}}")))
+        .collect();
+
+    let (server, addr) = start(2, 16);
+    let mut c = Client::connect(addr);
+    let mut kernels_seen: Vec<&str> = Vec::new();
+    for (i, (kernel, body)) in bodies.iter().enumerate() {
+        let resp = c.round_trip(&format!("{{\"id\":{i},{body}}}"));
+        assert!(resp.contains("\"cached\":false"), "{resp}");
+        assert_eq!(canonical(&resp), canonical(&fresh[i]), "{body}");
+        if !kernels_seen.contains(kernel) {
+            kernels_seen.push(kernel);
+        }
+        let misses = kernels_seen.len() as u64;
+        assert_eq!(
+            memo_counters(&mut c),
+            (misses, i as u64 + 1 - misses),
+            "after {body}"
+        );
+    }
+    // A result-cache hit computes nothing, so it touches no memo counter:
+    // over a simulate-only drive hits + misses is the computation count.
+    let again = c.round_trip(&format!("{{\"id\":0,{}}}", bodies[0].1));
+    assert!(again.contains("\"cached\":true"), "{again}");
+    let (misses, hits) = memo_counters(&mut c);
+    assert_eq!((misses, hits), (2, bodies.len() as u64 - 2));
+    assert_eq!(misses + hits, counter(&mut c, "cache_misses"));
+    server.shutdown();
+    server.wait();
+
+    // One batch of every spec on another daemon: each slot carries the
+    // fresh daemon's result bytes, and the batch mapped each kernel once.
+    let (server, addr) = start(2, 16);
+    let mut c = Client::connect(addr);
+    let items: Vec<String> = bodies.iter().map(|(_, b)| format!("{{{b}}}")).collect();
+    let resp = c.round_trip(&format!(
+        "{{\"id\":1,\"verb\":\"batch\",\"items\":[{}]}}",
+        items.join(",")
+    ));
+    let slots: Vec<String> = fresh
+        .iter()
+        .map(|f| {
+            format!(
+                "{{\"ok\":true,\"verb\":\"simulate\",\"cached\":false,\"result\":{}}}",
+                result_payload(f)
+            )
+        })
+        .collect();
+    assert!(
+        resp.contains(&format!("\"results\":[{}]", slots.join(","))),
+        "batch slots differ from fresh answers: {resp}"
+    );
+    assert_eq!(memo_counters(&mut c), (2, bodies.len() as u64 - 2));
+    server.shutdown();
+    server.wait();
+}
+
+/// A mapping that missed its deadline is not memoized: the next request
+/// maps again and succeeds. Once memoized, a mapping serves even a
+/// zero deadline, because a memo hit does no mapping work.
+#[test]
+fn a_deadline_failure_is_never_memoized() {
+    let body = |seed: u64, deadline: &str| {
+        format!(
+            "{{\"id\":{seed},\"verb\":\"simulate\",\"kernel\":\"fft\",\"unroll\":2,\"strategy\":\"baseline\",\"iterations\":500,\"seed\":{seed}{deadline}}}"
+        )
+    };
+    let (server, addr) = start(1, 8);
+    let mut c = Client::connect(addr);
+    let dead = c.round_trip(&body(1, ",\"deadline_ms\":0"));
+    assert!(dead.contains("\"deadline_exceeded\""), "{dead}");
+    assert_eq!(memo_counters(&mut c), (1, 0));
+
+    let ok = c.round_trip(&body(1, ""));
+    assert!(ok.contains("\"ok\":true"), "{ok}");
+    assert!(ok.contains("\"cached\":false"), "{ok}");
+    assert_eq!(memo_counters(&mut c), (2, 0), "the failure was memoized");
+    assert_eq!(canonical(&ok), canonical(&fresh_answer(&body(1, ""))));
+
+    let hit = c.round_trip(&body(2, ",\"deadline_ms\":0"));
+    assert!(hit.contains("\"ok\":true"), "{hit}");
+    assert_eq!(memo_counters(&mut c), (2, 1));
+    assert_eq!(canonical(&hit), canonical(&fresh_answer(&body(2, ""))));
+    server.shutdown();
+    server.wait();
+}
+
+/// The exact and the heuristic backend map the same kernel under
+/// different compile keys, so each keeps its own memo entry.
+#[test]
+fn exact_and_heuristic_simulates_keep_separate_mappings() {
+    let body = |strategy: &str, seed: u64| {
+        format!(
+            "{{\"id\":{seed},\"verb\":\"simulate\",\"kernel\":\"fir\",\"strategy\":\"{strategy}\",\"iterations\":400,\"seed\":{seed}}}"
+        )
+    };
+    let (server, addr) = start(1, 8);
+    let mut c = Client::connect(addr);
+    for (round, seed) in [1, 2].into_iter().enumerate() {
+        for strategy in ["iced", "exact"] {
+            let line = body(strategy, seed);
+            let resp = c.round_trip(&line);
+            assert!(resp.contains("\"ok\":true"), "{resp}");
+            assert!(
+                resp.contains(&format!("\"strategy\":\"{strategy}\"")),
+                "{resp}"
+            );
+            assert_eq!(canonical(&resp), canonical(&fresh_answer(&line)), "{line}");
+        }
+        let round = round as u64;
+        assert_eq!(memo_counters(&mut c), (2, 2 * round));
+    }
+    server.shutdown();
+    server.wait();
+}
+
+/// An exact mapping made under a deadline is never memoized. A deadline
+/// that lands between the exact backend's heuristic arms can leave a
+/// mapping at a higher II than the certified one (on `solver1`, the
+/// baseline arm's II 36 against the companion arm's II 12), and the
+/// compile key leaves the deadline out, so memoizing it would hand that
+/// mapping to every later seed. The sweep of short deadlines, each on a
+/// fresh daemon, aims at that window; whatever each deadline leaves, the
+/// next request without one maps again and equals a fresh daemon's
+/// answer.
+#[test]
+fn an_exact_mapping_under_a_deadline_is_never_memoized() {
+    let line = |seed: u64, deadline: &str| {
+        format!(
+            "{{\"id\":{seed},\"verb\":\"simulate\",\"kernel\":\"solver1\",\"strategy\":\"exact\",\"iterations\":300,\"seed\":{seed}{deadline}}}"
+        )
+    };
+    let fresh = fresh_answer(&line(2, ""));
+    assert!(fresh.contains("\"ii\":12"), "{fresh}");
+    for ms in (1..=24).chain([60_000]) {
+        let (server, addr) = start(1, 4);
+        let mut c = Client::connect(addr);
+        let cut = c.round_trip(&line(1, &format!(",\"deadline_ms\":{ms}")));
+        assert!(
+            cut.contains("\"ok\":true") || cut.contains("\"deadline_exceeded\""),
+            "{cut}"
+        );
+        assert_eq!(memo_counters(&mut c), (1, 0));
+        let after = c.round_trip(&line(2, ""));
+        assert_eq!(
+            memo_counters(&mut c),
+            (2, 0),
+            "the mapping made under deadline_ms {ms} was memoized"
+        );
+        assert_eq!(
+            canonical(&after),
+            canonical(&fresh),
+            "after deadline_ms {ms}"
+        );
+        drop(c);
+        server.shutdown();
+        server.wait();
+    }
+}
