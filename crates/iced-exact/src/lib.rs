@@ -63,11 +63,11 @@ mod search;
 use iced_arch::CgraConfig;
 use iced_dfg::Dfg;
 use iced_fault::FaultPlan;
-use iced_mapper::engine_internals::{self, usable_tiles, RouterScratch};
+use iced_mapper::engine_internals::{self, usable_tiles, Prepared, RouterScratch};
 use iced_mapper::{map_with_faults, MapError, MapperOptions, Mapping};
 use iced_trace::Phase;
 
-use crate::search::{Limits, Search, Space, Verdict};
+use crate::search::{Limits, Search, Verdict};
 
 /// Options controlling the exact search.
 #[derive(Debug, Clone)]
@@ -224,8 +224,11 @@ pub fn certify_with_plan(
 ) -> Result<Certified, MapError> {
     dfg.validate()?;
     let mask = (!plan.is_empty()).then(|| plan.mask(cfg));
-    let space = Space::new(dfg, cfg, mask.as_ref());
-    let bound = engine_internals::lower_bound(dfg, cfg, &space.prep.tiles)?;
+    // The mapper's preparation over every live tile (no island budget) in
+    // the heuristic's cycle-first order, which keeps the exact tree's
+    // first leaf close to the heuristic's mapping.
+    let prep = Prepared::new(dfg, cfg, None, mask.as_ref(), true);
+    let bound = engine_internals::lower_bound(dfg, cfg, &prep.tiles)?;
     let lb = bound.max(opts.min_ii);
     let _span = iced_trace::span(
         Phase::Mapper,
@@ -285,8 +288,8 @@ pub fn certify_with_plan(
     let (mut slot, mut scratch) = (None, RouterScratch::default());
     let mut explored = 0u64;
     for ii in lb..=search_max {
-        let mrrg = space.prep.mrrg(&mut slot, ii)?;
-        let verdict = Search::new(&space, &limits, mrrg, &mut scratch).run(&mut explored);
+        let mrrg = prep.mrrg(&mut slot, ii)?;
+        let verdict = Search::new(&prep, &limits, mrrg, &mut scratch).run(&mut explored);
         match verdict {
             Verdict::Feasible(mapping) => {
                 return Ok(Certified {

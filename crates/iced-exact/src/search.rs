@@ -21,8 +21,9 @@
 //! [`Verdict::Budget`]/[`Verdict::Deadline`]); they never change *which*
 //! mapping a completed search finds.
 //!
-//! Arithmetic window: before routing anything for a candidate tile, the
-//! search bounds the FU start cycles the tile could accept. No in-route
+//! Arithmetic window and FU slot: before routing anything for a
+//! candidate tile, the search bounds the FU start cycles the tile could
+//! accept. No in-route
 //! arrives before its `arrival_lower_bound`, so no slot starts before
 //! `lo = max(asap, max over placed in-edges of (bound − d·II))`. A placed
 //! consumer read by `deadline` is out of reach from slot `s` when the
@@ -30,8 +31,11 @@
 //! that out-route before searching, and since the bound never decreases
 //! in `s`, from every later slot too. So a tile whose window is empty at
 //! `lo` is skipped whole, and the slot loop stops at the first slot whose
-//! window is empty. Both taint the conflict in place of the routing they
-//! skip, and the tree is unchanged:
+//! window is empty. A tile with a placed predecessor whose FU has no free
+//! cycle in the period (`Partial::has_fu_slot` at rate 1) is skipped
+//! whole too: its `2·II` slot window covers every phase, so every slot
+//! would be busy. All three taint the conflict in place of the routing
+//! they skip, and the tree is unchanged:
 //!
 //! * every skipped path would have ended in a tainted `Fail` — an in-route
 //!   failure, a busy or unholdable slot on a tile with a placed
@@ -45,9 +49,7 @@
 //! slots record `add_level` rather than taint, and a tile whose every
 //! slot is busy must keep that conflict attributable.
 
-use iced_arch::{CgraConfig, DvfsLevel, Mrrg, TileId};
-use iced_dfg::Dfg;
-use iced_fault::FaultMask;
+use iced_arch::{DvfsLevel, Mrrg, TileId};
 use iced_mapper::engine_internals::{
     modulo_asap, Consumer, Draft, InRoute, Partial, Prepared, RouterScratch,
 };
@@ -116,40 +118,10 @@ enum Step {
     Stop(Verdict),
 }
 
-/// The kernel as the exact search sees it, prepared once per
-/// certification and shared by every II: the mapper's preparation over
-/// every live tile (no island budget) in the heuristic's cycle-first
-/// order, which keeps the exact tree's first leaf close to the
-/// heuristic's mapping, plus suffix counts over that order: how many nodes
-/// from depth `d` on are memory ops / need a multiplier (for the capacity
-/// propagation cut).
-pub(crate) struct Space<'a> {
-    pub(crate) prep: Prepared<'a>,
-    mem_suffix: Vec<u32>,
-    mul_suffix: Vec<u32>,
-}
-
-impl<'a> Space<'a> {
-    pub(crate) fn new(dfg: &'a Dfg, cfg: &'a CgraConfig, mask: Option<&'a FaultMask>) -> Space<'a> {
-        let prep = Prepared::new(dfg, cfg, None, mask, true);
-        let n = dfg.node_count();
-        let mut mem_suffix = vec![0u32; n + 1];
-        let mut mul_suffix = vec![0u32; n + 1];
-        for d in (0..n).rev() {
-            let op = dfg.node(prep.order[d]).op();
-            mem_suffix[d] = mem_suffix[d + 1] + u32::from(op.is_memory());
-            mul_suffix[d] = mul_suffix[d + 1] + u32::from(op.class() == iced_dfg::OpcodeClass::Mul);
-        }
-        Space {
-            prep,
-            mem_suffix,
-            mul_suffix,
-        }
-    }
-}
-
 pub(crate) struct Search<'a> {
-    space: &'a Space<'a>,
+    /// The kernel, prepared once per certification and shared by every
+    /// II: its live tiles, placement order and FU capacity per class.
+    prep: &'a Prepared<'a>,
     limits: &'a Limits,
     /// The partial mapping, every island at nominal V/F: the exact
     /// backend searches the all-normal schedule space, so — like the
@@ -171,14 +143,14 @@ impl<'a> Search<'a> {
     /// A search at `mrrg`'s II, which must be empty apart from the fault
     /// mask ([`Prepared::mrrg`]).
     pub(crate) fn new(
-        space: &'a Space<'a>,
+        prep: &'a Prepared<'a>,
         limits: &'a Limits,
         mrrg: &'a mut Mrrg,
         scratch: &'a mut RouterScratch,
     ) -> Search<'a> {
-        let (dfg, cfg, ii) = (space.prep.dfg, space.prep.cfg, mrrg.ii());
+        let (dfg, cfg, ii) = (prep.dfg, prep.cfg, mrrg.ii());
         Search {
-            space,
+            prep,
             limits,
             asap: modulo_asap(dfg, ii, |_| 1),
             fu_owner: vec![-1; cfg.tile_count() * ii as usize],
@@ -210,35 +182,9 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Capacity propagation: every yet-unplaced node still needs one free
-    /// FU cycle in the period (memory ops one on an SPM-connected tile,
-    /// multiplies one on a multiplier tile). Placements only ever consume
-    /// capacity, so failing this test refutes the whole subtree.
-    fn capacity_cut(&self, depth: usize) -> bool {
-        let (cfg, ii) = (self.space.prep.cfg, self.state.ii());
-        let remaining = (self.space.prep.order.len() - depth) as u64;
-        let mut free = 0u64;
-        let mut free_mem = 0u64;
-        let mut free_mul = 0u64;
-        for &t in &self.space.prep.tiles {
-            let f = u64::from(ii - self.state.mrrg().fu_busy_cycles(t));
-            free += f;
-            if cfg.is_memory_tile(t) {
-                free_mem += f;
-            }
-            if cfg.tile_has_multiplier(t) {
-                free_mul += f;
-            }
-        }
-        remaining > free
-            || u64::from(self.space.mem_suffix[depth]) > free_mem
-            || u64::from(self.space.mul_suffix[depth]) > free_mul
-    }
-
     fn extend(&mut self, depth: usize) -> Step {
-        let space = self.space;
-        let (dfg, cfg) = (space.prep.dfg, space.prep.cfg);
-        if depth == space.prep.order.len() {
+        let prep = self.prep;
+        if depth == prep.order.len() {
             return Step::Found;
         }
         if self.explored >= self.limits.node_budget {
@@ -251,35 +197,33 @@ impl<'a> Search<'a> {
         {
             return Step::Stop(Verdict::Deadline);
         }
-        if self.capacity_cut(depth) {
+        if self.state.capacity_cut(prep, depth) {
             // The cut compares totals touched by every earlier level; the
             // precise blocker set is unknown, so backtrack chronologically.
             let mut c = Conflict::none();
             c.taint();
             return Step::Fail(c);
         }
-        let node = space.prep.order[depth];
-        let op = dfg.node(node).op();
-        let is_mem = op.is_memory();
-        let needs_mul = op.class() == iced_dfg::OpcodeClass::Mul;
+        let node = prep.order[depth];
         let mut conflict = Conflict::none();
         let ii = u64::from(self.state.ii());
         let span = (2 * ii).max(4);
         let consumers = self.state.placed_consumers(node);
         let asap = self.asap[node.index()];
 
-        for &tile in &space.prep.tiles {
-            if is_mem && !cfg.is_memory_tile(tile) {
+        for &tile in &prep.tiles {
+            if !prep.hosts(node, tile) {
                 continue;
             }
-            if needs_mul && !cfg.tile_has_multiplier(tile) {
-                continue;
-            }
-            // Arithmetic window: if an out-route already misses its
-            // deadline from `lo`, every slot's would (see the module
-            // docs): skip the tile without routing.
+            // Arithmetic window and FU slot: if an out-route already
+            // misses its deadline from `lo`, every slot's would, and if
+            // the FU has no free cycle, every slot is busy (see the
+            // module docs): skip the tile without routing.
             let (lo, has_placed_pred) = self.state.window_lo(node, tile, asap);
-            if has_placed_pred && self.state.misses_deadline(&consumers, tile, lo + 1) {
+            if has_placed_pred
+                && (self.state.misses_deadline(&consumers, tile, lo + 1)
+                    || !self.state.has_fu_slot(tile, 1))
+            {
                 conflict.taint();
                 continue;
             }
@@ -362,7 +306,7 @@ impl<'a> Search<'a> {
         consumers: &[Consumer],
         conflict: &mut Conflict,
     ) -> Step {
-        let node = self.space.prep.order[depth];
+        let node = self.prep.order[depth];
         let ii = u64::from(self.state.ii());
         let mut draft = Draft::default();
         self.state.occupy_fu(tile, start, 1, &mut draft);

@@ -8,15 +8,40 @@
 //! window and backtracks. Everything else lives here, once:
 //!
 //! * [`Prepared`] — a kernel prepared once per `map_with` or `certify`
-//!   call: its usable tiles, recurrence-cycle nodes and placement order;
+//!   call: its usable tiles, recurrence-cycle nodes and placement order,
+//!   and the FU capacity per class that the tiles offer and the order
+//!   asks for;
 //! * [`lower_bound`] — the admissible minimum II both start from;
 //! * [`modulo_asap`] — the modulo-ASAP schedule, with the edge weight as
 //!   an argument;
 //! * [`Partial`] — a partial mapping at one II and the primitives that
 //!   extend it: the placed consumers of a node, the arithmetic window,
-//!   the deadline-miss test, in- and out-edge routing, the holds test,
-//!   placing and unplacing a node, and assembling the finished
-//!   [`Mapping`].
+//!   the deadline-miss test, the FU-slot test, the capacity cut, in- and
+//!   out-edge routing, the holds test, placing and unplacing a node, and
+//!   assembling the finished [`Mapping`].
+//!
+//! # Failing before routing
+//!
+//! Routing is what a commit costs, so both searches run every test that
+//! needs no routing first and give a candidate up before it routes:
+//!
+//! * the arithmetic window ([`Partial::window_lo`],
+//!   [`Partial::misses_deadline`]): an out-route that cannot meet its
+//!   consumer's deadline from the earliest possible start misses it from
+//!   every later one;
+//! * the FU slot ([`Partial::has_fu_slot`]): the slot search after
+//!   routing finds a start exactly when some phase `j·rate` of the period
+//!   has `rate` free FU cycles. The router never reserves FU cycles, every
+//!   rate divides II, both slot windows (the placer's `6·II/rate` steps,
+//!   the exact search's `2·II`) cover every phase, and every start at or
+//!   after the first one the in-routes allow reads them all. So a tile
+//!   with no free phase fails after routing, and is skipped before.
+//!
+//! [`Partial::capacity_cut`] is the third test: fewer free FU cycles
+//! than unplaced nodes (in total, or on memory or multiplier tiles)
+//! refutes every extension of a partial mapping, since placements only
+//! consume capacity. The exact search cuts a subtree with it; the placer
+//! ends an attempt with it (see `place.rs`).
 
 use iced_arch::{CgraConfig, Dir, DvfsLevel, IslandId, Mrrg, TileId};
 use iced_dfg::{Dfg, Edge, EdgeId, NodeId};
@@ -42,6 +67,11 @@ pub struct Prepared<'a> {
     pub(crate) on_cycle: Vec<bool>,
     /// The order nodes are placed in.
     pub order: Vec<NodeId>,
+    /// Usable FUs per capacity class ([`fu_classes`]).
+    fus: [u64; 3],
+    /// Per position `d` of `order`, and one past the end: how many nodes
+    /// from `d` on need an FU of each capacity class.
+    demand: Vec<[u64; 3]>,
 }
 
 impl<'a> Prepared<'a> {
@@ -61,14 +91,40 @@ impl<'a> Prepared<'a> {
         } else {
             dfg.topological_order()
         };
+        let tiles = usable_tiles(cfg, island_budget, mask);
+        let mut fus = [0u64; 3];
+        for &t in &tiles {
+            add_classes(&mut fus, fu_classes(cfg, t), 1);
+        }
+        let mut demand = vec![[0u64; 3]; order.len() + 1];
+        for d in (0..order.len()).rev() {
+            let op = dfg.node(order[d]).op();
+            let needs = [
+                true,
+                op.is_memory(),
+                op.class() == iced_dfg::OpcodeClass::Mul,
+            ];
+            demand[d] = demand[d + 1];
+            add_classes(&mut demand[d], needs, 1);
+        }
         Prepared {
             dfg,
             cfg,
             mask,
-            tiles: usable_tiles(cfg, island_budget, mask),
+            tiles,
             on_cycle,
             order,
+            fus,
+            demand,
         }
+    }
+
+    /// Whether `tile` has the FU class `node`'s op needs: an SPM-connected
+    /// FU for a memory op, a multiplier for a multiply.
+    pub fn hosts(&self, node: NodeId, tile: TileId) -> bool {
+        let op = self.dfg.node(node).op();
+        (!op.is_memory() || self.cfg.is_memory_tile(tile))
+            && (op.class() != iced_dfg::OpcodeClass::Mul || self.cfg.tile_has_multiplier(tile))
     }
 
     /// An empty MRRG at `ii` with every faulted resource pre-occupied for
@@ -91,6 +147,25 @@ impl<'a> Prepared<'a> {
             apply_fault_mask(mrrg, self.cfg, mask);
         }
         Ok(mrrg)
+    }
+}
+
+/// The capacity classes an FU counts in: every FU, SPM-connected FUs
+/// (memory ops), multiplier FUs (multiplies).
+fn fu_classes(cfg: &CgraConfig, tile: TileId) -> [bool; 3] {
+    [
+        true,
+        cfg.is_memory_tile(tile),
+        cfg.tile_has_multiplier(tile),
+    ]
+}
+
+/// Adds `n` to each count of `counts` whose class is set in `classes`.
+fn add_classes(counts: &mut [u64; 3], classes: [bool; 3], n: u64) {
+    for (c, on) in counts.iter_mut().zip(classes) {
+        if on {
+            *c += n;
+        }
     }
 }
 
@@ -292,6 +367,8 @@ pub struct Partial<'a> {
     islands: Vec<Option<DvfsLevel>>,
     placements: Vec<Option<Placement>>,
     routes: Vec<Option<Route>>,
+    /// FU cycles the placements hold, per capacity class.
+    held: [u64; 3],
 }
 
 impl<'a> Partial<'a> {
@@ -316,6 +393,7 @@ impl<'a> Partial<'a> {
             islands: vec![islands; cfg.island_count()],
             placements: vec![None; dfg.node_count()],
             routes: vec![None; dfg.edge_count()],
+            held: [0; 3],
         }
     }
 
@@ -399,6 +477,39 @@ impl<'a> Partial<'a> {
         consumers.iter().any(|&(_, dst, deadline)| {
             arrival_lower_bound(self.cfg, &self.rates, tile, ready, dst) > deadline
         })
+    }
+
+    /// Whether `tile`'s FU has `rate` free cycles from some start `j·rate`
+    /// with `j < II/rate`: the phases a node at that rate can start in
+    /// (`rate` divides II).
+    pub fn has_fu_slot(&self, tile: TileId, rate: u32) -> bool {
+        if rate == 1 {
+            return self.mrrg.fu_busy_cycles(tile) < self.ii;
+        }
+        (0..self.ii / rate).any(|j| self.mrrg.fu_free(tile, u64::from(j * rate), rate))
+    }
+
+    /// Capacity propagation: whether the nodes from position `placed` of
+    /// `prep.order` on cannot all find a free FU cycle on `prep.tiles`.
+    /// Each needs at least one (a memory op on an SPM-connected tile, a
+    /// multiply on a multiplier tile), and placements only consume
+    /// capacity, so a partial mapping this holds for has no completion.
+    ///
+    /// Every FU cycle of a usable tile is free or held by a placement:
+    /// the router never reserves one, and the fault mask pre-occupies only
+    /// FUs that [`usable_tiles`] leaves out. So the free cycles are the
+    /// usable ones less those the placements hold.
+    pub fn capacity_cut(&self, prep: &Prepared<'_>, placed: usize) -> bool {
+        let ii = u64::from(self.ii);
+        debug_assert_eq!(
+            prep.fus[0] * ii - self.held[0],
+            prep.tiles
+                .iter()
+                .map(|&t| u64::from(self.ii - self.mrrg.fu_busy_cycles(t)))
+                .sum::<u64>(),
+            "free FU cycles"
+        );
+        (0..3).any(|c| prep.demand[placed][c] > prep.fus[c] * ii - self.held[c])
     }
 
     /// Routes every placed-predecessor edge of `node` (data and
@@ -520,6 +631,11 @@ impl<'a> Partial<'a> {
                 consume_at: deadline,
             });
         }
+        add_classes(
+            &mut self.held,
+            fu_classes(self.cfg, p.tile),
+            u64::from(p.rate),
+        );
         self.placements[node.index()] = Some(p);
     }
 
@@ -527,7 +643,13 @@ impl<'a> Partial<'a> {
     /// `draft`. Every route on an edge of `node` came from that placement
     /// or from a later one already undone, so all of them go.
     pub fn unplace(&mut self, node: NodeId, draft: Draft) {
-        self.placements[node.index()] = None;
+        if let Some(p) = self.placements[node.index()].take() {
+            for (h, on) in self.held.iter_mut().zip(fu_classes(self.cfg, p.tile)) {
+                if on {
+                    *h -= u64::from(p.rate);
+                }
+            }
+        }
         for e in self.dfg.in_edges(node).chain(self.dfg.out_edges(node)) {
             self.routes[e.id().index()] = None;
         }
@@ -578,5 +700,123 @@ impl<'a> Partial<'a> {
             island_levels,
             tile_levels,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iced_arch::FuLayout;
+    use iced_dfg::{DfgBuilder, Opcode};
+
+    /// `load → mul → add → add`.
+    fn chain() -> Dfg {
+        let mut b = DfgBuilder::new("chain");
+        let ids = [
+            b.node(Opcode::Load, "x"),
+            b.node(Opcode::Mul, "m"),
+            b.node(Opcode::Add, "a"),
+            b.node(Opcode::Add, "b"),
+        ];
+        b.data_chain(&ids).unwrap();
+        b.finish().unwrap()
+    }
+
+    /// `has_fu_slot` against the placer's slot loop (starts `base + k·rate`
+    /// for `k < max(⌈6·II/rate⌉, 4)`, `base` a multiple of the rate) over
+    /// every FU occupancy of one tile at II 4 and 8.
+    #[test]
+    fn has_fu_slot_is_the_slot_loop_over_every_phase() {
+        let dfg = chain();
+        let cfg = CgraConfig::square(2).unwrap();
+        let t = TileId(3);
+        for ii in [4u32, 8] {
+            for busy in 0u32..1 << ii {
+                let mut mrrg = Mrrg::new(&cfg, ii).unwrap();
+                for c in (0..ii).filter(|c| busy >> c & 1 == 1) {
+                    mrrg.occupy_fu(t, u64::from(c), 1);
+                }
+                let mut scratch = RouterScratch::default();
+                let state = Partial::new(&dfg, &cfg, &mut mrrg, &mut scratch, None);
+                for rate in [1u32, 2, 4] {
+                    let r = u64::from(rate);
+                    for base in (0..2 * u64::from(ii)).step_by(rate as usize) {
+                        let found = (0..(6 * u64::from(ii)).div_ceil(r).max(4))
+                            .any(|k| state.mrrg().fu_free(t, base + k * r, rate));
+                        assert_eq!(state.has_fu_slot(t, rate), found, "ii {ii} busy {busy:b}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A node at rate 2 starts on an even cycle: a tile whose only free
+    /// cycles are odd has a slot at rate 1 but none at rate 2, even with
+    /// two free cycles in the period.
+    #[test]
+    fn a_rate_two_slot_needs_an_even_start() {
+        let dfg = chain();
+        let cfg = CgraConfig::square(2).unwrap();
+        let t = TileId(1);
+        let mut mrrg = Mrrg::new(&cfg, 4).unwrap();
+        mrrg.occupy_fu(t, 0, 1);
+        mrrg.occupy_fu(t, 2, 1);
+        let mut scratch = RouterScratch::default();
+        let state = Partial::new(&dfg, &cfg, &mut mrrg, &mut scratch, None);
+        assert!(state.has_fu_slot(t, 1));
+        assert!(!state.has_fu_slot(t, 2));
+        assert!(!state.has_fu_slot(t, 4));
+        assert!(state.has_fu_slot(TileId(0), 4));
+    }
+
+    /// The capacity cut both searches run: the nodes still to place need
+    /// one free FU cycle each, in total and per class. On 2×2 with the
+    /// checkerboard layout at II 8: 32 FU cycles, 16 on the SPM-connected
+    /// tiles 0 and 2, 16 on the multiplier tiles 0 and 3.
+    #[test]
+    fn capacity_cut_counts_free_cycles_in_total_and_per_class() {
+        let mut b = DfgBuilder::new("wide");
+        let mut ids = vec![b.node(Opcode::Load, "x"), b.node(Opcode::Mul, "m")];
+        ids.extend((0..10).map(|i| b.node(Opcode::Add, format!("a{i}"))));
+        b.data_chain(&ids).unwrap();
+        let dfg = b.finish().unwrap();
+        let cfg = CgraConfig::builder(2, 2)
+            .fu_layout(FuLayout::CheckerboardMul)
+            .build()
+            .unwrap();
+        let prep = Prepared::new(&dfg, &cfg, None, None, false);
+        // Places adds from the back of the order at `(tile, start, rate)`
+        // and reports the cut with the first `placed` nodes counted placed.
+        let cut = |holds: &[(u16, u64, u32)], placed: usize| {
+            let mut mrrg = Mrrg::new(&cfg, 8).unwrap();
+            let mut scratch = RouterScratch::default();
+            let mut state = Partial::new(&dfg, &cfg, &mut mrrg, &mut scratch, None);
+            for (&(tile, start, rate), &node) in holds.iter().zip(prep.order.iter().rev()) {
+                let tile = TileId(tile);
+                state.occupy_fu(tile, start, rate, &mut Draft::default());
+                state.place(node, Placement { tile, start, rate }, &[], &[], Vec::new());
+            }
+            state.capacity_cut(&prep, placed)
+        };
+        assert!(!cut(&[], 0));
+        // 21 cycles held, 11 free for 12 nodes; enough once one is placed.
+        let total = [
+            (1, 0, 4),
+            (1, 4, 4),
+            (2, 0, 4),
+            (2, 4, 4),
+            (3, 0, 4),
+            (3, 4, 1),
+        ];
+        assert!(cut(&total, 0));
+        assert!(!cut(&total, 1));
+        // Every SPM-connected cycle held: the load has nowhere to go.
+        let mem = [(0, 0, 4), (0, 4, 4), (2, 0, 4), (2, 4, 4)];
+        assert!(cut(&mem, 0));
+        assert!(!cut(&mem, 1));
+        // Every multiplier cycle held: the multiply has nowhere to go.
+        let mul = [(0, 0, 4), (0, 4, 4), (3, 0, 4), (3, 4, 4)];
+        assert!(cut(&mul, 1));
+        assert!(!cut(&mul, 2));
     }
 }

@@ -9,6 +9,14 @@
 //! candidate that commits wins; if none does, the II is incremented and the
 //! whole mapping restarts (Algorithm 2's `II = II + 1` loop).
 //!
+//! Failing work fails before it routes. A candidate runs the commit
+//! kernel's pre-routing tests (egress, arithmetic window, FU slot) first;
+//! a (tile, level) that failed for a node is not retried when the node's
+//! label escalates; and an attempt ends once it is doomed — the capacity
+//! cut holds, or a neighbour of the node just placed has no tile left
+//! that passes the pre-routing tests. Each only drops work whose outcome
+//! is decided, so no mapping changes.
+//!
 //! Island DVFS levels are assigned on first use (Algorithm 2 lines 14–16):
 //! the first node placed in an island fixes the island's level to the
 //! node's label; later nodes may only join islands at least as fast as
@@ -513,6 +521,9 @@ struct Engine<'a> {
     state: Partial<'a>,
     cancel: CancelToken<'a>,
     asap: Vec<u64>,
+    /// For the node being placed: per tile, a bit `1 << level` for each
+    /// level a commit on that tile has already failed at.
+    failed: Vec<u8>,
 }
 
 /// Cost-function weights. One mesh hop of input transport costs [`W_HOP`];
@@ -563,15 +574,21 @@ impl<'a> Engine<'a> {
             opts,
             labels,
             spread,
+            failed: vec![0; prep.cfg.tile_count()],
             state,
             cancel,
             asap,
         }
     }
 
+    /// Places every node in order, ending the attempt as soon as it is
+    /// [`doomed`](Self::doomed). A debug build instead runs a doomed
+    /// attempt on, untraced, and asserts that it fails: the test suite
+    /// then re-checks every early abort it triggers.
     fn run(&mut self) -> Option<Mapping> {
         let prep = self.prep;
-        for &node in &prep.order {
+        let mut doomed = None;
+        for (placed, &node) in prep.order.iter().enumerate() {
             if self.cancel.cancelled() {
                 iced_trace::counter(Phase::Mapper, "attempts_cancelled", 1);
                 return None;
@@ -579,7 +596,20 @@ impl<'a> Engine<'a> {
             if !self.place_node(node) {
                 return None;
             }
+            if doomed.is_none() && self.doomed(placed + 1, node) {
+                iced_trace::counter(Phase::Mapper, "doomed_attempts", 1);
+                if !cfg!(debug_assertions) {
+                    return None;
+                }
+                doomed = Some(iced_trace::mute());
+            }
         }
+        debug_assert!(
+            doomed.is_none(),
+            "{}: an attempt at II {} ended early as doomed, but it maps",
+            prep.dfg.name(),
+            self.state.ii()
+        );
         // ICED power-gates islands that host no work; the conventional
         // baseline has no DVFS support at all, so its unused islands keep
         // burning nominal power.
@@ -607,8 +637,51 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Whether the attempt can no longer map, now that the first `placed`
+    /// nodes of the order are placed, the last of them `node`. Within an
+    /// attempt nothing is undone (placements, FU reservations and island
+    /// levels only accumulate, so windows only shrink and arrival bounds
+    /// never fall), so both tests stay true for the rest of the attempt:
+    ///
+    /// * the capacity cut ([`Partial::capacity_cut`]);
+    /// * a dead neighbour: an unplaced neighbour of `node` that no tile
+    ///   [`admits`](Self::admits) at any label from its own up to
+    ///   `normal`. An unassigned island is tried at rate 1, which admits
+    ///   whatever a slower rate would.
+    fn doomed(&self, placed: usize, node: NodeId) -> bool {
+        let dfg = self.prep.dfg;
+        if self.state.capacity_cut(self.prep, placed) {
+            return true;
+        }
+        dfg.in_edges(node)
+            .map(|e| e.src())
+            .chain(dfg.out_edges(node).map(|e| e.dst()))
+            .any(|n| self.state.placement(n).is_none() && !self.has_candidate(n))
+    }
+
+    /// Whether some tile passes every test a commit of `node` runs before
+    /// routing, at some label from its own up to `normal`: op class, an
+    /// island level at least the label, and [`admits`](Self::admits).
+    fn has_candidate(&self, node: NodeId) -> bool {
+        let cfg = self.prep.cfg;
+        let label = self.labels[node.index()];
+        let consumers = self.state.placed_consumers(node);
+        self.prep.tiles.iter().any(|&tile| {
+            if !self.prep.hosts(node, tile) {
+                return false;
+            }
+            let rate = match self.state.island_level(cfg.island_of(tile)) {
+                Some(l) if label > l => return false,
+                Some(l) => l.rate_divisor().expect("active level"),
+                None => 1,
+            };
+            self.admits(node, tile, rate, &consumers)
+        })
+    }
+
     fn place_node(&mut self, node: NodeId) -> bool {
         let consumers = self.state.placed_consumers(node);
+        self.failed.fill(0);
         // Per-node label escalation: if a node cannot be committed anywhere
         // at its preferred level, retry it one level faster instead of
         // abandoning the whole attempt — Algorithm 1's labels guide the
@@ -633,41 +706,52 @@ impl<'a> Engine<'a> {
         label: DvfsLevel,
         consumers: &[Consumer],
     ) -> bool {
-        let cfg = self.prep.cfg;
-        let op = self.prep.dfg.node(node).op();
-        let is_mem = op.is_memory();
-        let needs_mul = op.class() == iced_dfg::OpcodeClass::Mul;
-        let mut candidates: Vec<(u64, TileId)> = Vec::new();
+        let is_mem = self.prep.dfg.node(node).op().is_memory();
+        let mut candidates: Vec<(u64, TileId, DvfsLevel)> = Vec::new();
         for &tile in &self.prep.tiles {
-            if is_mem && !cfg.is_memory_tile(tile) {
+            if !self.prep.hosts(node, tile) {
                 continue;
             }
-            if needs_mul && !cfg.tile_has_multiplier(tile) {
-                continue;
-            }
-            if let Some(cost) = self.estimate(node, label, tile, is_mem) {
-                candidates.push((cost, tile));
+            if let Some((cost, level)) = self.estimate(node, label, tile, is_mem) {
+                candidates.push((cost, tile, level));
             }
         }
-        candidates.sort_unstable_by_key(|&(c, t)| (c, t));
+        candidates.sort_unstable_by_key(|&(c, t, _)| (c, t));
         iced_trace::counter(
             Phase::Mapper,
             "placement_candidates",
             candidates.len() as u64,
         );
-        for (_, tile) in candidates {
+        for (_, tile, level) in candidates {
             if self.cancel.cancelled() {
                 return false;
             }
-            if self.commit(node, label, tile, consumers) {
+            // A commit depends on the label only through the level, and
+            // every failed commit is rolled back whole: a (tile, level)
+            // that failed at a lower label fails again.
+            let bit = 1u8 << level as u8;
+            if self.failed[tile.index()] & bit != 0 {
+                continue;
+            }
+            if self.commit(node, tile, level, consumers) {
                 iced_trace::counter(Phase::Mapper, "nodes_placed", 1);
                 return true;
             }
+            self.failed[tile.index()] |= bit;
         }
         false
     }
 
-    fn estimate(&self, node: NodeId, label: DvfsLevel, tile: TileId, is_mem: bool) -> Option<u64> {
+    /// The cost of placing `node` labeled `label` on `tile`, and the level
+    /// the tile's island runs at once it does; `None` when the island's
+    /// level is below the label.
+    fn estimate(
+        &self,
+        node: NodeId,
+        label: DvfsLevel,
+        tile: TileId,
+        is_mem: bool,
+    ) -> Option<(u64, DvfsLevel)> {
         let (dfg, cfg) = (self.prep.dfg, self.prep.cfg);
         let assigned = self.state.island_level(cfg.island_of(tile));
         let level = match assigned {
@@ -729,31 +813,29 @@ impl<'a> Engine<'a> {
             // low enough that proximity still packs islands for gating.
             cost += (W_HOP / 2) * busy;
         }
-        Some(cost)
+        Some((cost, level))
     }
 
-    /// Attempts to fully commit `node` on `tile` with the shared commit
-    /// kernel, taking the first FU slot that fits; on failure all
-    /// reservations and island assignments are rolled back.
-    fn commit(
-        &mut self,
-        node: NodeId,
-        label: DvfsLevel,
-        tile: TileId,
-        consumers: &[Consumer],
-    ) -> bool {
-        let island = self.prep.cfg.island_of(tile);
-        let mut draft = Draft::default();
-        let level = match self.state.island_level(island) {
-            Some(l) if label > l => return false,
-            Some(l) => l,
-            None => {
-                let l = self.usable_level(label);
-                self.state.open_island(island, l, &mut draft);
-                l
-            }
+    /// The earliest start `node`'s schedule allows. Cycle nodes get one
+    /// extra period of slack beyond their ASAP: shifting a recurrence
+    /// cycle later in absolute time only deepens the prologue (steady
+    /// state is unchanged), and the headroom lets congested or
+    /// slow-labeled feeder chains meet the cycle's read deadlines instead
+    /// of forcing an II increase.
+    fn earliest(&self, node: NodeId) -> u64 {
+        let slack = if self.prep.on_cycle[node.index()] {
+            u64::from(self.state.ii()) + 4
+        } else {
+            0
         };
-        let rate = level.rate_divisor().expect("active level");
+        self.asap[node.index()] + slack
+    }
+
+    /// The tests a commit of `node` on `tile` at `rate` runs before it
+    /// routes anything; a candidate that fails one would fail after
+    /// routing too. [`doomed`](Self::doomed) asks the same question of
+    /// the nodes still to place.
+    fn admits(&self, node: NodeId, tile: TileId, rate: u32, consumers: &[Consumer]) -> bool {
         let rate64 = u64::from(rate);
         let ii = u64::from(self.state.ii());
 
@@ -765,33 +847,49 @@ impl<'a> Engine<'a> {
         // faster island or another tile).
         let egress = self.prep.dfg.out_edges(node).count() as u64;
         if egress > self.prep.cfg.neighbors(tile).count() as u64 * (ii / rate64) {
-            return self.abort(draft);
+            return false;
         }
 
-        // Cycle nodes get one extra period of slack beyond their ASAP:
-        // shifting a recurrence cycle later in absolute time only deepens
-        // the prologue (steady state is unchanged), and the headroom lets
-        // congested or slow-labeled feeder chains meet the cycle's read
-        // deadlines instead of forcing an II increase.
-        let slack = if self.prep.on_cycle[node.index()] {
-            ii + 4
-        } else {
-            0
-        };
-        let earliest = self.asap[node.index()] + slack;
-
-        // Arithmetic window: the slot search below starts no earlier than
-        // `lo` rounded up to the rate, and no value leaves this tile before
+        // Arithmetic window: the slot search starts no earlier than `lo`
+        // rounded up to the rate, and no value leaves this tile before
         // that plus `rate`. An out-route that misses its consumer's deadline
-        // from there misses it from every later ready cycle too, so this
-        // candidate would abort on it: abort now, before routing anything.
-        let (lo, _) = self.state.window_lo(node, tile, earliest);
+        // from there misses it from every later ready cycle too.
+        let (lo, _) = self.state.window_lo(node, tile, self.earliest(node));
         if self
             .state
             .misses_deadline(consumers, tile, lo.div_ceil(rate64) * rate64 + rate64)
         {
+            return false;
+        }
+
+        // FU slot: the slot search covers every phase of the period, so
+        // with no free phase it finds nothing (see `commit.rs`).
+        self.state.has_fu_slot(tile, rate)
+    }
+
+    /// Attempts to fully commit `node` on `tile` with the shared commit
+    /// kernel, its island at `level` (opened now if it has none), taking
+    /// the first FU slot that fits; on failure all reservations and
+    /// island assignments are rolled back.
+    fn commit(
+        &mut self,
+        node: NodeId,
+        tile: TileId,
+        level: DvfsLevel,
+        consumers: &[Consumer],
+    ) -> bool {
+        let island = self.prep.cfg.island_of(tile);
+        let mut draft = Draft::default();
+        if self.state.island_level(island).is_none() {
+            self.state.open_island(island, level, &mut draft);
+        }
+        let rate = level.rate_divisor().expect("active level");
+        let rate64 = u64::from(rate);
+        let ii = u64::from(self.state.ii());
+        if !self.admits(node, tile, rate, consumers) {
             return self.abort(draft);
         }
+        let earliest = self.earliest(node);
         let Some((in_routes, min_start)) =
             self.state.route_in_edges(node, tile, earliest, &mut draft)
         else {

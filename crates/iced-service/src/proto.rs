@@ -432,7 +432,8 @@ pub struct CompileSpec {
     /// part of the cache key). A request answered without mapping — a
     /// result-cache hit, or a `simulate` whose mapping the shard has
     /// memoized — does no mapping work, so its deadline cannot expire.
-    /// An exact-backend mapping made under a deadline is not memoized.
+    /// An exact-backend answer made under a deadline is neither cached
+    /// nor memoized: the deadline may have shaped it.
     pub deadline_ms: Option<u64>,
 }
 

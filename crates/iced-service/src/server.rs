@@ -555,10 +555,10 @@ fn execute(
     if let Some(hit) = shared.cache.get(key) {
         return Ok((hit, true));
     }
-    let rendered = match &req.payload {
-        Payload::Compile(spec) => compile_result(shared, spec)?,
-        Payload::Simulate(spec) => simulate_result(shared, spec)?,
-        Payload::Stream(spec) => stream_result(shared, spec)?,
+    let (rendered, keep) = match &req.payload {
+        Payload::Compile(spec) => (compile_result(shared, spec)?, keepable(spec)),
+        Payload::Simulate(spec) => (simulate_result(shared, spec)?, keepable(&spec.compile)),
+        Payload::Stream(spec) => (stream_result(shared, spec)?, true),
         Payload::Stats { .. } | Payload::Control | Payload::Batch(_) | Payload::CachePut { .. } => {
             return Err(SvcError::new(
                 "internal",
@@ -566,7 +566,7 @@ fn execute(
             ))
         }
     };
-    Ok((insert_rendered(shared, key, rendered, rid), false))
+    Ok((insert_rendered(shared, key, rendered, rid, keep), false))
 }
 
 /// Runs one batch: computes each unique element once (through the cache)
@@ -627,22 +627,37 @@ fn execute_elem(
     if let Some(hit) = shared.cache.get(key) {
         return Ok((hit, true));
     }
-    let rendered = match elem {
-        BatchElem::Compile(spec) => compile_result(shared, spec)?,
-        BatchElem::Simulate(spec) => simulate_result(shared, spec)?,
+    let (rendered, keep) = match elem {
+        BatchElem::Compile(spec) => (compile_result(shared, spec)?, keepable(spec)),
+        BatchElem::Simulate(spec) => (simulate_result(shared, spec)?, keepable(&spec.compile)),
     };
-    Ok((insert_rendered(shared, key, rendered, rid), false))
+    Ok((insert_rendered(shared, key, rendered, rid, keep), false))
 }
 
-/// Inserts freshly rendered bytes into the cache, accounting evictions
-/// and rolling the chaos spill-corruption site.
+/// Whether what `spec` maps may be kept under a key that leaves
+/// `deadline_ms` out: the rendered answer in the result cache, the
+/// mapping in the memo. Not when the exact backend ran under a deadline,
+/// which can cut the heuristic arms or the search and still leave a
+/// mapping (a heuristic arm's, possibly at a higher II than the search
+/// finds without one). The heuristic mapper checks its deadline only
+/// between attempts, so its mappings do not depend on one.
+fn keepable(spec: &CompileSpec) -> bool {
+    spec.deadline_ms.is_none() || spec.backend == Backend::Heuristic
+}
+
+/// Inserts freshly rendered bytes into the cache when `keep` is set,
+/// accounting evictions and rolling the chaos spill-corruption site.
 fn insert_rendered(
     shared: &Shared,
     key: CacheKey,
     rendered: String,
     rid: RequestId,
+    keep: bool,
 ) -> Arc<String> {
     let rendered = Arc::new(rendered);
+    if !keep {
+        return rendered;
+    }
     let evicted = shared.cache.put_shared(key, Arc::clone(&rendered));
     shared.metrics.evicted(evicted);
     if evicted > 0 {
@@ -836,14 +851,8 @@ fn compile_result(shared: &Shared, spec: &CompileSpec) -> Result<String, SvcErro
 /// the engine seed never reach the mapper. A hit does no mapping work,
 /// so a `deadline_ms` cannot expire on it. Two workers that miss the
 /// same key at once both map; the mapping is deterministic, so either
-/// result is the memo's.
-///
-/// An exact mapping made under a deadline is not memoized: the deadline
-/// can cut the heuristic arms or the search and still leave a mapping
-/// (a heuristic arm's, possibly at a higher II than the search finds
-/// without one), and the compile key leaves the deadline out. The
-/// heuristic mapper checks its deadline only between attempts, so its
-/// mappings do not depend on one.
+/// result is the memo's. A mapping a deadline may have shaped is not
+/// memoized ([`keepable`]).
 fn memoized_mapping(shared: &Shared, spec: &CompileSpec) -> Result<Arc<(Dfg, Mapping)>, SvcError> {
     let key = compile_key(shared.config_hash, spec);
     let memoized = lock(&shared.mappings).get(&key);
@@ -853,7 +862,7 @@ fn memoized_mapping(shared: &Shared, spec: &CompileSpec) -> Result<Arc<(Dfg, Map
     }
     let (dfg, mapping, _cert) = compile_mapping(shared, spec)?;
     let mapped = Arc::new((dfg, mapping));
-    if spec.deadline_ms.is_none() || spec.backend == Backend::Heuristic {
+    if keepable(spec) {
         lock(&shared.mappings).insert(key, Arc::clone(&mapped));
     }
     Ok(mapped)

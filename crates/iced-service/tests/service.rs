@@ -580,6 +580,49 @@ fn exact_and_heuristic_simulates_keep_separate_mappings() {
     server.wait();
 }
 
+/// An exact answer made under a deadline is never cached, standalone or
+/// as a batch element: the cache key leaves the deadline out, and a
+/// deadline that cuts the exact backend can still answer `ok` with a
+/// heuristic arm's mapping (on `solver1`, II 36 with proof
+/// `best_under_budget` where the search certifies II 12). After each
+/// short deadline, on a fresh daemon, the same compile without one
+/// misses the cache and equals a fresh daemon's answer.
+#[test]
+fn an_exact_answer_under_a_deadline_is_never_cached() {
+    let plain = r#"{"id":3,"verb":"compile","kernel":"solver1","strategy":"exact"}"#;
+    let fresh = fresh_answer(plain);
+    assert!(fresh.contains("\"ii\":12"), "{fresh}");
+    for ms in 1..=24 {
+        let cut = format!(
+            "{{\"verb\":\"compile\",\"kernel\":\"solver1\",\"strategy\":\"exact\",\"deadline_ms\":{ms}}}"
+        );
+        let (server, addr) = start(1, 4);
+        let mut c = Client::connect(addr);
+        let single = c.round_trip(&format!("{{\"id\":1,{}", &cut[1..]));
+        assert!(
+            single.contains("\"ok\":true") || single.contains("\"deadline_exceeded\""),
+            "{single}"
+        );
+        let batch = c.round_trip(&format!(
+            "{{\"id\":2,\"verb\":\"batch\",\"items\":[{cut}]}}"
+        ));
+        assert!(batch.contains("\"ok\":true"), "{batch}");
+        let after = c.round_trip(plain);
+        assert!(
+            after.contains("\"cached\":false"),
+            "the answer made under deadline_ms {ms} was cached: {after}"
+        );
+        assert_eq!(
+            canonical(&after),
+            canonical(&fresh),
+            "after deadline_ms {ms}"
+        );
+        drop(c);
+        server.shutdown();
+        server.wait();
+    }
+}
+
 /// An exact mapping made under a deadline is never memoized. A deadline
 /// that lands between the exact backend's heuristic arms can leave a
 /// mapping at a higher II than the certified one (on `solver1`, the

@@ -54,7 +54,12 @@
 //!   is what lets a server capture a single request's trace without the
 //!   install-once limitation.
 //!
-//! Both are thread-local: work handed to other threads (e.g. the mapper
+//! * [`mute`] silences the current thread: while the returned guard
+//!   lives, nothing it emits reaches any collector. It is for work that
+//!   runs only as a check and must not count, such as a debug build
+//!   re-running what a release build skips.
+//!
+//! All three are thread-local: work handed to other threads (e.g. the mapper
 //! portfolio's internal workers) is not captured by an overlay, though
 //! the top-level spans opened on the scoped thread are.
 //!
@@ -88,6 +93,9 @@ static OVERLAYS: AtomicUsize = AtomicUsize::new(0);
 /// Process-wide count of live request scopes; same skip-the-TLS trick.
 static REQ_SCOPES: AtomicUsize = AtomicUsize::new(0);
 
+/// Process-wide count of live mute guards; same skip-the-TLS trick.
+static MUTES: AtomicUsize = AtomicUsize::new(0);
+
 thread_local! {
     static SCOPE: RefCell<ThreadScope> = RefCell::new(ThreadScope::default());
 }
@@ -96,6 +104,7 @@ thread_local! {
 struct ThreadScope {
     overlay: Option<Arc<dyn Collector>>,
     request: u64, // 0 = no request scope active
+    muted: usize, // live mute guards on this thread
 }
 
 /// Installs the process-wide collector. Returns `Err` with the rejected
@@ -124,10 +133,16 @@ pub fn enabled() -> bool {
 }
 
 /// Whether any sink — the global collector or a thread overlay somewhere
-/// in the process — might receive records.
+/// in the process — might receive records from this thread.
 #[inline]
 fn active() -> bool {
-    ENABLED.load(Ordering::Relaxed) || OVERLAYS.load(Ordering::Relaxed) != 0
+    (ENABLED.load(Ordering::Relaxed) || OVERLAYS.load(Ordering::Relaxed) != 0) && !muted()
+}
+
+/// Whether a [`mute`] guard is live on this thread.
+#[inline]
+fn muted() -> bool {
+    MUTES.load(Ordering::Relaxed) != 0 && SCOPE.with(|s| s.borrow().muted != 0)
 }
 
 /// Whether per-event detail records (e.g. one record per FU firing in the
@@ -170,6 +185,28 @@ impl Drop for OverlayGuard {
 impl std::fmt::Debug for OverlayGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OverlayGuard").finish_non_exhaustive()
+    }
+}
+
+/// Silences the current thread until the returned guard drops: counters,
+/// instants, complete events and spans it emits reach no collector. A
+/// span opened before the guard still ends on drop. Guards nest.
+pub fn mute() -> MuteGuard {
+    MUTES.fetch_add(1, Ordering::SeqCst);
+    SCOPE.with(|s| s.borrow_mut().muted += 1);
+    MuteGuard { _private: () }
+}
+
+/// RAII guard for [`mute`].
+#[derive(Debug)]
+pub struct MuteGuard {
+    _private: (),
+}
+
+impl Drop for MuteGuard {
+    fn drop(&mut self) {
+        SCOPE.with(|s| s.borrow_mut().muted -= 1);
+        MUTES.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -387,6 +424,32 @@ mod tests {
         })
         .join()
         .expect("overlay thread");
+    }
+
+    #[test]
+    fn mute_silences_only_its_own_thread_until_dropped() {
+        std::thread::spawn(|| {
+            let rec = Arc::new(RecordingCollector::new());
+            let _ov = overlay(rec.clone());
+            counter(Phase::Bench, "mute_hits", 1);
+            {
+                let _m = mute();
+                {
+                    let _inner = mute();
+                    counter(Phase::Bench, "mute_hits", 10);
+                }
+                counter(Phase::Bench, "mute_hits", 100);
+                let _s = span(Phase::Bench, "mute_span", &[]);
+            }
+            counter(Phase::Bench, "mute_hits", 1000);
+            assert_eq!(rec.counter_total(Phase::Bench, "mute_hits"), 1001);
+            assert!(rec
+                .records()
+                .iter()
+                .all(|r| !matches!(r, Record::SpanBegin { .. })));
+        })
+        .join()
+        .expect("mute thread");
     }
 
     #[test]
