@@ -94,6 +94,19 @@ impl DfgBuilder {
         Ok(())
     }
 
+    /// Adds an edge unless an identical one exists (transforms and
+    /// generators whose endpoints may coincide).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`edge`](DfgBuilder::edge), less the duplicate.
+    pub fn edge_once(&mut self, src: NodeId, dst: NodeId, kind: EdgeKind) -> Result<(), DfgError> {
+        match self.edge(src, dst, kind) {
+            Ok(()) | Err(DfgError::DuplicateEdge { .. }) => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
     /// Adds an intra-iteration data edge.
     ///
     /// # Errors

@@ -182,6 +182,18 @@ pub fn enumerate_cycles(dfg: &Dfg) -> Vec<RecurrenceCycle> {
     cycles
 }
 
+/// Marks, by node index, every node on some recurrence cycle that
+/// [`enumerate_cycles`] finds.
+pub fn on_cycle(dfg: &Dfg) -> Vec<bool> {
+    let mut marks = vec![false; dfg.node_count()];
+    for cycle in enumerate_cycles(dfg) {
+        for n in cycle.nodes() {
+            marks[n.index()] = true;
+        }
+    }
+    marks
+}
+
 #[allow(clippy::too_many_arguments)]
 fn dfs_paths(
     dfg: &Dfg,

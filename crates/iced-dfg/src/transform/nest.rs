@@ -134,14 +134,14 @@ pub fn flatten_nest(
     // Outer edges verbatim.
     for e in outer.edges() {
         let (s, d) = (outer_ids[e.src().index()], outer_ids[e.dst().index()]);
-        add_dedup(&mut b, s, d, e.kind())?;
+        b.edge_once(s, d, e.kind())?;
     }
     // Inner edges per copy, with carried-edge redistribution.
     for e in inner.edges() {
         match e.kind() {
             EdgeKind::Data => {
                 for row in &copy_of {
-                    add_dedup(&mut b, row[e.src().index()], row[e.dst().index()], e.kind())?;
+                    b.edge_once(row[e.src().index()], row[e.dst().index()], e.kind())?;
                 }
             }
             EdgeKind::LoopCarried { distance } => {
@@ -157,7 +157,7 @@ pub fn flatten_nest(
                         // *outer* iteration.
                         EdgeKind::loop_carried(wrap)
                     };
-                    add_dedup(&mut b, s, d, kind)?;
+                    b.edge_once(s, d, kind)?;
                 }
             }
         }
@@ -166,8 +166,7 @@ pub fn flatten_nest(
     for link in links {
         match *link {
             NestLink::PrologueToFirst { outer, inner } => {
-                add_dedup(
-                    &mut b,
+                b.edge_once(
                     outer_ids[outer.index()],
                     copy_of[0][inner.index()],
                     EdgeKind::Data,
@@ -175,17 +174,11 @@ pub fn flatten_nest(
             }
             NestLink::PrologueToAll { outer, inner } => {
                 for row in &copy_of {
-                    add_dedup(
-                        &mut b,
-                        outer_ids[outer.index()],
-                        row[inner.index()],
-                        EdgeKind::Data,
-                    )?;
+                    b.edge_once(outer_ids[outer.index()], row[inner.index()], EdgeKind::Data)?;
                 }
             }
             NestLink::LastToEpilogue { inner, outer } => {
-                add_dedup(
-                    &mut b,
+                b.edge_once(
                     copy_of[trip as usize - 1][inner.index()],
                     outer_ids[outer.index()],
                     EdgeKind::Data,
@@ -193,26 +186,12 @@ pub fn flatten_nest(
             }
             NestLink::AllToEpilogue { inner, outer } => {
                 for row in &copy_of {
-                    add_dedup(
-                        &mut b,
-                        row[inner.index()],
-                        outer_ids[outer.index()],
-                        EdgeKind::Data,
-                    )?;
+                    b.edge_once(row[inner.index()], outer_ids[outer.index()], EdgeKind::Data)?;
                 }
             }
         }
     }
     b.finish()
-}
-
-/// Adds an edge, skipping exact duplicates (links may coincide with
-/// replicated edges).
-fn add_dedup(b: &mut DfgBuilder, src: NodeId, dst: NodeId, kind: EdgeKind) -> Result<(), DfgError> {
-    match b.edge(src, dst, kind) {
-        Ok(()) | Err(DfgError::DuplicateEdge { .. }) => Ok(()),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]

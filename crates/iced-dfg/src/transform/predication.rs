@@ -401,10 +401,7 @@ impl Lowering<'_> {
             let args: Vec<NodeId> = inst.args.iter().map(|a| self.value(a, env)).collect();
             let id = self.b.node(inst.op, inst.dest.clone());
             for a in args {
-                match self.b.data(a, id) {
-                    Ok(()) | Err(DfgError::DuplicateEdge { .. }) => {}
-                    Err(e) => return Err(e),
-                }
+                self.b.edge_once(a, id, EdgeKind::Data)?;
             }
             env.insert(inst.dest, id);
         }

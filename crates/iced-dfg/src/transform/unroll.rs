@@ -94,7 +94,7 @@ pub fn unroll(dfg: &Dfg, opts: &UnrollOptions) -> Result<Dfg, DfgError> {
             EdgeKind::Data => {
                 for row in copy_of.iter().take(k as usize) {
                     let (s, d) = (row[e.src().index()], row[e.dst().index()]);
-                    add_dedup(&mut b, s, d, EdgeKind::Data)?;
+                    b.edge_once(s, d, EdgeKind::Data)?;
                 }
             }
             EdgeKind::LoopCarried { distance } => {
@@ -114,21 +114,12 @@ pub fn unroll(dfg: &Dfg, opts: &UnrollOptions) -> Result<Dfg, DfgError> {
                             dfg.node(e.src()).label()
                         )));
                     }
-                    add_dedup(&mut b, s, d, kind)?;
+                    b.edge_once(s, d, kind)?;
                 }
             }
         }
     }
     b.finish()
-}
-
-/// Adds an edge, silently skipping exact duplicates that arise from shared
-/// endpoints.
-fn add_dedup(b: &mut DfgBuilder, src: NodeId, dst: NodeId, kind: EdgeKind) -> Result<(), DfgError> {
-    match b.edge(src, dst, kind) {
-        Ok(()) | Err(DfgError::DuplicateEdge { .. }) => Ok(()),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]

@@ -67,7 +67,7 @@ use iced_mapper::engine_internals::{self, usable_tiles, Prepared, RouterScratch}
 use iced_mapper::{map_with_faults, MapError, MapperOptions, Mapping};
 use iced_trace::Phase;
 
-use crate::search::{Limits, Search, Verdict};
+use crate::search::{Search, Verdict};
 
 /// Options controlling the exact search.
 #[derive(Debug, Clone)]
@@ -280,16 +280,11 @@ pub fn certify_with_plan(
         Some(m) => m.ii().saturating_sub(1).min(opts.max_ii),
         None => opts.max_ii,
     };
-    let limits = Limits {
-        node_budget: opts.node_budget,
-        deadline: opts.deadline,
-        backjump: opts.backjump,
-    };
     let (mut slot, mut scratch) = (None, RouterScratch::default());
     let mut explored = 0u64;
     for ii in lb..=search_max {
         let mrrg = prep.mrrg(&mut slot, ii)?;
-        let verdict = Search::new(&prep, &limits, mrrg, &mut scratch).run(&mut explored);
+        let verdict = Search::new(&prep, opts, mrrg, &mut scratch).run(&mut explored);
         match verdict {
             Verdict::Feasible(mapping) => {
                 return Ok(Certified {

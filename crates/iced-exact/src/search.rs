@@ -56,18 +56,7 @@ use iced_mapper::engine_internals::{
 use iced_mapper::{Mapping, Placement};
 use iced_trace::Phase;
 
-/// Search knobs threaded down from `ExactOptions`.
-pub(crate) struct Limits {
-    /// Abort once this many decisions have been committed (cumulative
-    /// across the IIs of one certification run).
-    pub node_budget: u64,
-    /// Abort once this instant passes (checked between decisions).
-    pub deadline: Option<std::time::Instant>,
-    /// Conflict-driven backjumping (disabling falls back to plain
-    /// chronological backtracking; the verdict is unchanged, only the
-    /// number of explored nodes differs).
-    pub backjump: bool,
-}
+use crate::ExactOptions;
 
 /// Outcome of searching one II exhaustively.
 pub(crate) enum Verdict {
@@ -122,7 +111,8 @@ pub(crate) struct Search<'a> {
     /// The kernel, prepared once per certification and shared by every
     /// II: its live tiles, placement order and FU capacity per class.
     prep: &'a Prepared<'a>,
-    limits: &'a Limits,
+    /// The search reads its node budget, deadline and backjumping.
+    opts: &'a ExactOptions,
     /// The partial mapping, every island at nominal V/F: the exact
     /// backend searches the all-normal schedule space, so — like the
     /// conventional baseline — no island is ever opened or pinned.
@@ -144,14 +134,14 @@ impl<'a> Search<'a> {
     /// mask ([`Prepared::mrrg`]).
     pub(crate) fn new(
         prep: &'a Prepared<'a>,
-        limits: &'a Limits,
+        opts: &'a ExactOptions,
         mrrg: &'a mut Mrrg,
         scratch: &'a mut RouterScratch,
     ) -> Search<'a> {
         let (dfg, cfg, ii) = (prep.dfg, prep.cfg, mrrg.ii());
         Search {
             prep,
-            limits,
+            opts,
             asap: modulo_asap(dfg, ii, |_| 1),
             fu_owner: vec![-1; cfg.tile_count() * ii as usize],
             state: Partial::new(dfg, cfg, mrrg, scratch, Some(DvfsLevel::Normal)),
@@ -187,11 +177,11 @@ impl<'a> Search<'a> {
         if depth == prep.order.len() {
             return Step::Found;
         }
-        if self.explored >= self.limits.node_budget {
+        if self.explored >= self.opts.node_budget {
             return Step::Stop(Verdict::Budget);
         }
         if self
-            .limits
+            .opts
             .deadline
             .is_some_and(|d| std::time::Instant::now() >= d)
         {
@@ -272,7 +262,7 @@ impl<'a> Search<'a> {
                         return Step::Stop(v);
                     }
                     Step::Fail(c) => {
-                        if self.limits.backjump && !c.tainted && c.max_level < depth as i64 {
+                        if self.opts.backjump && !c.tainted && c.max_level < depth as i64 {
                             // No alternative at this level can repair the
                             // conflict: jump straight through.
                             backjump_out = Some(c);
@@ -287,7 +277,7 @@ impl<'a> Search<'a> {
                 return Step::Fail(c);
             }
         }
-        if !self.limits.backjump {
+        if !self.opts.backjump {
             conflict.taint();
         }
         Step::Fail(conflict)

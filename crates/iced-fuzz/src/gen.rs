@@ -274,7 +274,7 @@ fn straight(name: &str, rng: &mut Rng, opts: &GenOptions) -> Result<Dfg, DfgErro
         let op = draw_op(rng, opts);
         let id = b.node(op, format!("f{i}"));
         let tgt = all[rng.below(all.len().min(ring + i) as u64) as usize];
-        skip_dup(b.data(id, tgt))?;
+        b.edge_once(id, tgt, EdgeKind::Data)?;
         all.push(id);
     }
     // Extra data edges from feeders to strictly earlier nodes. Feeder
@@ -286,7 +286,7 @@ fn straight(name: &str, rng: &mut Rng, opts: &GenOptions) -> Result<Dfg, DfgErro
         let s = rng.below(all.len() as u64) as usize;
         let d = rng.below(all.len() as u64) as usize;
         if s >= ring && d < s {
-            skip_dup(b.data(all[s], all[d]))?;
+            b.edge_once(all[s], all[d], EdgeKind::Data)?;
         }
     }
     // Extra recurrences: ring-interior or feeder→ring carried edges.
@@ -295,17 +295,9 @@ fn straight(name: &str, rng: &mut Rng, opts: &GenOptions) -> Result<Dfg, DfgErro
         let s = all[rng.below(all.len() as u64) as usize];
         let d = all[rng.below(ring as u64) as usize];
         let dist = rng.range(1, u64::from(opts.max_distance.max(1))) as u32;
-        skip_dup(b.edge(s, d, EdgeKind::loop_carried(dist)))?;
+        b.edge_once(s, d, EdgeKind::loop_carried(dist))?;
     }
     b.finish()
-}
-
-/// Treats duplicate-edge collisions as no-ops (random draws may repeat).
-fn skip_dup(r: Result<(), DfgError>) -> Result<(), DfgError> {
-    match r {
-        Ok(()) | Err(DfgError::DuplicateEdge { .. }) => Ok(()),
-        Err(e) => Err(e),
-    }
 }
 
 /// Variable-pool helper for CFG generation: picks an argument name, biased

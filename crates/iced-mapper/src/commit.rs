@@ -85,7 +85,7 @@ impl<'a> Prepared<'a> {
         mask: Option<&'a FaultMask>,
         cycle_first: bool,
     ) -> Prepared<'a> {
-        let on_cycle = recurrence_nodes(dfg);
+        let on_cycle = iced_dfg::recurrence::on_cycle(dfg);
         let order = if cycle_first {
             cycle_first_order(dfg, &on_cycle)
         } else {
@@ -206,17 +206,6 @@ pub fn usable_tiles(
             tiles
         }
     }
-}
-
-/// Marks every node that lies on some recurrence cycle.
-fn recurrence_nodes(dfg: &Dfg) -> Vec<bool> {
-    let mut on_cycle = vec![false; dfg.node_count()];
-    for cycle in iced_dfg::recurrence::enumerate_cycles(dfg) {
-        for n in cycle.nodes() {
-            on_cycle[n.index()] = true;
-        }
-    }
-    on_cycle
 }
 
 /// Cycle-first placement order: recurrence-cycle nodes first in

@@ -38,7 +38,7 @@ use crate::mapping::Mapping;
 /// routing, and II, with only `tile_level` refined per tile.
 pub fn relax_per_tile(dfg: &Dfg, mapping: &Mapping) -> Mapping {
     let mut out = mapping.clone();
-    let cycle_nodes = nodes_on_cycles(dfg);
+    let on_cycle = recurrence::on_cycle(dfg);
     let ii = mapping.ii();
     for tile in mapping.config().tiles() {
         let events = TileEvents::collect(dfg, mapping, tile);
@@ -49,7 +49,7 @@ pub fn relax_per_tile(dfg: &Dfg, mapping: &Mapping) -> Mapping {
         let mut chosen = DvfsLevel::Normal;
         for level in [DvfsLevel::Rest, DvfsLevel::Relax] {
             let r = level.rate_divisor().expect("active level");
-            if ii.is_multiple_of(r) && events.legal_at(r, ii, &cycle_nodes) {
+            if ii.is_multiple_of(r) && events.legal_at(r, ii, &on_cycle) {
                 chosen = level;
                 break;
             }
@@ -74,7 +74,7 @@ pub fn relax_per_tile(dfg: &Dfg, mapping: &Mapping) -> Mapping {
 /// left alone.
 pub fn relax_islands(dfg: &Dfg, mapping: &Mapping) -> Mapping {
     let mut out = mapping.clone();
-    let cycle_nodes = nodes_on_cycles(dfg);
+    let on_cycle = recurrence::on_cycle(dfg);
     let ii = mapping.ii();
     let cfg = mapping.config().clone();
     for island in cfg.islands() {
@@ -96,7 +96,7 @@ pub fn relax_islands(dfg: &Dfg, mapping: &Mapping) -> Mapping {
         }
         for level in [DvfsLevel::Rest, DvfsLevel::Relax] {
             let r = level.rate_divisor().expect("active level");
-            if ii.is_multiple_of(r) && events.iter().all(|e| e.legal_at(r, ii, &cycle_nodes)) {
+            if ii.is_multiple_of(r) && events.iter().all(|e| e.legal_at(r, ii, &on_cycle)) {
                 for &t in &tiles {
                     out.set_tile_level(t, level);
                 }
@@ -116,14 +116,6 @@ pub fn power_gate_idle(dfg: &Dfg, mapping: &Mapping) -> Mapping {
         }
     }
     out
-}
-
-/// All nodes participating in any recurrence cycle.
-fn nodes_on_cycles(dfg: &Dfg) -> HashSet<NodeId> {
-    recurrence::enumerate_cycles(dfg)
-        .iter()
-        .flat_map(|c| c.nodes().iter().copied())
-        .collect()
 }
 
 /// The scheduled activity of one tile within a modulo period.
@@ -179,10 +171,10 @@ impl TileEvents {
         self.ops.is_empty() && self.departures.is_empty()
     }
 
-    fn legal_at(&self, r: u32, ii: u32, cycle_nodes: &HashSet<NodeId>) -> bool {
+    fn legal_at(&self, r: u32, ii: u32, on_cycle: &[bool]) -> bool {
         let r = r as u64;
         // Rule 1: no recurrence node.
-        if self.ops.iter().any(|(n, _)| cycle_nodes.contains(n)) {
+        if self.ops.iter().any(|(n, _)| on_cycle[n.index()]) {
             return false;
         }
         // Rule 2a: one FU op per slow window (windows taken modulo II).
@@ -266,9 +258,9 @@ mod tests {
         let cfg = CgraConfig::iced_prototype();
         let base = map_baseline(&dfg, &cfg).unwrap();
         let relaxed = relax_per_tile(&dfg, &base);
-        let cyc = nodes_on_cycles(&dfg);
+        let cyc = recurrence::on_cycle(&dfg);
         for n in dfg.node_ids() {
-            if cyc.contains(&n) {
+            if cyc[n.index()] {
                 let t = base.placement(n).tile;
                 assert_eq!(relaxed.tile_level(t), DvfsLevel::Normal);
             }

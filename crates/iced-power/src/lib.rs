@@ -38,6 +38,6 @@ mod transition;
 mod vf;
 
 pub use area::{AreaModel, Fig8Breakdown};
-pub use model::{EnergyReport, PowerModel};
+pub use model::PowerModel;
 pub use transition::TransitionModel;
 pub use vf::VfPoint;

@@ -114,41 +114,6 @@ impl Default for PowerModel {
     }
 }
 
-/// Total power/energy accounting for one execution (Equation 4).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct EnergyReport {
-    /// Σ tile power (mW).
-    pub tiles_mw: f64,
-    /// DVFS controller power (mW).
-    pub controllers_mw: f64,
-    /// SRAM power (mW).
-    pub sram_mw: f64,
-    /// Execution time (µs).
-    pub exec_time_us: f64,
-}
-
-impl EnergyReport {
-    /// Total power in mW (Equation 3 + tile sum).
-    pub fn total_power_mw(&self) -> f64 {
-        self.tiles_mw + self.controllers_mw + self.sram_mw
-    }
-
-    /// Total energy in nJ (Equation 4): `P × ExecTime`.
-    pub fn energy_nj(&self) -> f64 {
-        self.total_power_mw() * self.exec_time_us
-    }
-
-    /// Energy efficiency proxy: work-per-energy, with work normalised out by
-    /// the caller; equals `1 / energy` scaled to per-µJ.
-    pub fn perf_per_watt(&self, work_units: f64) -> f64 {
-        let e = self.energy_nj();
-        if e <= 0.0 {
-            return 0.0;
-        }
-        work_units / e
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,18 +176,5 @@ mod tests {
         assert!(m.sram_power_mw(0.0) > 0.0);
         assert!((m.sram_power_mw(1.0) - SRAM_MAX_POWER_MW).abs() < 1e-9);
         assert!(m.sram_power_mw(0.5) < SRAM_MAX_POWER_MW);
-    }
-
-    #[test]
-    fn energy_is_power_times_time() {
-        let r = EnergyReport {
-            tiles_mw: 100.0,
-            controllers_mw: 10.0,
-            sram_mw: 40.0,
-            exec_time_us: 2.0,
-        };
-        assert!((r.total_power_mw() - 150.0).abs() < 1e-12);
-        assert!((r.energy_nj() - 300.0).abs() < 1e-12);
-        assert!((r.perf_per_watt(600.0) - 2.0).abs() < 1e-12);
     }
 }

@@ -8,9 +8,8 @@
 //! bytes the cold request produced, which is what the byte-identical
 //! warm/cold guarantee rests on.
 //!
-//! Eviction is least-recently-used under a byte budget
-//! (`ICED_SVC_CACHE_MB`). When a spill directory is configured
-//! (`ICED_SVC_CACHE_DIR`), evicted and flushed entries are written to
+//! Eviction is least-recently-used under a byte budget. When a spill
+//! directory is configured, evicted and flushed entries are written to
 //! disk — keyed by their digest, so a stale entry can never be returned
 //! for a different request — and promoted back into memory on a hit.
 //!

@@ -1,7 +1,8 @@
 //! Deterministic chaos injection for resilience testing.
 //!
-//! When `ICED_SVC_CHAOS=<seed>` is set (or [`ServiceConfig::chaos`] is
-//! populated), the daemon deliberately sabotages itself at three sites:
+//! When a chaos seed is set ([`ServiceConfig::chaos`], or its setting in
+//! `iced-serviced --help`), the daemon deliberately sabotages itself at
+//! three sites:
 //!
 //! * **worker panic** (~5% of work requests) — a panic inside the worker's
 //!   `catch_unwind` scope, which must surface as a structured `internal`
@@ -56,11 +57,10 @@ impl ChaosInjector {
         }
     }
 
-    /// Parses `ICED_SVC_CHAOS`: unset or empty disables chaos; a decimal
-    /// or `0x` hex literal is the seed; any other string is hashed so
-    /// `ICED_SVC_CHAOS=ci-nightly` works too.
-    pub fn seed_from_env() -> Option<u64> {
-        let raw = std::env::var("ICED_SVC_CHAOS").ok()?;
+    /// Parses a chaos seed: empty or `0` disables chaos; a decimal or
+    /// `0x` hex literal is the seed; any other text is hashed, so a seed
+    /// of `ci-nightly` works too.
+    pub(crate) fn parse_seed(raw: &str) -> Option<u64> {
         let raw = raw.trim();
         if raw.is_empty() || raw == "0" {
             return None;
@@ -149,21 +149,17 @@ mod tests {
     }
 
     #[test]
-    fn env_seed_parsing_accepts_decimal_hex_and_labels() {
-        // seed_from_env reads the real environment; exercise the parsing
-        // arms through a scoped set/unset. Tests in this module run on one
-        // process-global env, so keep it self-contained.
-        std::env::set_var("ICED_SVC_CHAOS", "12345");
-        assert_eq!(ChaosInjector::seed_from_env(), Some(12345));
-        std::env::set_var("ICED_SVC_CHAOS", "0xdead");
-        assert_eq!(ChaosInjector::seed_from_env(), Some(0xdead));
-        std::env::set_var("ICED_SVC_CHAOS", "ci-nightly");
-        let labeled = ChaosInjector::seed_from_env();
+    fn seed_parsing_accepts_decimal_hex_and_labels() {
+        assert_eq!(ChaosInjector::parse_seed("12345"), Some(12345));
+        assert_eq!(ChaosInjector::parse_seed("0xdead"), Some(0xdead));
+        let labeled = ChaosInjector::parse_seed("ci-nightly");
         assert!(labeled.is_some());
-        assert_eq!(labeled, ChaosInjector::seed_from_env(), "stable hash");
-        std::env::set_var("ICED_SVC_CHAOS", "0");
-        assert_eq!(ChaosInjector::seed_from_env(), None);
-        std::env::remove_var("ICED_SVC_CHAOS");
-        assert_eq!(ChaosInjector::seed_from_env(), None);
+        assert_eq!(
+            labeled,
+            ChaosInjector::parse_seed("ci-nightly"),
+            "stable hash"
+        );
+        assert_eq!(ChaosInjector::parse_seed("0"), None);
+        assert_eq!(ChaosInjector::parse_seed(""), None);
     }
 }

@@ -12,9 +12,9 @@
 //! Writing happens on a dedicated thread fed by a bounded channel so the
 //! request path never blocks on disk: when the channel is full the line
 //! is dropped and a counter incremented (reported by the `metrics` verb
-//! as `log_dropped`). The log is configured by `ICED_SVC_LOG` (file
-//! path) and `ICED_SVC_LOG_LEVEL` (`error`|`warn`|`info`|`debug`,
-//! default `info`); without `ICED_SVC_LOG` the log is disarmed and every
+//! as `log_dropped`). The log is configured by a file path and a minimum
+//! level (`error`|`warn`|`info`|`debug`, default `info`; see
+//! `iced-serviced --help`); without a path the log is disarmed and every
 //! emit site reduces to one atomic load.
 
 use std::fs::File;
@@ -27,11 +27,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::json::Obj;
-
-/// Env var naming the event-log file; unset means logging is off.
-pub const ENV_LOG: &str = "ICED_SVC_LOG";
-/// Env var selecting the minimum level written (default `info`).
-pub const ENV_LOG_LEVEL: &str = "ICED_SVC_LOG_LEVEL";
 
 /// Lines buffered between emitters and the writer thread before drops.
 const CHANNEL_CAP: usize = 4096;
@@ -50,7 +45,7 @@ pub enum Level {
 }
 
 impl Level {
-    /// Stable lowercase name used on the wire and in env config.
+    /// Stable lowercase name used on the wire and in the settings.
     pub fn name(self) -> &'static str {
         match self {
             Level::Error => "error",
@@ -60,7 +55,7 @@ impl Level {
         }
     }
 
-    /// Parses an env-style level name (case-insensitive).
+    /// Parses a level name (case-insensitive).
     pub fn parse(s: &str) -> Option<Level> {
         match s.to_ascii_lowercase().as_str() {
             "error" => Some(Level::Error),
@@ -132,22 +127,6 @@ impl EventLog {
             tx: Mutex::new(Some(tx)),
             writer: Mutex::new(Some(writer)),
         })
-    }
-
-    /// Builds a log from `ICED_SVC_LOG`/`ICED_SVC_LOG_LEVEL`; disarmed
-    /// when the path var is unset or the file cannot be created.
-    pub fn from_env() -> EventLog {
-        let Ok(path) = std::env::var(ENV_LOG) else {
-            return EventLog::disabled();
-        };
-        if path.is_empty() {
-            return EventLog::disabled();
-        }
-        let level = std::env::var(ENV_LOG_LEVEL)
-            .ok()
-            .and_then(|s| Level::parse(&s))
-            .unwrap_or(Level::Info);
-        EventLog::to_path(Path::new(&path), level).unwrap_or_else(|_| EventLog::disabled())
     }
 
     /// Whether events at `level` would currently be written. Emit sites

@@ -440,7 +440,7 @@ pub struct Metrics {
     pub errors: AtomicU64,
     /// Connections accepted over the server's lifetime.
     pub connections: AtomicU64,
-    /// Faults injected by the chaos layer (0 unless `ICED_SVC_CHAOS`).
+    /// Faults injected by the chaos layer (0 unless chaos is armed).
     pub chaos_faults: AtomicU64,
     /// High-water mark of the request queue depth.
     pub queue_peak: AtomicU64,
@@ -448,7 +448,7 @@ pub struct Metrics {
     pub conns_open: AtomicU64,
     /// High-water mark of concurrently open connections.
     pub conns_peak: AtomicU64,
-    /// Connections refused at the `ICED_SVC_MAX_CONNS` cap.
+    /// Connections refused at the connection cap.
     pub conns_rejected: AtomicU64,
     /// Requests rejected at the per-connection pipeline cap
     /// (`too_many_requests`).
@@ -628,7 +628,7 @@ impl Metrics {
         self.conns_open.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// A connection was refused at the `ICED_SVC_MAX_CONNS` cap.
+    /// A connection was refused at the connection cap.
     pub fn conn_rejected(&self) {
         self.conns_rejected.fetch_add(1, Ordering::Relaxed);
         iced::trace::counter(Phase::Service, "svc_conns_rejected", 1);

@@ -79,13 +79,6 @@ impl Verb {
     fn from_name(s: &str) -> Option<Verb> {
         Verb::ALL.into_iter().find(|v| v.name() == s)
     }
-
-    /// Whether responses for this verb are content-addressed cacheable.
-    /// A `batch` envelope is not: its per-slot `cached` flags depend on
-    /// cache state, though each *slot* is served through the cache.
-    pub fn cacheable(self) -> bool {
-        matches!(self, Verb::Compile | Verb::Simulate | Verb::Stream)
-    }
 }
 
 /// Deterministic per-request identity: the accepting connection's ordinal
@@ -1319,7 +1312,6 @@ mod tests {
             }
             p => panic!("wrong payload {p:?}"),
         }
-        assert!(!Verb::CachePut.cacheable());
 
         let e = parse_request(r#"{"verb":"cache_put","key":"zz","value":"{}"}"#).unwrap_err();
         assert_eq!(e.error.code, "bad_request");

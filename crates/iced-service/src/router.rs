@@ -49,7 +49,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use iced::arch::CgraConfig;
-use iced_hash::{rendezvous_rank, rendezvous_score, shard_id};
+use iced_hash::{rendezvous_owner, rendezvous_rank, shard_id};
 
 use crate::cache::CacheKey;
 use crate::conn::{
@@ -62,7 +62,8 @@ use crate::proto::{
     parse_request, read_batch_result, render_batch_item_err, render_batch_result, render_err,
     render_ok, BatchSlot, Payload, Request, RequestId, SvcError, Verb,
 };
-use crate::server::{elem_key, env_usize, request_key};
+use crate::server::{elem_key, request_key};
+use crate::settings::{self, Role, SHARDS};
 
 /// Minimum spacing between reconnect probes to a down shard.
 const RECONNECT_MS: u64 = 2000;
@@ -72,11 +73,11 @@ const RECONNECT_MS: u64 = 2000;
 const CONNECT_TIMEOUT_MS: u64 = 100;
 
 /// Default per-link inflight ceiling: the shards enforce their own
-/// per-connection pipeline cap (`ICED_SVC_PIPELINE`, default 32), and a
-/// router link is one connection — exceeding the shard's cap would turn
-/// excess forwards into `too_many_requests` errors. Forwards beyond this
-/// ceiling queue on the link and drain as responses come back.
-const LINK_PIPELINE: usize = 32;
+/// per-connection pipeline cap (default 32), and a router link is one
+/// connection — exceeding the shard's cap would turn excess forwards
+/// into `too_many_requests` errors. Forwards beyond this ceiling queue
+/// on the link and drain as responses come back.
+pub(crate) const LINK_PIPELINE: usize = 32;
 
 /// Sliding window for hot-hit counting.
 const HOT_WINDOW: Duration = Duration::from_secs(60);
@@ -85,23 +86,24 @@ const HOT_WINDOW: Duration = Duration::from_secs(60);
 /// counts is harmless — a genuinely hot key re-earns them immediately).
 const HOT_TABLE_CAP: usize = 65_536;
 
-/// Router configuration.
+/// Router configuration. The daemon reads it through [`crate::settings`]
+/// (`iced-routerd --help`); `Default` is the daemon's defaults on an
+/// ephemeral port, with no shard.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Listen address (`ICED_SVC_ADDR`; port 0 picks an ephemeral port).
+    /// Listen address (port 0 picks an ephemeral port).
     pub addr: String,
-    /// Backend shard addresses (`ICED_SVC_SHARDS`, comma-separated).
+    /// Backend shard addresses.
     pub shards: Vec<String>,
-    /// Replicate a key's result to its successor shard after this many
-    /// window hits (`ICED_SVC_REPLICATE_HOT`; 0 disables replication).
+    /// Cached hits inside the window before a key's result is replicated
+    /// to its successor shard (0 disables replication).
     pub replicate_hot: usize,
-    /// Per-connection pipeline cap (`ICED_SVC_PIPELINE`).
+    /// Per-connection pipeline cap.
     pub pipeline: usize,
-    /// Connection cap (`ICED_SVC_MAX_CONNS`).
+    /// Connection cap.
     pub max_conns: usize,
-    /// Per-shard-link inflight ceiling; must not exceed the shards' own
-    /// `ICED_SVC_PIPELINE` or excess forwards bounce as
-    /// `too_many_requests`. Matches the shard default when left alone.
+    /// Per-shard-link inflight ceiling, at most the shards' own pipeline
+    /// cap or excess forwards bounce as `too_many_requests`.
     pub shard_pipeline: usize,
     /// CGRA configuration whose canonical hash keys the cache — must
     /// match the shards' or routed keys never hit.
@@ -112,35 +114,7 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             addr: "127.0.0.1:0".into(),
-            shards: Vec::new(),
-            replicate_hot: 3,
-            pipeline: 32,
-            max_conns: 4096,
-            shard_pipeline: LINK_PIPELINE,
-            cgra: CgraConfig::iced_prototype(),
-        }
-    }
-}
-
-impl RouterConfig {
-    /// Reads `ICED_SVC_*` from the environment, with sane defaults.
-    pub fn from_env() -> Self {
-        RouterConfig {
-            addr: std::env::var("ICED_SVC_ADDR").unwrap_or_else(|_| "127.0.0.1:9191".into()),
-            shards: std::env::var("ICED_SVC_SHARDS")
-                .map(|s| {
-                    s.split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(String::from)
-                        .collect()
-                })
-                .unwrap_or_default(),
-            replicate_hot: env_usize("ICED_SVC_REPLICATE_HOT", 3, 0, 1_000_000),
-            pipeline: env_usize("ICED_SVC_PIPELINE", 32, 1, 4096),
-            max_conns: env_usize("ICED_SVC_MAX_CONNS", 4096, 1, 1_000_000),
-            shard_pipeline: LINK_PIPELINE,
-            cgra: CgraConfig::iced_prototype(),
+            ..settings::defaults(Role::Router, settings::router)
         }
     }
 }
@@ -291,7 +265,7 @@ impl Router {
         if cfg.shards.is_empty() {
             return Err(std::io::Error::new(
                 ErrorKind::InvalidInput,
-                "router needs at least one shard address (ICED_SVC_SHARDS)",
+                format!("router needs at least one shard address ({})", SHARDS.env),
             ));
         }
         let listener = TcpListener::bind(&cfg.addr)?;
@@ -593,19 +567,9 @@ fn handle_client_line(st: &mut Loop, c: &mut Conn, to: ReplyTo, text: &str) {
 /// Picks the live shard owning `key`: the best-ranked rendezvous shard
 /// that is up (probing down shards at most every [`RECONNECT_MS`]).
 fn pick_shard(st: &mut Loop, key: CacheKey) -> Option<usize> {
-    // Fast path: a single max-scan finds the owner (ties break toward the
-    // smaller shard id, exactly as `rendezvous_rank` sorts) without the
-    // rank vector's allocation and sort. Only when the owner is down does
-    // the full ranking matter.
-    let mut best = 0usize;
-    let mut best_score = rendezvous_score(key.0, key.1, st.shard_ids[0]);
-    for (i, &sid) in st.shard_ids.iter().enumerate().skip(1) {
-        let score = rendezvous_score(key.0, key.1, sid);
-        if score > best_score || (score == best_score && sid < st.shard_ids[best]) {
-            best = i;
-            best_score = score;
-        }
-    }
+    // Fast path: the owner without the rank vector's allocation and
+    // sort; only when the owner is down does the full ranking matter.
+    let best = rendezvous_owner(key.0, key.1, &st.shard_ids)?;
     if st.links[best].up || try_connect(&mut st.links[best]) {
         return Some(best);
     }
@@ -709,7 +673,10 @@ fn route_single(
 fn no_shards() -> SvcError {
     SvcError::new(
         "no_shards",
-        "no backend shard is reachable; check ICED_SVC_SHARDS and shard health",
+        format!(
+            "no backend shard is reachable; check {} and shard health",
+            SHARDS.env
+        ),
     )
 }
 
@@ -867,10 +834,15 @@ fn drain_link_lines(st: &mut Loop, idx: usize, bytes: &[u8]) {
 fn handle_shard_response(st: &mut Loop, idx: usize, fwd: Forward, line: &str) {
     match fwd {
         Forward::Internal => {}
-        Forward::Single { to, verb, key, .. } => {
+        Forward::Single { to, key, .. } => {
             let env = Fields::read(line);
-            if let Some(env) = env.as_ref().filter(|e| e.is_true("ok")) {
-                if let (true, Some(result)) = (verb.cacheable(), env.get("result")) {
+            // Only an answer the shard served from its cache counts: the
+            // shard alone decides what may be kept.
+            if let Some(env) = env
+                .as_ref()
+                .filter(|e| e.is_true("ok") && e.is_true("cached"))
+            {
+                if let Some(result) = env.get("result") {
                     note_hot_hit(st, idx, key, result);
                 }
             }

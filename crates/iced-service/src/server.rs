@@ -15,7 +15,7 @@
 //!   buffer), and writes responses back in strict per-connection request
 //!   order with interest-driven writability — partial writes are
 //!   buffered, never blocked on.
-//! * `ICED_SVC_THREADS` **workers** drain the queue, derive keys that
+//! * A pool of **workers** drain the queue, derive keys that
 //!   need a WL hash, consult the cache (spill directory included),
 //!   compute on miss, render the full response envelope, and hand it back
 //!   to the reactor through a completion list plus a wake token.
@@ -70,79 +70,36 @@ use crate::proto::{
     StreamSpec, SvcError, Verb,
 };
 use crate::queue::BoundedQueue;
+use crate::settings::{self, Role};
 
-/// Server configuration, normally taken from the environment.
+/// Server configuration. The daemon reads it through [`crate::settings`]
+/// (`iced-serviced --help` lists each setting with its default and
+/// bound); `Default` is the daemon's defaults on an ephemeral port with
+/// two workers.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Bind address (`ICED_SVC_ADDR`, default `127.0.0.1:9090`; use port
-    /// 0 for an ephemeral port).
+    /// Bind address (port 0 picks an ephemeral port).
     pub addr: String,
-    /// Worker pool size (`ICED_SVC_THREADS`).
+    /// Worker pool size.
     pub threads: usize,
-    /// Request queue capacity (`ICED_SVC_QUEUE`).
+    /// Request queue capacity; a full queue answers `queue_full`.
     pub queue_cap: usize,
-    /// In-memory cache budget in MiB (`ICED_SVC_CACHE_MB`).
-    pub cache_mb: u64,
-    /// Exact in-memory cache budget in bytes, overriding `cache_mb` when
-    /// set (`ICED_SVC_CACHE_BYTES`). Benchmarks and tests use this to
-    /// provoke LRU capacity eviction at working-set sizes far below one
-    /// MiB — the cluster sweep's aggregate-capacity scaling runs on it.
-    pub cache_bytes: Option<u64>,
-    /// Optional disk-spill directory (`ICED_SVC_CACHE_DIR`).
+    /// In-memory cache budget in bytes.
+    pub cache_bytes: u64,
+    /// Optional disk-spill directory.
     pub cache_dir: Option<PathBuf>,
-    /// Chaos-injection seed (`ICED_SVC_CHAOS`); `None` disables chaos.
-    /// See [`crate::chaos`] for the fault sites and rates.
+    /// Chaos-injection seed (see [`crate::chaos`]); `None` disables chaos.
     pub chaos: Option<u64>,
-    /// JSONL event-log path (`ICED_SVC_LOG`); `None` disables logging.
+    /// JSONL event-log path; `None` disables logging.
     pub log_path: Option<PathBuf>,
-    /// Minimum event severity written (`ICED_SVC_LOG_LEVEL`).
+    /// Minimum event severity written.
     pub log_level: Level,
-    /// Max unanswered requests buffered per connection before the server
-    /// answers `too_many_requests` (`ICED_SVC_PIPELINE`).
+    /// Max unanswered requests per connection (`too_many_requests` past it).
     pub pipeline: usize,
-    /// Max concurrently open connections; further connects are refused
-    /// with a `too_many_connections` line (`ICED_SVC_MAX_CONNS`).
+    /// Max open connections (`too_many_connections` past it).
     pub max_conns: usize,
     /// Target CGRA configuration.
     pub cgra: CgraConfig,
-}
-
-/// Reads a clamped `usize` setting, falling back to `default` when the
-/// variable is unset or not a number.
-pub(crate) fn env_usize(key: &str, default: usize, lo: usize, hi: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(default, |v| v.clamp(lo, hi))
-}
-
-impl ServiceConfig {
-    /// Reads `ICED_SVC_*` from the environment, with sane defaults.
-    pub fn from_env() -> Self {
-        let threads = std::thread::available_parallelism().map_or(2, |n| n.get().min(4));
-        ServiceConfig {
-            addr: std::env::var("ICED_SVC_ADDR").unwrap_or_else(|_| "127.0.0.1:9090".into()),
-            threads: env_usize("ICED_SVC_THREADS", threads, 1, 64),
-            queue_cap: env_usize("ICED_SVC_QUEUE", 64, 1, 65_536),
-            cache_mb: env_usize("ICED_SVC_CACHE_MB", 64, 1, 16_384) as u64,
-            cache_bytes: std::env::var("ICED_SVC_CACHE_BYTES")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok()),
-            cache_dir: std::env::var("ICED_SVC_CACHE_DIR").ok().map(PathBuf::from),
-            chaos: ChaosInjector::seed_from_env(),
-            log_path: std::env::var(crate::log::ENV_LOG)
-                .ok()
-                .filter(|p| !p.is_empty())
-                .map(PathBuf::from),
-            log_level: std::env::var(crate::log::ENV_LOG_LEVEL)
-                .ok()
-                .and_then(|s| Level::parse(&s))
-                .unwrap_or(Level::Info),
-            pipeline: env_usize("ICED_SVC_PIPELINE", 32, 1, 4096),
-            max_conns: env_usize("ICED_SVC_MAX_CONNS", 4096, 1, 65_536),
-            cgra: CgraConfig::iced_prototype(),
-        }
-    }
 }
 
 impl Default for ServiceConfig {
@@ -150,16 +107,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             addr: "127.0.0.1:0".into(),
             threads: 2,
-            queue_cap: 64,
-            cache_mb: 64,
-            cache_bytes: None,
-            cache_dir: None,
-            chaos: None,
-            log_path: None,
-            log_level: Level::Info,
-            pipeline: 32,
-            max_conns: 4096,
-            cgra: CgraConfig::iced_prototype(),
+            ..settings::defaults(Role::Shard, settings::shard)
         }
     }
 }
@@ -275,6 +223,8 @@ impl Server {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let (waker, wake_rx) = crate::poll::wake_pair()?;
+        let (threads, pipeline_cap) = (cfg.threads.max(1), cfg.pipeline.max(1));
+        let max_conns = cfg.max_conns.max(1);
         let log = match &cfg.log_path {
             Some(p) => EventLog::to_path(p, cfg.log_level)?,
             None => EventLog::disabled(),
@@ -282,22 +232,18 @@ impl Server {
         log.emit(Level::Info, "server_start", |o| {
             o.str("addr", &addr.to_string())
                 .str("version", env!("CARGO_PKG_VERSION"))
-                .u64("threads", cfg.threads.max(1) as u64)
+                .u64("threads", threads as u64)
                 .u64("queue_cap", cfg.queue_cap as u64)
-                .u64("cache_mb", cfg.cache_mb)
-                .u64("pipeline_cap", cfg.pipeline.max(1) as u64)
-                .u64("max_conns", cfg.max_conns.max(1) as u64)
+                .u64("cache_bytes", cfg.cache_bytes)
+                .u64("pipeline_cap", pipeline_cap as u64)
+                .u64("max_conns", max_conns as u64)
                 .bool("chaos_armed", cfg.chaos.is_some())
         });
         let shared = Arc::new(Shared {
             config_hash: cfg.cgra.canonical_hash(),
             config: cfg.cgra,
             model: PowerModel::asap7(),
-            cache: ResultCache::new(
-                cfg.cache_bytes
-                    .unwrap_or_else(|| cfg.cache_mb.saturating_mul(1 << 20)),
-                cfg.cache_dir,
-            ),
+            cache: ResultCache::new(cfg.cache_bytes, cfg.cache_dir),
             mappings: Mutex::new(MappingMemo::new(MAPPING_MEMO_CAP)),
             queue: BoundedQueue::new(cfg.queue_cap),
             metrics: Metrics::new(),
@@ -305,18 +251,16 @@ impl Server {
             log,
             shutting: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
-            threads: cfg.threads.max(1),
+            threads,
             queue_cap: cfg.queue_cap,
-            pipeline_cap: cfg.pipeline.max(1),
-            max_conns: cfg.max_conns.max(1),
+            pipeline_cap,
+            max_conns,
             jobs_outstanding: AtomicUsize::new(0),
             completions: Mutex::new(Vec::new()),
             waker,
         });
-        shared
-            .metrics
-            .set_limits(cfg.pipeline.max(1), cfg.max_conns.max(1));
-        let workers = (0..cfg.threads.max(1))
+        shared.metrics.set_limits(pipeline_cap, max_conns);
+        let workers = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -928,7 +872,7 @@ pub(crate) fn test_shared() -> Arc<Shared> {
         config_hash: cfg.cgra.canonical_hash(),
         config: cfg.cgra,
         model: PowerModel::asap7(),
-        cache: ResultCache::new(cfg.cache_mb << 20, None),
+        cache: ResultCache::new(cfg.cache_bytes, None),
         mappings: Mutex::new(MappingMemo::new(MAPPING_MEMO_CAP)),
         queue: BoundedQueue::new(cfg.queue_cap),
         metrics: Metrics::new(),
@@ -954,8 +898,7 @@ mod tests {
     use iced::Strategy;
 
     #[test]
-    fn service_config_env_parsing_clamps() {
-        assert_eq!(env_usize("ICED_SVC_DOES_NOT_EXIST", 7, 1, 10), 7);
+    fn default_config_keeps_the_daemon_caps() {
         let cfg = ServiceConfig::default();
         assert_eq!(cfg.pipeline, 32);
         assert_eq!(cfg.max_conns, 4096);

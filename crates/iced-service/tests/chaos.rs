@@ -18,7 +18,7 @@ fn chaos_server(seed: u64, dir: &std::path::Path) -> Server {
         queue_cap: 32,
         // A tiny memory budget keeps entries churning through the spill
         // path, so the corruption site actually gets exercised.
-        cache_mb: 1,
+        cache_bytes: 1 << 20,
         cache_dir: Some(dir.to_path_buf()),
         chaos: Some(seed),
         ..ServiceConfig::default()
@@ -261,7 +261,7 @@ fn chaos_decisions_are_reproducible_across_daemons() {
         let cfg = ServiceConfig {
             threads: 1, // one worker: the decision order is the arrival order
             queue_cap: 8,
-            cache_mb: 1,
+            cache_bytes: 1 << 20,
             cache_dir: Some(dir.clone()),
             chaos: Some(0xD1CE),
             ..ServiceConfig::default()

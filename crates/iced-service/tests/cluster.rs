@@ -401,6 +401,30 @@ fn replicated_hot_entry_survives_home_shard_death() {
     }
 }
 
+/// An exact compile under a deadline is never cached by its owner shard,
+/// so however often it is asked, the router must not replicate it to the
+/// successor's cache either: only answers the shard served `cached`
+/// count as hot hits.
+#[test]
+fn an_answer_the_owner_declines_to_cache_is_never_replicated() {
+    let (shards, addrs) = start_shards(3);
+    let router = start_router(addrs, 2);
+    let mut c = Client::connect(router.local_addr());
+    let req = r#"{"verb":"compile","kernel":"fir","strategy":"exact","deadline_ms":60000}"#;
+    for _ in 0..4 {
+        let answer = c.round_trip(req);
+        assert!(answer.contains("\"ok\":true"), "{answer}");
+        assert!(answer.contains("\"cached\":false"), "{answer}");
+    }
+    let stats = c.round_trip(r#"{"id":90,"verb":"metrics"}"#);
+    assert!(stats.contains("\"replicated\":0"), "{stats}");
+    router.shutdown();
+    router.wait();
+    for s in shards {
+        s.wait();
+    }
+}
+
 /// The router's own control plane: healthz and stats report the router
 /// role, shard inventory, and Prometheus families.
 /// Every key path of the JSON object `text`, depth first in emission

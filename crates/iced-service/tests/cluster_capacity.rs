@@ -101,7 +101,7 @@ fn boot_cluster(n: usize) -> (Vec<Server>, Router) {
             Server::start(ServiceConfig {
                 pipeline: 2048,
                 queue_cap: 4096,
-                cache_bytes: Some(CACHE_BYTES),
+                cache_bytes: CACHE_BYTES,
                 ..ServiceConfig::default()
             })
             .expect("bind shard")

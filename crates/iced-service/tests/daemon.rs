@@ -169,3 +169,88 @@ fn chaos_daemon_from_env_logs_faults_and_drains() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs a daemon binary to its exit with `args`, away from any `ICED_`
+/// variable of the test's own environment.
+fn run_to_exit(bin: &str, args: &[&str]) -> std::process::Output {
+    let mut cmd = Command::new(bin);
+    cmd.args(args).stdin(Stdio::null());
+    for (k, _) in std::env::vars_os() {
+        if k.to_string_lossy().starts_with("ICED_") {
+            cmd.env_remove(k);
+        }
+    }
+    cmd.output().expect("run daemon")
+}
+
+#[test]
+fn bad_settings_and_a_shardless_router_exit_two_before_binding() {
+    let cases = [
+        (
+            env!("CARGO_BIN_EXE_iced-serviced"),
+            vec!["--threads", "abc"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_iced-routerd"),
+            vec!["--shards", "127.0.0.1:1", "--pipeline", "x"],
+            "--pipeline",
+        ),
+        (
+            env!("CARGO_BIN_EXE_iced-routerd"),
+            vec![],
+            "ICED_SVC_SHARDS",
+        ),
+    ];
+    for (bin, args, name) in cases {
+        let out = run_to_exit(bin, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(name), "{bin} {args:?}: {stderr}");
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("listening on"),
+            "{bin} {args:?} bound before rejecting its input"
+        );
+    }
+}
+
+#[test]
+fn help_lists_every_variable_and_flag() {
+    let common = [
+        ("ICED_SVC_ADDR", "--addr"),
+        ("ICED_SVC_PIPELINE", "--pipeline"),
+        ("ICED_SVC_MAX_CONNS", "--max-conns"),
+    ];
+    let shard = [
+        ("ICED_SVC_THREADS", "--threads"),
+        ("ICED_SVC_QUEUE", "--queue"),
+        ("ICED_SVC_CACHE_BYTES", "--cache-bytes"),
+        ("ICED_SVC_CACHE_DIR", "--cache-dir"),
+        ("ICED_SVC_CHAOS", "--chaos"),
+        ("ICED_SVC_LOG", "--log"),
+        ("ICED_SVC_LOG_LEVEL", "--log-level"),
+    ];
+    let router = [
+        ("ICED_SVC_SHARDS", "--shards"),
+        ("ICED_SVC_REPLICATE_HOT", "--replicate-hot"),
+    ];
+    let cases = [
+        (env!("CARGO_BIN_EXE_iced-serviced"), &shard[..], &router[..]),
+        (env!("CARGO_BIN_EXE_iced-routerd"), &router[..], &shard[..]),
+    ];
+    for (bin, own, other) in cases {
+        let out = run_to_exit(bin, &["--help"]);
+        assert!(out.status.success(), "{bin} --help exited {}", out.status);
+        let help = String::from_utf8_lossy(&out.stdout);
+        for (var, flag) in common.iter().chain(own) {
+            assert!(help.contains(var), "{bin} --help misses {var}:\n{help}");
+            assert!(
+                help.contains(&format!("{flag} ")),
+                "{bin} --help misses {flag}:\n{help}"
+            );
+        }
+        for (var, _) in other {
+            assert!(!help.contains(var), "{bin} --help lists {var}:\n{help}");
+        }
+    }
+}

@@ -2,7 +2,7 @@
 
 use iced_dfg::Dfg;
 use iced_mapper::Mapping;
-use iced_power::{EnergyReport, PowerModel, VfPoint};
+use iced_power::{PowerModel, VfPoint};
 
 use crate::metrics::FabricStats;
 
@@ -73,24 +73,14 @@ impl EnergyBreakdown {
         }
     }
 
-    /// Converts into the power-model report type.
-    pub fn report(&self) -> EnergyReport {
-        EnergyReport {
-            tiles_mw: self.tiles_mw,
-            controllers_mw: self.controllers_mw,
-            sram_mw: self.sram_mw,
-            exec_time_us: self.exec_time_us,
-        }
-    }
-
-    /// Total average power in mW.
+    /// Total average power in mW (Equation 3 plus the tile sum).
     pub fn total_power_mw(&self) -> f64 {
-        self.report().total_power_mw()
+        self.tiles_mw + self.controllers_mw + self.sram_mw
     }
 
-    /// Total energy in nJ.
+    /// Total energy in nJ (Equation 4): `P × ExecTime`.
     pub fn energy_nj(&self) -> f64 {
-        self.report().energy_nj()
+        self.total_power_mw() * self.exec_time_us
     }
 }
 
@@ -151,6 +141,19 @@ mod tests {
         assert!(pt > iced, "per-tile {pt} vs iced {iced}");
         let _ = base;
         assert!(model.controllers_power_mw(36) > 4.0 * model.controllers_power_mw(9) - 1e-9);
+    }
+
+    #[test]
+    fn energy_is_power_times_time() {
+        let r = EnergyBreakdown {
+            tiles_mw: 100.0,
+            controllers_mw: 10.0,
+            sram_mw: 40.0,
+            exec_time_us: 2.0,
+            iterations: 1,
+        };
+        assert!((r.total_power_mw() - 150.0).abs() < 1e-12);
+        assert!((r.energy_nj() - 300.0).abs() < 1e-12);
     }
 
     #[test]
