@@ -8,7 +8,7 @@ use crate::tile::{Dir, IslandId, TileId};
 /// Real CGRAs are often heterogeneous: multipliers and dividers are large,
 /// so only a subset of tiles carries them (the paper's CGRA-Flow companion
 /// framework exposes exactly this kind of per-tile FU customization). The
-/// mapper consults [`CgraConfig::tile_supports`] when filtering placement
+/// mapper consults [`CgraConfig::tile_has_multiplier`] when filtering placement
 /// candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FuLayout {

@@ -1,6 +1,6 @@
 //! Structural DFG transforms used by the ICED compiler front end.
 //!
-//! * [`unroll`] — generic loop unrolling on the DFG level, with support for
+//! * [`mod@unroll`] — generic loop unrolling on the DFG level, with support for
 //!   *shared* nodes (loop-invariant values / induction bookkeeping that a
 //!   compiler would not duplicate).
 //! * [`predication`] — a small CFG IR plus the partial-predication pass that

@@ -1,7 +1,7 @@
 //! The committed regression corpus.
 //!
 //! Every bug the fuzzer has ever found is minimized (see
-//! [`crate::minimize`]) into a small `.dfg` repro and committed under
+//! [`mod@crate::minimize`]) into a small `.dfg` repro and committed under
 //! `crates/iced-fuzz/corpus/regressions/`. The corpus is compiled in via
 //! `include_str!`, replayed by this module's unit tests, and replayed
 //! again by the `fuzz_sweep` bench binary — so a fixed bug that comes

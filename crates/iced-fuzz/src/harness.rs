@@ -16,7 +16,7 @@
 //!    heuristic holds a witness is a contradiction;
 //! 3. **dependency discipline** — `check_dependencies` must accept every
 //!    produced mapping;
-//! 4. **engine vs oracle** — bit-identical [`EngineReport`]s on the mapped
+//! 4. **engine vs oracle** — bit-identical [`EngineReport`](iced_sim::EngineReport)s on the mapped
 //!    result (plus an SEU fault-sim smoke run on degraded rungs);
 //! 5. **typed-failure discipline** — any [`MapError`] is an acceptable
 //!    outcome; a panic anywhere is a [`Bug`].

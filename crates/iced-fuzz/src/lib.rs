@@ -16,7 +16,7 @@
 //!   and engine/oracle bit-identity. Any typed `MapError`/`EngineError` is
 //!   an acceptable outcome; panics and backend disagreement are
 //!   [`harness::Bug`]s.
-//! * [`minimize`] — greedy node/edge deletion preserving a failure
+//! * [`mod@minimize`] — greedy node/edge deletion preserving a failure
 //!   signature, shrinking found bugs to small committed repros.
 //! * [`corpus`] — the committed `.dfg` regression corpus, replayed as unit
 //!   tests and by the `fuzz_sweep` bench binary.

@@ -1,7 +1,7 @@
 //! Greedy failure-preserving shrinking.
 //!
-//! When the harness finds a [`Bug`](crate::harness::Bug), the offending
-//! kernel is usually a dozen-plus nodes of mostly-irrelevant structure.
+//! When the harness finds a [`Bug`], the offending kernel is usually a
+//! dozen-plus nodes of mostly-irrelevant structure.
 //! [`minimize`] shrinks it by greedy deletion — drop a node (with its
 //! edges), drop an edge — keeping each deletion only when the failure
 //! *signature* survives, and repeating to a fixpoint. The result is the

@@ -45,11 +45,12 @@
 //!   connections, splits batches per shard and reassembles them
 //!   byte-identically, replicates hot entries to a successor shard,
 //!   and fails over when a shard dies.
-//! * [`metrics`] — the one metrics registry both roles expose from:
-//!   each scalar counter or gauge declared once (JSON key, Prometheus
-//!   family, kind, help, value), per-verb log2 latency histograms with
-//!   p50/p95/p99 estimation, a sliding-window view (`stats` verb),
-//!   in-flight gauges, and Prometheus text exposition.
+//! * `metrics` (internal) — the one metrics registry both roles expose
+//!   from: each scalar counter or gauge is one row of one table (JSON
+//!   key, Prometheus family, kind, help, `stats` field, iced-trace
+//!   mirror) over one atomic array, plus per-verb log2 latency
+//!   histograms with p50/p95/p99 estimation, a sliding-window view
+//!   (`stats` verb), in-flight gauges, and Prometheus text exposition.
 //! * [`log`] — leveled JSONL event log written off the request path by
 //!   a dedicated thread; request lifecycle, chaos injections, and worker panics all
 //!   land here keyed by request id.
@@ -70,7 +71,7 @@ mod conn;
 pub mod json;
 pub mod log;
 mod memo;
-pub mod metrics;
+mod metrics;
 #[allow(unsafe_code)]
 mod poll;
 pub mod proto;

@@ -1,15 +1,19 @@
-//! Service-side observability: lock-free counters, per-verb latency
-//! histograms with quantile estimation, a sliding-window view, and
-//! Prometheus-style text exposition — mirrored into `iced-trace` so the
-//! `metrics`/`stats` verbs and a Chrome-trace export tell the same story.
+//! Service-side observability: one table of scalar metrics, per-verb
+//! latency histograms with quantile estimation, a sliding-window view,
+//! and Prometheus-style text exposition — mirrored into `iced-trace` so
+//! the `metrics`/`stats` verbs and a Chrome-trace export tell the same
+//! story.
 //!
-//! Every scalar metric is declared once, as a registry entry (`Scalar`)
-//! carrying its JSON key, Prometheus family name, kind, help text and
-//! value. Both roles expose from their lists of entries: the flat
+//! Every scalar either daemon counts is one row of one table, indexed by
+//! [`Scalar`]: its JSON key, Prometheus family name, kind, help text, the
+//! `stats` block field it is filed under, the iced-trace counter it
+//! mirrors into, and the one daemon that shows it, if only one does.
+//! [`Metrics`] keeps the values in one atomic array moved by generic add,
+//! sub, max and set. Each role exposes its rows in table order: the flat
 //! `metrics` JSON, the `connections`/`batch` blocks of `stats`, and one
-//! Prometheus family per entry. The shard and the router share the
-//! connection and error entries; the router adds its own. The three
-//! latency histograms go out through one summary writer.
+//! Prometheus family per row; the router breaks its per-shard rows down
+//! by shard. The three latency histograms go out through one summary
+//! writer.
 //!
 //! Two time horizons are reported:
 //!
@@ -31,17 +35,18 @@ use iced::trace::Phase;
 
 use crate::json::Obj;
 use crate::proto::{SvcError, Verb};
+use crate::settings::Role;
 
 /// Number of log2 latency buckets. Bucket `i` counts requests whose
 /// latency was in `[2^i, 2^(i+1))` microseconds; the last bucket absorbs
 /// everything slower (~ 9 minutes and up).
-pub const LATENCY_BUCKETS: usize = 30;
+pub(crate) const LATENCY_BUCKETS: usize = 30;
 
 /// Seconds covered by one window slot.
-pub const EPOCH_SECONDS: u64 = 10;
+pub(crate) const EPOCH_SECONDS: u64 = 10;
 
 /// Number of slots in the sliding-window ring (6 × 10 s ≈ last minute).
-pub const WINDOW_SLOTS: usize = 6;
+pub(crate) const WINDOW_SLOTS: usize = 6;
 
 /// Verbs whose work flows through the queue/worker pool and therefore
 /// has a queue-wait/service-time split worth reporting.
@@ -55,7 +60,7 @@ fn bucket_of(us: u64) -> usize {
 
 /// One verb's latency histogram (lifetime, lock-free).
 #[derive(Debug, Default)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     count: AtomicU64,
     total_us: AtomicU64,
     max_us: AtomicU64,
@@ -64,7 +69,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Records one observation.
-    pub fn record(&self, latency: Duration) {
+    pub(crate) fn record(&self, latency: Duration) {
         let us = latency.as_micros().min(u64::MAX as u128) as u64;
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_us.fetch_add(us, Ordering::Relaxed);
@@ -73,13 +78,13 @@ impl Histogram {
     }
 
     /// Observation count.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Consistent-enough copy of the current state (individual loads are
     /// relaxed; the histogram is only ever added to).
-    pub fn snapshot(&self) -> HistSnapshot {
+    pub(crate) fn snapshot(&self) -> HistSnapshot {
         let mut buckets = [0u64; LATENCY_BUCKETS];
         for (i, b) in self.buckets.iter().enumerate() {
             buckets[i] = b.load(Ordering::Relaxed);
@@ -122,15 +127,15 @@ impl Histogram {
 /// A point-in-time copy of one histogram, from which quantiles are
 /// estimated. Also used for merged window views.
 #[derive(Debug, Clone, Copy)]
-pub struct HistSnapshot {
+pub(crate) struct HistSnapshot {
     /// Observation count.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of observations in microseconds.
-    pub total_us: u64,
+    pub(crate) total_us: u64,
     /// Largest observation in microseconds.
-    pub max_us: u64,
+    pub(crate) max_us: u64,
     /// Log2 bucket counts (see [`LATENCY_BUCKETS`]).
-    pub buckets: [u64; LATENCY_BUCKETS],
+    pub(crate) buckets: [u64; LATENCY_BUCKETS],
 }
 
 impl Default for HistSnapshot {
@@ -146,7 +151,7 @@ impl Default for HistSnapshot {
 
 impl HistSnapshot {
     /// Mean latency in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
+    pub(crate) fn mean_us(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -155,7 +160,7 @@ impl HistSnapshot {
     }
 
     /// Adds another snapshot into this one (used to merge window slots).
-    pub fn merge(&mut self, other: &HistSnapshot) {
+    pub(crate) fn merge(&mut self, other: &HistSnapshot) {
         self.count += other.count;
         self.total_us += other.total_us;
         self.max_us = self.max_us.max(other.max_us);
@@ -177,7 +182,7 @@ impl HistSnapshot {
     /// capped at the observed maximum, which makes it exact for the top
     /// of the distribution and keeps `quantile` monotone in `q`; an empty
     /// snapshot reports 0.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -265,7 +270,7 @@ impl Window {
 
 /// Decrements the per-verb in-flight gauge on drop.
 #[derive(Debug)]
-pub struct InFlightGuard<'a> {
+pub(crate) struct InFlightGuard<'a> {
     metrics: &'a Metrics,
     verb: Verb,
 }
@@ -292,113 +297,206 @@ const REQUEST_COUNTERS: [&str; Verb::ALL.len()] = [
 
 /// How Prometheus types a family.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Kind {
+enum Kind {
     /// Only ever grows.
     Counter,
     /// Goes up and down.
     Gauge,
 }
 
-/// One entry of the metrics registry, declared once: its JSON `key`,
-/// kind, help text and value. Prometheus names the family after the
-/// role's prefix and `name` (the key unless renamed), with `_total`
-/// appended to counters, so a name ends in `_total` exactly when it
-/// counts. `stat` files the entry in its section's `stats` block; `by`
-/// breaks the Prometheus value down by a label, while JSON keeps the
-/// total.
-#[derive(Debug, Clone)]
-pub(crate) struct Scalar<'a> {
+/// A block of a `stats` answer that rows are filed in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Block {
+    /// `connections`: admission counts and the configured caps.
+    Conn,
+    /// The shard's `batch`: slots received against unique keys run.
+    Batch,
+}
+
+/// One row of the metrics table: everything about a scalar but its
+/// value. Prometheus names the family after the role's prefix and
+/// `name` (the key unless renamed), with `_total` appended to counters,
+/// so a name ends in `_total` exactly when it counts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    /// The field in the `metrics` JSON.
     pub(crate) key: &'static str,
     name: &'static str,
     kind: Kind,
     help: &'static str,
-    value: u64,
-    pub(crate) stat: Option<&'static str>,
-    by: Option<(&'static str, Vec<(&'a str, u64)>)>,
+    /// The block of a `stats` answer the row is filed in, and its field.
+    pub(crate) stat: Option<(Block, &'static str)>,
+    /// The iced-trace counter every [`Metrics::add`] to the row bumps.
+    trace: Option<&'static str>,
+    /// The one daemon that shows the row; `None` when both do.
+    only: Option<Role>,
 }
 
-/// A counter entry.
-pub(crate) fn counter<'a>(key: &'static str, help: &'static str, value: u64) -> Scalar<'a> {
-    Scalar {
+const fn counter(key: &'static str, help: &'static str) -> Row {
+    Row {
         key,
         name: key,
         kind: Kind::Counter,
         help,
-        value,
         stat: None,
-        by: None,
+        trace: None,
+        only: None,
     }
 }
 
-/// A gauge entry.
-pub(crate) fn gauge<'a>(key: &'static str, help: &'static str, value: u64) -> Scalar<'a> {
-    Scalar {
+const fn gauge(key: &'static str, help: &'static str) -> Row {
+    Row {
         kind: Kind::Gauge,
-        ..counter(key, help, value)
+        ..counter(key, help)
     }
 }
 
-impl<'a> Scalar<'a> {
+impl Row {
     /// Names the Prometheus family `name` instead of the JSON key.
-    pub(crate) fn named(self, name: &'static str) -> Self {
-        Scalar { name, ..self }
+    const fn named(self, name: &'static str) -> Row {
+        Row { name, ..self }
     }
 
-    /// Files the entry under `field` in its section's `stats` block.
-    pub(crate) fn stat(self, field: &'static str) -> Self {
-        Scalar {
-            stat: Some(field),
+    /// Files the row in `block` under its JSON key.
+    const fn filed(self, block: Block) -> Row {
+        self.filed_as(block, self.key)
+    }
+
+    /// Files the row in `block` under `field`.
+    const fn filed_as(self, block: Block, field: &'static str) -> Row {
+        Row {
+            stat: Some((block, field)),
             ..self
         }
     }
 
-    /// Breaks the Prometheus value down by `label`.
-    pub(crate) fn by(self, label: &'static str, samples: Vec<(&'a str, u64)>) -> Self {
-        Scalar {
-            by: Some((label, samples)),
+    /// Mirrors every addition into the iced-trace counter `name`.
+    const fn traced(self, name: &'static str) -> Row {
+        Row {
+            trace: Some(name),
+            ..self
+        }
+    }
+
+    /// Shows the row on `role` only.
+    const fn only(self, role: Role) -> Row {
+        Row {
+            only: Some(role),
             ..self
         }
     }
 }
 
-/// Adds each entry to `obj` under its JSON key.
-pub(crate) fn put_fields<'s, 'a: 's>(
-    obj: Obj,
-    list: impl IntoIterator<Item = &'s Scalar<'a>>,
-) -> Obj {
-    list.into_iter().fold(obj, |o, s| o.u64(s.key, s.value))
+/// Declares [`Scalar`], one variant per row, and `ROWS` in the same
+/// order.
+macro_rules! table {
+    ($($id:ident: $row:expr,)*) => {
+        /// One scalar either daemon counts: an index into the table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Scalar {
+            $($id,)*
+        }
+
+        impl Scalar {
+            /// Every scalar, in table order.
+            const ALL: [Scalar; ROWS.len()] = [$(Scalar::$id,)*];
+        }
+
+        /// The table, in exposition order.
+        const ROWS: &[Row] = &[$($row,)*];
+    };
 }
 
-/// A section's `stats` block: each entry filed with a `stat` field.
-pub(crate) fn block(section: &[Scalar<'_>]) -> Obj {
-    section
-        .iter()
-        .filter_map(|s| Some((s.stat?, s.value)))
-        .fold(Obj::new(), |o, (field, v)| o.u64(field, v))
+use Block::{Batch, Conn};
+use Role::{Router, Shard};
+
+table! {
+    Uptime: gauge("uptime_s", "Seconds since start.").named("uptime_seconds"),
+    CacheHits: counter("cache_hits", "Cache hits.").traced("svc_cache_hits").only(Shard),
+    CacheMisses: counter("cache_misses", "Cache misses.").traced("svc_cache_misses").only(Shard),
+    CacheEvictions: counter("cache_evictions", "Cache evictions.")
+        .traced("svc_cache_evictions").only(Shard),
+    MapMemoHits: counter("map_memo_hits", "Simulate computations that reused a memoized mapping.")
+        .traced("svc_map_memo_hits").only(Shard),
+    MapMemoMisses: counter("map_memo_misses", "Simulate computations that mapped.")
+        .traced("svc_map_memo_misses").only(Shard),
+    CacheBytes: gauge("cache_bytes", "Resident cache payload bytes.").only(Shard),
+    CacheEntries: gauge("cache_entries", "Resident cache entries.").only(Shard),
+    QueueDepth: gauge("queue_depth", "Current request queue depth.").only(Shard),
+    QueuePeak: gauge("queue_peak", "Queue depth high-water mark.").only(Shard),
+    Rejected: counter("rejected", "Requests rejected with queue_full.")
+        .traced("svc_queue_full").only(Shard),
+    Forwarded: counter("forwarded", "Requests forwarded per shard.").only(Router),
+    Replicated: counter("replicated", "Hot entries replicated to successor shards.").only(Router),
+    Failovers: counter("failovers", "Shard deaths that triggered in-flight replay.")
+        .named("failover").only(Router),
+    HotTracked: gauge("hot_tracked", "Keys tracked for hot-entry replication.").only(Router),
+    ShardsUp: gauge("shards_up", "Per-shard liveness (1 = up).").named("shard_up").only(Router),
+    InFlight: gauge("in_flight", "Forwards in flight or queued per shard.").only(Router),
+    Errors: counter("errors", "Requests answered with a structured error."),
+    Connections: counter("connections", "Connections accepted.").filed_as(Conn, "total"),
+    ConnsOpen: gauge("conns_open", "Connections currently open.").filed_as(Conn, "open"),
+    ConnsPeak: gauge("conns_peak", "High-water mark of concurrently open connections.")
+        .filed_as(Conn, "peak"),
+    ConnsRejected: counter("conns_rejected", "Connections refused at the ICED_SVC_MAX_CONNS cap.")
+        .filed_as(Conn, "rejected").traced("svc_conns_rejected"),
+    MaxConns: gauge("max_conns", "Configured connection cap.").filed(Conn),
+    PipelineCap: gauge("pipeline_cap", "Configured per-connection pipeline cap.").filed(Conn),
+    PipelineRejected:
+        counter("pipeline_rejected", "Requests refused at the per-connection pipeline cap.")
+            .filed(Conn).traced("svc_pipeline_rejected"),
+    BatchSlots: counter("batch_slots", "Slots received across batch requests.")
+        .filed_as(Batch, "slots").traced("svc_batch_slots").only(Shard),
+    BatchUnique: counter("batch_unique", "Unique cache keys executed across batch requests.")
+        .filed_as(Batch, "unique").only(Shard),
+    ChaosFaults: counter("chaos_faults", "Faults injected by the chaos layer.").only(Shard),
+    LogDropped: counter("log_dropped", "Event-log lines dropped under backpressure.").only(Shard),
 }
+
+impl Scalar {
+    /// The scalar's row.
+    pub(crate) fn row(self) -> &'static Row {
+        &ROWS[self as usize]
+    }
+}
+
+/// The scalars `role` shows, in table order.
+pub(crate) fn rows(role: Role) -> impl Iterator<Item = Scalar> {
+    Scalar::ALL
+        .into_iter()
+        .filter(move |s| s.row().only.is_none_or(|r| r == role))
+}
+
+/// The per-verb families; the `metrics` JSON carries the same counts in
+/// its `latency` and `in_flight` sections.
+const REQUESTS: Row = counter("requests", "Completed requests per verb.");
+const VERB_IN_FLIGHT: Row = gauge("in_flight", "Requests currently being served per verb.");
 
 /// Writes the HELP and TYPE lines that open the Prometheus family `name`.
 fn header(out: &mut String, name: &str, ty: &str, help: &str) {
     let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {ty}\n");
 }
 
-/// Writes each entry as one Prometheus family, names prefixed `prefix`.
-pub(crate) fn write_families(out: &mut String, prefix: &str, list: &[Scalar<'_>]) {
-    for s in list {
-        let (ty, total) = match s.kind {
-            Kind::Counter => ("counter", "_total"),
-            Kind::Gauge => ("gauge", ""),
-        };
-        let name = format!("{prefix}{}{total}", s.name);
-        header(out, &name, ty, s.help);
-        match &s.by {
-            None => {
-                let _ = writeln!(out, "{name} {}", s.value);
-            }
-            Some((label, samples)) => {
-                for (at, v) in samples {
-                    let _ = writeln!(out, "{name}{{{label}=\"{at}\"}} {v}");
-                }
+/// A breakdown of one family by a label: the label, then each of its
+/// values with the sample there.
+pub(crate) type By<'a> = (&'static str, Vec<(&'a str, u64)>);
+
+/// Writes `row` as one Prometheus family named after `prefix`: `value`,
+/// or one sample per `(label value, value)` of `by`.
+fn write_family(out: &mut String, prefix: &str, row: &Row, value: u64, by: Option<By<'_>>) {
+    let (ty, total) = match row.kind {
+        Kind::Counter => ("counter", "_total"),
+        Kind::Gauge => ("gauge", ""),
+    };
+    let name = format!("{prefix}{}{total}", row.name);
+    header(out, &name, ty, row.help);
+    match by {
+        None => {
+            let _ = writeln!(out, "{name} {value}");
+        }
+        Some((label, samples)) => {
+            for (at, v) in samples {
+                let _ = writeln!(out, "{name}{{{label}=\"{at}\"}} {v}");
             }
         }
     }
@@ -423,45 +521,10 @@ fn write_summary(out: &mut String, name: &str, help: &str, verbs: &[Verb], hists
 /// All service metrics. One instance per server (or router), shared by
 /// every worker.
 #[derive(Debug)]
-pub struct Metrics {
-    /// Cache hits across all cacheable verbs.
-    pub cache_hits: AtomicU64,
-    /// Cache misses (the request was computed).
-    pub cache_misses: AtomicU64,
-    /// Entries evicted to respect the byte budget.
-    pub cache_evictions: AtomicU64,
-    /// `simulate` computations that reused a memoized mapping.
-    pub map_memo_hits: AtomicU64,
-    /// `simulate` computations that had to map (successfully or not).
-    pub map_memo_misses: AtomicU64,
-    /// Requests rejected with `queue_full`.
-    pub rejected: AtomicU64,
-    /// Requests that returned a structured error.
-    pub errors: AtomicU64,
-    /// Connections accepted over the server's lifetime.
-    pub connections: AtomicU64,
-    /// Faults injected by the chaos layer (0 unless chaos is armed).
-    pub chaos_faults: AtomicU64,
-    /// High-water mark of the request queue depth.
-    pub queue_peak: AtomicU64,
-    /// Connections currently open (reactor-maintained gauge).
-    pub conns_open: AtomicU64,
-    /// High-water mark of concurrently open connections.
-    pub conns_peak: AtomicU64,
-    /// Connections refused at the connection cap.
-    pub conns_rejected: AtomicU64,
-    /// Requests rejected at the per-connection pipeline cap
-    /// (`too_many_requests`).
-    pub pipeline_rejected: AtomicU64,
-    /// Total slots received across `batch` requests.
-    pub batch_slots: AtomicU64,
-    /// Unique cache keys actually executed across `batch` requests; the
-    /// gap to [`Metrics::batch_slots`] is work the intra-batch dedup saved.
-    pub batch_unique: AtomicU64,
-    /// Configured connection cap, mirrored for exposition.
-    max_conns: AtomicU64,
-    /// Configured per-connection pipeline cap, mirrored for exposition.
-    pipeline_cap: AtomicU64,
+pub(crate) struct Metrics {
+    /// Each scalar's value, indexed by [`Scalar`]; the uptime is read off
+    /// the clock instead.
+    values: [AtomicU64; ROWS.len()],
     started: Instant,
     latency: [Histogram; Verb::ALL.len()],
     /// Time between queueing and a worker picking the job up (work verbs).
@@ -472,39 +535,11 @@ pub struct Metrics {
     window: Window,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
-    }
-}
-
-/// A relaxed load: every counter here is independent.
-fn load(a: &AtomicU64) -> u64 {
-    a.load(Ordering::Relaxed)
-}
-
 impl Metrics {
     /// Creates a zeroed metrics block; the uptime clock starts now.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Metrics {
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
-            map_memo_hits: AtomicU64::new(0),
-            map_memo_misses: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            chaos_faults: AtomicU64::new(0),
-            queue_peak: AtomicU64::new(0),
-            conns_open: AtomicU64::new(0),
-            conns_peak: AtomicU64::new(0),
-            conns_rejected: AtomicU64::new(0),
-            pipeline_rejected: AtomicU64::new(0),
-            batch_slots: AtomicU64::new(0),
-            batch_unique: AtomicU64::new(0),
-            max_conns: AtomicU64::new(0),
-            pipeline_cap: AtomicU64::new(0),
+            values: std::array::from_fn(|_| AtomicU64::new(0)),
             started: Instant::now(),
             latency: Default::default(),
             queue_wait: Default::default(),
@@ -515,7 +550,7 @@ impl Metrics {
     }
 
     /// Seconds since the metrics block (the server) was created.
-    pub fn uptime(&self) -> Duration {
+    pub(crate) fn uptime(&self) -> Duration {
         self.started.elapsed()
     }
 
@@ -524,9 +559,48 @@ impl Metrics {
         self.started.elapsed().as_secs() / EPOCH_SECONDS
     }
 
+    /// Adds `n` to `s`, mirroring into the row's iced-trace counter.
+    pub(crate) fn add(&self, s: Scalar, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.values[s as usize].fetch_add(n, Ordering::Relaxed);
+        if let Some(name) = s.row().trace {
+            iced::trace::counter(Phase::Service, name, n);
+        }
+    }
+
+    /// Takes `n` off the gauge `s`.
+    pub(crate) fn sub(&self, s: Scalar, n: u64) {
+        self.values[s as usize].fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// Raises the high-water mark `s` to `v`.
+    pub(crate) fn max(&self, s: Scalar, v: u64) {
+        self.values[s as usize].fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Sets the gauge `s` to `v`.
+    pub(crate) fn set(&self, s: Scalar, v: u64) {
+        self.values[s as usize].store(v, Ordering::Relaxed);
+    }
+
+    /// The current value of `s`.
+    pub(crate) fn get(&self, s: Scalar) -> u64 {
+        match s {
+            Scalar::Uptime => self.uptime().as_secs(),
+            _ => self.values[s as usize].load(Ordering::Relaxed),
+        }
+    }
+
+    /// Adds `s` to `obj` under its JSON key.
+    pub(crate) fn put(&self, obj: Obj, s: Scalar) -> Obj {
+        obj.u64(s.row().key, self.get(s))
+    }
+
     /// Records a completed request for `verb` — lifetime histogram, the
     /// sliding window, and an iced-trace mirror counter.
-    pub fn observe(&self, verb: Verb, latency: Duration) {
+    pub(crate) fn observe(&self, verb: Verb, latency: Duration) {
         self.latency[verb as usize].record(latency);
         let us = latency.as_micros().min(u64::MAX as u128) as u64;
         self.window.record(verb, us, self.epoch_now());
@@ -538,13 +612,13 @@ impl Metrics {
     /// Cache hits the reactor answers inline never reach a worker, so
     /// they count in [`Metrics::observe`] and the cache counters only:
     /// this split covers worker-served requests, not every request.
-    pub fn observe_split(&self, verb: Verb, queue_wait: Duration, service: Duration) {
+    pub(crate) fn observe_split(&self, verb: Verb, queue_wait: Duration, service: Duration) {
         self.queue_wait[verb as usize].record(queue_wait);
         self.service[verb as usize].record(service);
     }
 
     /// Marks a request for `verb` in flight until the guard drops.
-    pub fn flight(&self, verb: Verb) -> InFlightGuard<'_> {
+    pub(crate) fn flight(&self, verb: Verb) -> InFlightGuard<'_> {
         self.in_flight[verb as usize].fetch_add(1, Ordering::Relaxed);
         InFlightGuard {
             metrics: self,
@@ -553,109 +627,32 @@ impl Metrics {
     }
 
     /// Current in-flight count for `verb`.
-    pub fn in_flight_count(&self, verb: Verb) -> u64 {
+    pub(crate) fn in_flight_count(&self, verb: Verb) -> u64 {
         self.in_flight[verb as usize].load(Ordering::Relaxed)
-    }
-
-    /// Records a cache hit or miss, mirroring into iced-trace.
-    pub fn cache_event(&self, hit: bool) {
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            iced::trace::counter(Phase::Service, "svc_cache_hits", 1);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-            iced::trace::counter(Phase::Service, "svc_cache_misses", 1);
-        }
-    }
-
-    /// Records a mapping-memo hit or miss, mirroring into iced-trace.
-    pub fn map_memo_event(&self, hit: bool) {
-        if hit {
-            self.map_memo_hits.fetch_add(1, Ordering::Relaxed);
-            iced::trace::counter(Phase::Service, "svc_map_memo_hits", 1);
-        } else {
-            self.map_memo_misses.fetch_add(1, Ordering::Relaxed);
-            iced::trace::counter(Phase::Service, "svc_map_memo_misses", 1);
-        }
-    }
-
-    /// Records `n` evictions.
-    pub fn evicted(&self, n: u64) {
-        if n > 0 {
-            self.cache_evictions.fetch_add(n, Ordering::Relaxed);
-            iced::trace::counter(Phase::Service, "svc_cache_evictions", n);
-        }
-    }
-
-    /// Records a backpressure rejection.
-    pub fn rejected_request(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        iced::trace::counter(Phase::Service, "svc_queue_full", 1);
-    }
-
-    /// Records one request answered with a structured error.
-    pub fn error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one injected chaos fault (any site).
-    pub fn chaos_fault(&self) {
-        self.chaos_faults.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tracks the queue high-water mark.
-    pub fn queue_depth(&self, depth: usize) {
-        self.queue_peak.fetch_max(depth as u64, Ordering::Relaxed);
-    }
-
-    /// Records the configured connection/pipeline caps for exposition.
-    pub fn set_limits(&self, pipeline_cap: usize, max_conns: usize) {
-        self.pipeline_cap
-            .store(pipeline_cap as u64, Ordering::Relaxed);
-        self.max_conns.store(max_conns as u64, Ordering::Relaxed);
     }
 
     /// A connection was accepted: counts it and bumps the open gauge and
     /// its peak.
-    pub fn conn_opened(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
-        let now = self.conns_open.fetch_add(1, Ordering::Relaxed) + 1;
-        self.conns_peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// A connection was closed or swept.
-    pub fn conn_closed(&self) {
-        self.conns_open.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// A connection was refused at the connection cap.
-    pub fn conn_rejected(&self) {
-        self.conns_rejected.fetch_add(1, Ordering::Relaxed);
-        iced::trace::counter(Phase::Service, "svc_conns_rejected", 1);
-    }
-
-    /// A request was refused at the per-connection pipeline cap.
-    pub fn pipeline_rejected_request(&self) {
-        self.pipeline_rejected.fetch_add(1, Ordering::Relaxed);
-        iced::trace::counter(Phase::Service, "svc_pipeline_rejected", 1);
+    pub(crate) fn conn_opened(&self) {
+        self.add(Scalar::Connections, 1);
+        let open = &self.values[Scalar::ConnsOpen as usize];
+        self.max(Scalar::ConnsPeak, open.fetch_add(1, Ordering::Relaxed) + 1);
     }
 
     /// A line the connection core answered itself with `err` (oversized,
     /// or past the pipeline cap): an error, and a pipeline rejection when
     /// it was one.
-    pub fn line_rejected(&self, err: &SvcError) {
+    pub(crate) fn line_rejected(&self, err: &SvcError) {
         if err.code == "too_many_requests" {
-            self.pipeline_rejected_request();
+            self.add(Scalar::PipelineRejected, 1);
         }
-        self.error();
+        self.add(Scalar::Errors, 1);
     }
 
     /// Records one executed batch: total slots vs. unique keys computed.
-    pub fn batch_observed(&self, slots: usize, unique: usize) {
-        self.batch_slots.fetch_add(slots as u64, Ordering::Relaxed);
-        self.batch_unique
-            .fetch_add(unique as u64, Ordering::Relaxed);
-        iced::trace::counter(Phase::Service, "svc_batch_slots", slots as u64);
+    pub(crate) fn batch_observed(&self, slots: usize, unique: usize) {
+        self.add(Scalar::BatchSlots, slots as u64);
+        self.add(Scalar::BatchUnique, unique as u64);
         iced::trace::counter(
             Phase::Service,
             "svc_batch_deduped",
@@ -664,86 +661,47 @@ impl Metrics {
     }
 
     /// Per-verb request count (for tests and health summaries).
-    pub fn requests(&self, verb: Verb) -> u64 {
+    pub(crate) fn requests(&self, verb: Verb) -> u64 {
         self.latency[verb as usize].count()
     }
 
     /// Lifetime latency snapshot for `verb` (for tests and exposition).
-    pub fn lifetime(&self, verb: Verb) -> HistSnapshot {
+    pub(crate) fn lifetime(&self, verb: Verb) -> HistSnapshot {
         self.latency[verb as usize].snapshot()
     }
 
-    /// The registry entry both roles open their lists with.
-    pub(crate) fn uptime_scalar<'a>(&self) -> Scalar<'a> {
-        gauge("uptime_s", "Seconds since start.", self.uptime().as_secs()).named("uptime_seconds")
+    /// Adds each of `role`'s scalars that `keep` admits to `obj`.
+    pub(crate) fn put_rows(&self, obj: Obj, role: Role, keep: impl Fn(&Row) -> bool) -> Obj {
+        rows(role)
+            .filter(|s| keep(s.row()))
+            .fold(obj, |o, s| self.put(o, s))
     }
 
-    /// The error and connection-admission entries both roles keep; the
-    /// ones filed with a `stat` field make the `connections` block.
-    #[rustfmt::skip]
-    pub(crate) fn conn_scalars<'a>(&self) -> [Scalar<'a>; 8] {
-        [
-            counter("errors", "Requests answered with a structured error.", load(&self.errors)),
-            counter("connections", "Connections accepted.", load(&self.connections)),
-            gauge("conns_open", "Connections currently open.", load(&self.conns_open)).stat("open"),
-            gauge("conns_peak", "High-water mark of concurrently open connections.",
-                load(&self.conns_peak)).stat("peak"),
-            counter("conns_rejected", "Connections refused at the ICED_SVC_MAX_CONNS cap.",
-                load(&self.conns_rejected)).stat("rejected"),
-            gauge("max_conns", "Configured connection cap.", load(&self.max_conns)).stat("max_conns"),
-            gauge("pipeline_cap", "Configured per-connection pipeline cap.",
-                load(&self.pipeline_cap)).stat("pipeline_cap"),
-            counter("pipeline_rejected", "Requests refused at the per-connection pipeline cap.",
-                load(&self.pipeline_rejected)).stat("pipeline_rejected"),
-        ]
+    /// `block` of a `stats` answer: each of `scalars` filed there.
+    pub(crate) fn block(&self, scalars: impl Iterator<Item = Scalar>, block: Block) -> Obj {
+        scalars
+            .filter_map(|s| match s.row().stat {
+                Some((b, field)) if b == block => Some((field, s)),
+                _ => None,
+            })
+            .fold(Obj::new(), |o, (field, s)| o.u64(field, self.get(s)))
     }
 
-    /// The batch entries: the `batch` block of the shard's `stats`.
-    #[rustfmt::skip]
-    fn batch_scalars<'a>(&self) -> [Scalar<'a>; 2] {
-        [
-            counter("batch_slots", "Slots received across batch requests.",
-                load(&self.batch_slots)).stat("slots"),
-            counter("batch_unique", "Unique cache keys executed across batch requests.",
-                load(&self.batch_unique)).stat("unique"),
-        ]
-    }
-
-    /// The shard's registry, in `metrics` order. The queue, cache and
-    /// event-log figures live outside this block and are passed in.
-    fn shard_scalars<'a>(
+    /// Writes each of `role`'s scalars as one Prometheus family; `by`
+    /// breaks a scalar's value down by a label.
+    pub(crate) fn write_rows<'a>(
         &self,
-        queue_depth: usize,
-        cache_bytes: u64,
-        cache_entries: usize,
-        log_dropped: u64,
-    ) -> Vec<Scalar<'a>> {
-        #[rustfmt::skip]
-        let head = [
-            self.uptime_scalar(),
-            counter("cache_hits", "Cache hits.", load(&self.cache_hits)),
-            counter("cache_misses", "Cache misses.", load(&self.cache_misses)),
-            counter("cache_evictions", "Cache evictions.", load(&self.cache_evictions)),
-            counter("map_memo_hits", "Simulate computations that reused a memoized mapping.",
-                load(&self.map_memo_hits)),
-            counter("map_memo_misses", "Simulate computations that mapped.",
-                load(&self.map_memo_misses)),
-            gauge("cache_bytes", "Resident cache payload bytes.", cache_bytes),
-            gauge("cache_entries", "Resident cache entries.", cache_entries as u64),
-            gauge("queue_depth", "Current request queue depth.", queue_depth as u64),
-            gauge("queue_peak", "Queue depth high-water mark.", load(&self.queue_peak)),
-            counter("rejected", "Requests rejected with queue_full.", load(&self.rejected)),
-        ];
-        #[rustfmt::skip]
-        let tail = [
-            counter("chaos_faults", "Faults injected by the chaos layer.", load(&self.chaos_faults)),
-            counter("log_dropped", "Event-log lines dropped under backpressure.", log_dropped),
-        ];
-        head.into_iter()
-            .chain(self.conn_scalars())
-            .chain(self.batch_scalars())
-            .chain(tail)
-            .collect()
+        out: &mut String,
+        role: Role,
+        by: impl Fn(Scalar) -> Option<By<'a>>,
+    ) {
+        let prefix = match role {
+            Shard => "iced_svc_",
+            Router => "iced_router_",
+        };
+        for s in rows(role) {
+            write_family(out, prefix, s.row(), self.get(s), by(s));
+        }
     }
 
     /// Renders `healthz`: the fields both roles share around the role's
@@ -760,25 +718,18 @@ impl Metrics {
             .str("role", role)
             .str("state", if draining { "draining" } else { "running" })
             .str("version", env!("CARGO_PKG_VERSION"))
-            .u64("uptime_s", up.as_secs())
+            .u64(Scalar::Uptime.row().key, up.as_secs())
             .u64("uptime_ms", up.as_millis() as u64);
-        middle(head)
-            .u64("conns_open", load(&self.conns_open))
-            .u64("max_conns", load(&self.max_conns))
-            .u64("pipeline_cap", load(&self.pipeline_cap))
+        [Scalar::ConnsOpen, Scalar::MaxConns, Scalar::PipelineCap]
+            .into_iter()
+            .fold(middle(head), |o, s| self.put(o, s))
             .finish()
     }
 
-    /// Renders the `metrics` result object. Not cached, so field content
-    /// may differ between calls; field *order* is still deterministic.
-    pub fn render(
-        &self,
-        queue_depth: usize,
-        cache_bytes: u64,
-        cache_entries: usize,
-        log_dropped: u64,
-    ) -> String {
-        let list = self.shard_scalars(queue_depth, cache_bytes, cache_entries, log_dropped);
+    /// Renders the shard's `metrics` result object. Not cached, so field
+    /// content may differ between calls; field *order* is still
+    /// deterministic.
+    pub(crate) fn render(&self) -> String {
         let mut verbs = Obj::new();
         let mut flight = Obj::new();
         for v in Verb::ALL {
@@ -791,7 +742,7 @@ impl Metrics {
             wait = wait.raw(v.name(), &self.queue_wait[v as usize].render());
             svc = svc.raw(v.name(), &self.service[v as usize].render());
         }
-        put_fields(Obj::new(), &list)
+        self.put_rows(Obj::new(), Shard, |_| true)
             .raw("in_flight", &flight.finish())
             .raw("latency", &verbs.finish())
             .raw("queue_wait", &wait.finish())
@@ -799,10 +750,10 @@ impl Metrics {
             .finish()
     }
 
-    /// Renders the `stats` result object: lifetime and last-window
-    /// quantile summaries per verb, the window geometry, and the
-    /// connection and batch blocks.
-    pub fn render_stats(&self) -> String {
+    /// Renders the shard's `stats` result object: lifetime and
+    /// last-window quantile summaries per verb, the window geometry, and
+    /// the connection and batch blocks.
+    pub(crate) fn render_stats(&self) -> String {
         let now = self.epoch_now();
         let window = self.window.view(now);
         let mut life = Obj::new();
@@ -811,41 +762,43 @@ impl Metrics {
             life = life.raw(v.name(), &self.lifetime(v).render_summary());
             win = win.raw(v.name(), &window[v as usize].render_summary());
         }
-        let deduped = load(&self.batch_slots).saturating_sub(load(&self.batch_unique));
-        let batch = block(&self.batch_scalars()).u64("deduped", deduped);
-        Obj::new()
-            .str("role", "shard")
-            .u64("uptime_s", self.uptime().as_secs())
+        // The accepted count is a top-level `metrics` field here, so the
+        // shard's `connections` block leaves it out.
+        let conns = rows(Shard).filter(|&s| s != Scalar::Connections);
+        let deduped = self
+            .get(Scalar::BatchSlots)
+            .saturating_sub(self.get(Scalar::BatchUnique));
+        let batch = self.block(rows(Shard), Batch).u64("deduped", deduped);
+        self.put(Obj::new().str("role", "shard"), Scalar::Uptime)
             .u64("window_seconds", EPOCH_SECONDS * WINDOW_SLOTS as u64)
             .u64("epoch_seconds", EPOCH_SECONDS)
             .raw("lifetime", &life.finish())
             .raw("window", &win.finish())
-            .raw("connections", &block(&self.conn_scalars()).finish())
+            .raw("connections", &self.block(conns, Conn).finish())
             .raw("batch", &batch.finish())
             .finish()
     }
 
-    /// Renders every metric family as Prometheus text exposition.
-    pub fn render_prometheus(
-        &self,
-        queue_depth: usize,
-        cache_bytes: u64,
-        cache_entries: usize,
-        log_dropped: u64,
-    ) -> String {
-        let per_verb = |f: &dyn Fn(Verb) -> u64| Verb::ALL.map(|v| (v.name(), f(v))).to_vec();
-        // The per-verb families; the `metrics` JSON carries the same
-        // counts in its `in_flight` and `latency` sections.
-        #[rustfmt::skip]
-        let mut list = vec![
-            counter("requests", "Completed requests per verb.", 0)
-                .by("verb", per_verb(&|v| self.requests(v))),
-            gauge("in_flight", "Requests currently being served per verb.", 0)
-                .by("verb", per_verb(&|v| self.in_flight_count(v))),
-        ];
-        list.extend(self.shard_scalars(queue_depth, cache_bytes, cache_entries, log_dropped));
+    /// Renders every shard metric family as Prometheus text exposition.
+    pub(crate) fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(8192);
-        write_families(&mut out, "iced_svc_", &list);
+        let per_verb =
+            |f: &dyn Fn(Verb) -> u64| Some(("verb", Verb::ALL.map(|v| (v.name(), f(v))).to_vec()));
+        write_family(
+            &mut out,
+            "iced_svc_",
+            &REQUESTS,
+            0,
+            per_verb(&|v| self.requests(v)),
+        );
+        write_family(
+            &mut out,
+            "iced_svc_",
+            &VERB_IN_FLIGHT,
+            0,
+            per_verb(&|v| self.in_flight_count(v)),
+        );
+        self.write_rows(&mut out, Shard, |_| None);
         #[rustfmt::skip]
         let summaries: [(&str, &str, &[Verb], &[Histogram]); 3] = [
             ("iced_svc_request_latency_us", "Request latency quantiles per verb.",
@@ -1002,6 +955,63 @@ mod tests {
         }
     }
 
+    /// Sets the gauges the shard reads from outside its metrics.
+    fn set_outside_gauges(m: &Metrics, queue: u64, bytes: u64, entries: u64, dropped: u64) {
+        m.set(Scalar::QueueDepth, queue);
+        m.set(Scalar::CacheBytes, bytes);
+        m.set(Scalar::CacheEntries, entries);
+        m.set(Scalar::LogDropped, dropped);
+    }
+
+    #[test]
+    fn each_row_has_its_own_key_family_and_mirror() {
+        for role in [Shard, Router] {
+            let mut keys = std::collections::HashSet::new();
+            let mut names = std::collections::HashSet::new();
+            for s in rows(role) {
+                let row = s.row();
+                assert!(keys.insert(row.key), "{role:?} repeats key {}", row.key);
+                assert!(
+                    names.insert(row.name),
+                    "{role:?} repeats family {}",
+                    row.name
+                );
+            }
+        }
+        let mut mirrors = std::collections::HashSet::new();
+        for s in Scalar::ALL {
+            if let Some(name) = s.row().trace {
+                assert!(name.starts_with("svc_"), "{s:?} mirrors into {name}");
+                assert!(mirrors.insert(name), "{name} mirrors two rows");
+            }
+        }
+    }
+
+    #[test]
+    fn conns_rejected_help_names_the_max_conns_variable() {
+        let help = Scalar::ConnsRejected.row().help;
+        assert!(help.contains(crate::settings::MAX_CONNS.env), "{help}");
+    }
+
+    #[test]
+    fn add_mirrors_each_traced_row_on_the_calling_thread() {
+        let rec = std::sync::Arc::new(iced::trace::RecordingCollector::new());
+        let _overlay = iced::trace::overlay(rec.clone());
+        let m = Metrics::new();
+        // The uptime, the first row, is read off the clock.
+        for (n, s) in (1..).zip(Scalar::ALL.into_iter().skip(1)) {
+            m.add(s, n);
+            assert_eq!(m.get(s), n, "{s:?}");
+            if let Some(name) = s.row().trace {
+                assert_eq!(rec.counter_total(Phase::Service, name), n, "{s:?}");
+            }
+        }
+        // A zero addition moves nothing and touches no mirror.
+        m.add(Scalar::CacheHits, 0);
+        assert_eq!(m.get(Scalar::CacheHits), 1);
+        assert_eq!(rec.counter_total(Phase::Service, "svc_cache_hits"), 1);
+    }
+
     #[test]
     fn in_flight_gauge_tracks_guard_lifetime() {
         let m = Metrics::new();
@@ -1026,13 +1036,13 @@ mod tests {
             Duration::from_micros(2),
             Duration::from_micros(8),
         );
-        m.cache_event(false);
-        m.cache_event(true);
-        m.evicted(2);
-        m.map_memo_event(false);
-        m.map_memo_event(true);
-        m.map_memo_event(true);
-        let s = m.render(3, 4096, 5, 1);
+        m.add(Scalar::CacheMisses, 1);
+        m.add(Scalar::CacheHits, 1);
+        m.add(Scalar::CacheEvictions, 2);
+        m.add(Scalar::MapMemoMisses, 1);
+        m.add(Scalar::MapMemoHits, 2);
+        set_outside_gauges(&m, 3, 4096, 5, 1);
+        let s = m.render();
         let hits = s.find("\"cache_hits\":1").expect("hits");
         let misses = s.find("\"cache_misses\":1").expect("misses");
         assert!(hits < misses, "field order must be deterministic: {s}");
@@ -1053,17 +1063,18 @@ mod tests {
     #[test]
     fn connection_and_batch_gauges_are_exposed_everywhere() {
         let m = Metrics::new();
-        m.set_limits(32, 4096);
+        m.set(Scalar::PipelineCap, 32);
+        m.set(Scalar::MaxConns, 4096);
         m.conn_opened();
         m.conn_opened();
-        m.conn_closed();
-        m.conn_rejected();
-        m.pipeline_rejected_request();
+        m.sub(Scalar::ConnsOpen, 1);
+        m.add(Scalar::ConnsRejected, 1);
+        m.line_rejected(&SvcError::new("too_many_requests", "past the cap"));
         m.batch_observed(10, 3);
-        assert_eq!(m.conns_open.load(Ordering::Relaxed), 1);
-        assert_eq!(m.conns_peak.load(Ordering::Relaxed), 2);
+        assert_eq!(m.get(Scalar::ConnsOpen), 1);
+        assert_eq!(m.get(Scalar::ConnsPeak), 2);
 
-        let s = m.render(0, 0, 0, 0);
+        let s = m.render();
         for field in [
             "\"conns_open\":1",
             "\"conns_peak\":2",
@@ -1091,7 +1102,7 @@ mod tests {
             "{s}"
         );
 
-        let text = m.render_prometheus(0, 0, 0, 0);
+        let text = m.render_prometheus();
         for family in [
             "iced_svc_conns_open 1",
             "iced_svc_conns_peak 2",
@@ -1127,9 +1138,10 @@ mod tests {
     fn prometheus_exposition_contains_every_family() {
         let m = Metrics::new();
         m.observe(Verb::Compile, Duration::from_micros(123));
-        m.cache_event(true);
-        m.map_memo_event(true);
-        let text = m.render_prometheus(2, 100, 1, 0);
+        m.add(Scalar::CacheHits, 1);
+        m.add(Scalar::MapMemoHits, 1);
+        set_outside_gauges(&m, 2, 100, 1, 0);
+        let text = m.render_prometheus();
         for family in [
             "iced_svc_requests_total{verb=\"compile\"} 1",
             "iced_svc_request_latency_us{verb=\"compile\",quantile=\"0.99\"}",

@@ -553,7 +553,7 @@ fn policy_from_name(s: &str) -> Option<RuntimePolicy> {
     }
 }
 
-/// Display name for a policy, mirrored by [`policy_from_name`].
+/// Display name for a policy, mirrored by `policy_from_name`.
 pub fn policy_name(p: RuntimePolicy) -> &'static str {
     match p {
         RuntimePolicy::IcedDvfs => "iced",

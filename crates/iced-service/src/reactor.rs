@@ -32,6 +32,7 @@ use crate::cache::CacheKey;
 use crate::conn::{serve, Completion, Conn, Handler, ReplyTo};
 use crate::json::Obj;
 use crate::log::Level;
+use crate::metrics::Scalar;
 use crate::proto::{
     parse_request, render_batch_result, render_err, render_ok, BatchElem, BatchSlot, Payload,
     Request, RequestId, SvcError, Verb,
@@ -69,12 +70,12 @@ impl Handler for Shard<'_> {
     }
 
     fn closed(&mut self) {
-        self.shared.metrics.conn_closed();
+        self.shared.metrics.sub(Scalar::ConnsOpen, 1);
     }
 
     /// The refusal is visible in metrics and the event log.
     fn refused(&mut self) {
-        self.shared.metrics.conn_rejected();
+        self.shared.metrics.add(Scalar::ConnsRejected, 1);
         self.shared.log.emit(Level::Warn, "conn_rejected", |o| {
             o.u64("max_conns", self.shared.max_conns as u64)
         });
@@ -109,7 +110,7 @@ impl Handler for Shard<'_> {
         if !chaos.drop_write() {
             return false;
         }
-        self.shared.metrics.chaos_fault();
+        self.shared.metrics.add(Scalar::ChaosFaults, 1);
         iced::trace::counter(iced::trace::Phase::Service, "svc_chaos_drops", 1);
         self.shared.log.emit(Level::Warn, "chaos_drop", |o| {
             o.str("req", &rid.token())
@@ -125,7 +126,7 @@ fn handle_line(shared: &Arc<Shared>, c: &mut Conn, to: ReplyTo, text: &str) {
     let req = match parse_request(text) {
         Ok(r) => r,
         Err(e) => {
-            shared.metrics.error();
+            shared.metrics.add(Scalar::Errors, 1);
             log_request_error(shared, rid, e.verb, &e.error);
             c.complete(to, render_err(e.id, Some(rid), e.verb, &e.error));
             return;
@@ -152,12 +153,10 @@ fn answer_control(shared: &Shared, c: &mut Conn, req: Request, to: ReplyTo, t0: 
     let verb = req.verb;
     let _flight = shared.metrics.flight(verb);
     let result = match (verb, req.payload) {
-        (Verb::Metrics, _) => shared.metrics.render(
-            shared.queue.len(),
-            shared.cache.bytes(),
-            shared.cache.entries(),
-            shared.log.dropped(),
-        ),
+        (Verb::Metrics, _) => {
+            sample_gauges(shared);
+            shared.metrics.render()
+        }
         (Verb::Shutdown, _) => {
             // Keep reading afterwards: the client may pipeline further
             // requests, which now receive `shutting_down` errors.
@@ -169,12 +168,8 @@ fn answer_control(shared: &Shared, c: &mut Conn, req: Request, to: ReplyTo, t0: 
                 .finish()
         }
         (_, Payload::Stats { prometheus: true }) => {
-            let body = shared.metrics.render_prometheus(
-                shared.queue.len(),
-                shared.cache.bytes(),
-                shared.cache.entries(),
-                shared.log.dropped(),
-            );
+            sample_gauges(shared);
+            let body = shared.metrics.render_prometheus();
             Obj::new()
                 .str("format", "prometheus")
                 .str("body", &body)
@@ -190,7 +185,7 @@ fn answer_control(shared: &Shared, c: &mut Conn, req: Request, to: ReplyTo, t0: 
             shared.metrics.render_healthz("shard", draining, |o| {
                 o.u64("threads", shared.threads as u64)
                     .u64("queue_cap", shared.queue_cap as u64)
-                    .u64("queue_depth", shared.queue.len() as u64)
+                    .u64(Scalar::QueueDepth.row().key, shared.queue.len() as u64)
                     .u64("in_flight", shared.in_flight.load(Ordering::Relaxed) as u64)
                     .bool("chaos_armed", shared.chaos.is_some())
             })
@@ -199,6 +194,16 @@ fn answer_control(shared: &Shared, c: &mut Conn, req: Request, to: ReplyTo, t0: 
     shared.metrics.observe(verb, t0.elapsed());
     log_control_finish(shared, to.rid, verb, t0);
     c.complete(to, render_ok(req.id, Some(to.rid), verb, false, &result));
+}
+
+/// Reads the gauges the shard keeps outside its metrics — queue depth,
+/// resident cache size, dropped log lines — into their rows.
+fn sample_gauges(shared: &Shared) {
+    let m = &shared.metrics;
+    m.set(Scalar::QueueDepth, shared.queue.len() as u64);
+    m.set(Scalar::CacheBytes, shared.cache.bytes());
+    m.set(Scalar::CacheEntries, shared.cache.entries() as u64);
+    m.set(Scalar::LogDropped, shared.log.dropped());
 }
 
 /// Probes the in-memory cache for a work request whose key is cheap to
@@ -235,7 +240,7 @@ fn answer_cached(
     result: &str,
 ) {
     let _flight = shared.metrics.flight(req.verb);
-    shared.metrics.cache_event(true);
+    shared.metrics.add(Scalar::CacheHits, 1);
     shared.metrics.observe(req.verb, t0.elapsed());
     shared.log.emit(Level::Info, "request_finish", |o| {
         o.str("req", &to.rid.token())
@@ -280,9 +285,9 @@ fn enqueue_work(shared: &Arc<Shared>, c: &mut Conn, req: Request, to: ReplyTo, t
         accepted_at: t0,
     };
     let err = match shared.queue.try_push(job) {
-        Ok(depth) => return shared.metrics.queue_depth(depth),
+        Ok(depth) => return shared.metrics.max(Scalar::QueuePeak, depth as u64),
         Err(PushError::Full) => {
-            shared.metrics.rejected_request();
+            shared.metrics.add(Scalar::Rejected, 1);
             SvcError::with_entity(
                 "queue_full",
                 format!(

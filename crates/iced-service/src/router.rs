@@ -37,7 +37,7 @@
 //!   its in-flight forwards replay to the surviving rendezvous owner
 //!   (safe: results are content-addressed, requests idempotent), and
 //!   rendezvous hashing guarantees only the dead shard's keys move.
-//!   Down shards are re-probed at most every [`RECONNECT_MS`].
+//!   Down shards are re-probed at most every `RECONNECT_MS` (2 s).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read};
@@ -56,7 +56,7 @@ use crate::conn::{
     serve, Completion, Conn, Frame, Handler, LineReader, ReplyTo, WriteBuf, READ_ROUNDS,
 };
 use crate::json::{self, Fields, Obj};
-use crate::metrics::{block, counter, gauge, put_fields, write_families, Metrics, Scalar};
+use crate::metrics::{rows, Block, Metrics, Scalar};
 use crate::poll::{wake_pair, PollFd, Waker, POLLIN, POLLOUT};
 use crate::proto::{
     parse_request, read_batch_result, render_batch_item_err, render_batch_result, render_err,
@@ -202,35 +202,26 @@ impl ShardLink {
     }
 }
 
-/// The router's metrics registry: its own entries, then the connection
-/// entries the shard keeps too. There, the accepted-connection count is
-/// a top-level field; here `connections` names the block, so the count
-/// is filed in it as `total`.
-fn scalars(st: &Loop) -> Vec<Scalar<'_>> {
-    let per_shard = |f: fn(&ShardLink) -> u64| -> Vec<(&str, u64)> {
-        st.links.iter().map(|l| (l.addr.as_str(), f(l))).collect()
-    };
-    let sum = |samples: &[(&str, u64)]| samples.iter().map(|(_, v)| v).sum();
-    let forwarded = per_shard(|l| l.forwarded);
-    let up = per_shard(|l| u64::from(l.up));
-    let in_flight = per_shard(ShardLink::in_flight);
-    #[rustfmt::skip]
-    let mut list = vec![
-        st.metrics.uptime_scalar(),
-        counter("forwarded", "Requests forwarded per shard.", sum(&forwarded)).by("shard", forwarded),
-        counter("replicated", "Hot entries replicated to successor shards.", st.replicated),
-        counter("failovers", "Shard deaths that triggered in-flight replay.", st.failovers)
-            .named("failover"),
-        gauge("hot_tracked", "Keys tracked for hot-entry replication.", st.hot.len() as u64),
-        gauge("shards_up", "Per-shard liveness (1 = up).", sum(&up)).named("shard_up").by("shard", up),
-        gauge("in_flight", "Forwards in flight or queued per shard.", sum(&in_flight))
-            .by("shard", in_flight),
-    ];
-    list.extend(st.metrics.conn_scalars().map(|s| match s.key {
-        "connections" => s.stat("total"),
-        _ => s,
-    }));
-    list
+/// A per-shard row's value at one link; the row itself holds the sum
+/// over the links, and Prometheus breaks it down by shard.
+fn per_shard(s: Scalar) -> Option<fn(&ShardLink) -> u64> {
+    match s {
+        Scalar::Forwarded => Some(|l| l.forwarded),
+        Scalar::ShardsUp => Some(|l| u64::from(l.up)),
+        Scalar::InFlight => Some(ShardLink::in_flight),
+        _ => None,
+    }
+}
+
+/// Reads the gauges kept in the loop's own state into their rows: each
+/// per-shard row's sum over the links, and the hot table's size.
+fn sample_gauges(st: &Loop) {
+    for s in rows(Role::Router) {
+        if let Some(at) = per_shard(s) {
+            st.metrics.set(s, st.links.iter().map(at).sum());
+        }
+    }
+    st.metrics.set(Scalar::HotTracked, st.hot.len() as u64);
 }
 
 /// Hot-hit tracking for one key.
@@ -332,13 +323,8 @@ struct Loop {
     assemblies: HashMap<u64, Assembly>,
     next_assembly: u64,
     hot: HashMap<CacheKey, HotEntry>,
-    /// Connection, error and uptime accounting, kept as the shard keeps
-    /// it; the router's own counters follow.
+    /// Every scalar the router counts, in the registry the shard uses.
     metrics: Metrics,
-    /// Hot entries replicated to a successor shard.
-    replicated: u64,
-    /// Shard deaths that replayed in-flight work.
-    failovers: u64,
     /// The shared shutdown flag as of this loop iteration.
     shutting: bool,
     shutdown_sent: bool,
@@ -376,14 +362,13 @@ fn router_loop(
         next_assembly: 0,
         hot: HashMap::new(),
         metrics: Metrics::new(),
-        replicated: 0,
-        failovers: 0,
         shutting: false,
         shutdown_sent: false,
         shutdown_requested: false,
         completions: Vec::new(),
     };
-    st.metrics.set_limits(pipeline_cap, max_conns);
+    st.metrics.set(Scalar::PipelineCap, pipeline_cap as u64);
+    st.metrics.set(Scalar::MaxConns, max_conns as u64);
     serve(listener, wake_rx, max_conns, pipeline_cap, &mut st);
     for l in &st.links {
         if let Some(s) = &l.stream {
@@ -408,11 +393,11 @@ impl Handler for Loop {
     }
 
     fn closed(&mut self) {
-        self.metrics.conn_closed();
+        self.metrics.sub(Scalar::ConnsOpen, 1);
     }
 
     fn refused(&mut self) {
-        self.metrics.conn_rejected();
+        self.metrics.add(Scalar::ConnsRejected, 1);
     }
 
     fn draining(&mut self) -> bool {
@@ -481,7 +466,7 @@ fn handle_client_line(st: &mut Loop, c: &mut Conn, to: ReplyTo, text: &str) {
     let req = match parse_request(text) {
         Ok(r) => r,
         Err(e) => {
-            st.metrics.error();
+            st.metrics.add(Scalar::Errors, 1);
             c.complete(to, render_err(e.id, Some(rid), e.verb, &e.error));
             return;
         }
@@ -489,40 +474,46 @@ fn handle_client_line(st: &mut Loop, c: &mut Conn, to: ReplyTo, text: &str) {
     let control = |result: String| render_ok(req.id, Some(rid), req.verb, false, &result);
     match req.verb {
         Verb::Healthz => {
-            let up = st.links.iter().filter(|l| l.up).count();
-            let result = st.metrics.render_healthz("router", st.shutting, |o| {
-                o.u64("shards", st.links.len() as u64)
-                    .u64("shards_up", up as u64)
+            sample_gauges(st);
+            let m = &st.metrics;
+            let result = m.render_healthz("router", st.shutting, |o| {
+                m.put(o.u64("shards", st.links.len() as u64), Scalar::ShardsUp)
             });
             c.complete(to, control(result));
         }
         Verb::Metrics | Verb::Stats => {
-            let list = scalars(st);
+            sample_gauges(st);
+            let m = &st.metrics;
             let result = if matches!(req.payload, Payload::Stats { prometheus: true }) {
                 let mut body = String::with_capacity(2048);
-                write_families(&mut body, "iced_router_", &list);
+                m.write_rows(&mut body, Role::Router, |s| {
+                    let at = per_shard(s)?;
+                    let samples = st.links.iter().map(|l| (l.addr.as_str(), at(l)));
+                    Some(("shard", samples.collect()))
+                });
                 Obj::new()
                     .str("format", "prometheus")
                     .str("body", &body)
                     .finish()
             } else {
                 // The router's own middle field: one row per shard link.
-                let rows: Vec<String> = st
+                let links: Vec<String> = st
                     .links
                     .iter()
                     .map(|l| {
                         Obj::new()
                             .str("addr", &l.addr)
                             .bool("up", l.up)
-                            .u64("forwarded", l.forwarded)
-                            .u64("in_flight", l.in_flight())
+                            .u64(Scalar::Forwarded.row().key, l.forwarded)
+                            .u64(Scalar::InFlight.row().key, l.in_flight())
                             .finish()
                     })
                     .collect();
-                let top = list.iter().filter(|s| s.stat.is_none());
-                put_fields(Obj::new().str("role", "router"), top)
-                    .raw("connections", &block(&list).finish())
-                    .raw("shards", &format!("[{}]", rows.join(",")))
+                let top = Obj::new().str("role", "router");
+                let conns = m.block(rows(Role::Router), Block::Conn);
+                m.put_rows(top, Role::Router, |r| r.stat.is_none())
+                    .raw("connections", &conns.finish())
+                    .raw("shards", &format!("[{}]", links.join(",")))
                     .finish()
             };
             c.complete(to, control(result));
@@ -541,7 +532,7 @@ fn handle_client_line(st: &mut Loop, c: &mut Conn, to: ReplyTo, text: &str) {
             st.shutdown_requested = true;
         }
         _ if st.shutting || st.shutdown_requested => {
-            st.metrics.error();
+            st.metrics.add(Scalar::Errors, 1);
             let err = SvcError::new(
                 "shutting_down",
                 "server is draining and accepts no new work",
@@ -651,7 +642,7 @@ fn route_single(
     to: ReplyTo,
 ) {
     let Some(idx) = pick_shard(st, key) else {
-        st.metrics.error();
+        st.metrics.add(Scalar::Errors, 1);
         let line = render_err(req.id, Some(to.rid), Some(req.verb), &no_shards());
         c.complete(to, line);
         return;
@@ -697,7 +688,7 @@ fn route_batch(
     if raw.len() != slots.len() {
         // Cannot happen for JSON that just parsed; answer structurally
         // rather than panic on a hostile line.
-        st.metrics.error();
+        st.metrics.add(Scalar::Errors, 1);
         let err = SvcError::new("internal", "batch item framing mismatch");
         c.complete(to, render_err(id, Some(rid), Some(Verb::Batch), &err));
         return;
@@ -715,7 +706,7 @@ fn route_batch(
             BatchSlot::Elem(elem) => {
                 let key = elem_key(st.cfg_hash, elem);
                 let Some(idx) = pick_shard(st, key) else {
-                    st.metrics.error();
+                    st.metrics.add(Scalar::Errors, 1);
                     let line = render_err(id, Some(rid), Some(Verb::Batch), &no_shards());
                     c.complete(to, line);
                     return;
@@ -895,7 +886,7 @@ fn handle_shard_response(st: &mut Loop, idx: usize, fwd: Forward, line: &str) {
 /// flight are dropped as stragglers.
 fn fail_assembly(st: &mut Loop, assembly: u64, err: SvcError) {
     let asm = st.assemblies.remove(&assembly).expect("assembly is live");
-    st.metrics.error();
+    st.metrics.add(Scalar::Errors, 1);
     let line = render_err(asm.id, Some(asm.to.rid), Some(Verb::Batch), &err);
     st.completions.push(Completion { to: asm.to, line });
 }
@@ -943,7 +934,7 @@ fn note_hot_hit(st: &mut Loop, owner_idx: usize, key: CacheKey, result: &str) {
         .get_mut(&key)
         .expect("entry just inserted")
         .replicated_to = Some(st.shard_ids[succ]);
-    st.replicated += 1;
+    st.metrics.add(Scalar::Replicated, 1);
     forward_to(st, succ, &put, Forward::Internal);
 }
 
@@ -977,7 +968,7 @@ fn shard_died(st: &mut Loop, idx: usize) {
         return;
     }
     if !orphans.is_empty() {
-        st.failovers += 1;
+        st.metrics.add(Scalar::Failovers, 1);
     }
     for fwd in orphans {
         match fwd {
@@ -1006,7 +997,7 @@ fn shard_died(st: &mut Loop, idx: usize) {
                         },
                     ),
                     None => {
-                        st.metrics.error();
+                        st.metrics.add(Scalar::Errors, 1);
                         let line = render_err(id, Some(to.rid), Some(verb), &no_shards());
                         st.completions.push(Completion { to, line });
                     }

@@ -4,7 +4,7 @@
 //!
 //! ## Threading model
 //!
-//! * One **reactor** thread (see [`crate::reactor`]) multiplexes the
+//! * One **reactor** thread (the internal `reactor` module) multiplexes the
 //!   listener and all client sockets over nonblocking `poll(2)`: it
 //!   accepts, frames newline-delimited JSON incrementally, answers
 //!   control verbs (`healthz`, `metrics`, `stats`, `shutdown`) inline so
@@ -62,7 +62,7 @@ use crate::chaos::ChaosInjector;
 use crate::conn::{Completion, ReplyTo};
 use crate::log::{EventLog, Level};
 use crate::memo::Memo;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Scalar};
 use crate::poll::Waker;
 use crate::proto::{
     policy_name, render_batch_item_err, render_batch_item_ok, render_batch_result, render_err,
@@ -259,7 +259,8 @@ impl Server {
             completions: Mutex::new(Vec::new()),
             waker,
         });
-        shared.metrics.set_limits(pipeline_cap, max_conns);
+        shared.metrics.set(Scalar::PipelineCap, pipeline_cap as u64);
+        shared.metrics.set(Scalar::MaxConns, max_conns as u64);
         let workers = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -318,12 +319,10 @@ impl Server {
         }
         let shared = &self.shared;
         shared.log.emit(Level::Info, "server_stop", |o| {
-            o.u64("uptime_s", shared.metrics.uptime().as_secs())
-                .u64(
-                    "connections",
-                    shared.metrics.connections.load(Ordering::Relaxed),
-                )
-                .u64("log_dropped", shared.log.dropped())
+            let m = &shared.metrics;
+            let o = m.put(o, Scalar::Uptime);
+            m.put(o, Scalar::Connections)
+                .u64(Scalar::LogDropped.row().key, shared.log.dropped())
         });
         shared.log.shutdown();
     }
@@ -410,7 +409,7 @@ fn worker_loop(shared: &Shared) {
             );
             if let Some(chaos) = &shared.chaos {
                 if chaos.worker_panic() {
-                    shared.metrics.chaos_fault();
+                    shared.metrics.add(Scalar::ChaosFaults, 1);
                     iced::trace::counter(iced::trace::Phase::Service, "svc_chaos_panics", 1);
                     shared.log.emit(Level::Warn, "chaos_panic", |o| {
                         o.str("req", &rid.token()).str("verb", verb.name())
@@ -442,7 +441,12 @@ fn worker_loop(shared: &Shared) {
                 // Batch cache traffic is accounted per unique slot inside
                 // execute_batch; the envelope itself is never cached.
                 if matches!(&job.kind, JobKind::Single(_)) {
-                    shared.metrics.cache_event(cached);
+                    let hit = if cached {
+                        Scalar::CacheHits
+                    } else {
+                        Scalar::CacheMisses
+                    };
+                    shared.metrics.add(hit, 1);
                 }
                 shared.log.emit(Level::Info, "request_finish", |o| {
                     o.str("req", &rid.token())
@@ -455,12 +459,12 @@ fn worker_loop(shared: &Shared) {
                 render_ok(id, Some(rid), verb, cached, &result)
             }
             Ok(Err(e)) => {
-                shared.metrics.error();
+                shared.metrics.add(Scalar::Errors, 1);
                 log_request_error(shared, rid, Some(verb), &e);
                 render_err(id, Some(rid), Some(verb), &e)
             }
             Err(p) => {
-                shared.metrics.error();
+                shared.metrics.add(Scalar::Errors, 1);
                 let payload = panic_payload(p.as_ref());
                 shared.log.emit(Level::Error, "worker_panic", |o| {
                     o.str("req", &rid.token())
@@ -530,11 +534,16 @@ fn execute_batch(
             let verb = elem.verb();
             match execute_elem(shared, *key, elem, rid) {
                 Ok((bytes, cached)) => {
-                    shared.metrics.cache_event(cached);
+                    let hit = if cached {
+                        Scalar::CacheHits
+                    } else {
+                        Scalar::CacheMisses
+                    };
+                    shared.metrics.add(hit, 1);
                     (verb, cached, Ok(bytes))
                 }
                 Err(e) => {
-                    shared.metrics.error();
+                    shared.metrics.add(Scalar::Errors, 1);
                     log_request_error(shared, rid, Some(verb), &e);
                     (verb, false, Err(e))
                 }
@@ -603,7 +612,7 @@ fn insert_rendered(
         return rendered;
     }
     let evicted = shared.cache.put_shared(key, Arc::clone(&rendered));
-    shared.metrics.evicted(evicted);
+    shared.metrics.add(Scalar::CacheEvictions, evicted);
     if evicted > 0 {
         shared.log.emit(Level::Info, "cache_evict", |o| {
             o.str("req", &rid.token()).u64("evicted", evicted)
@@ -611,7 +620,7 @@ fn insert_rendered(
     }
     if let Some(chaos) = &shared.chaos {
         if chaos.corrupt_spill() && shared.cache.corrupt_for_chaos(key) {
-            shared.metrics.chaos_fault();
+            shared.metrics.add(Scalar::ChaosFaults, 1);
             iced::trace::counter(iced::trace::Phase::Service, "svc_chaos_corruptions", 1);
             shared
                 .log
@@ -800,10 +809,11 @@ fn compile_result(shared: &Shared, spec: &CompileSpec) -> Result<String, SvcErro
 fn memoized_mapping(shared: &Shared, spec: &CompileSpec) -> Result<Arc<(Dfg, Mapping)>, SvcError> {
     let key = compile_key(shared.config_hash, spec);
     let memoized = lock(&shared.mappings).get(&key);
-    shared.metrics.map_memo_event(memoized.is_some());
     if let Some(hit) = memoized {
+        shared.metrics.add(Scalar::MapMemoHits, 1);
         return Ok(hit);
     }
+    shared.metrics.add(Scalar::MapMemoMisses, 1);
     let (dfg, mapping, _cert) = compile_mapping(shared, spec)?;
     let mapped = Arc::new((dfg, mapping));
     if keepable(spec) {

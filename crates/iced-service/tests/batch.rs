@@ -2,69 +2,12 @@
 //! identity against the standalone verbs, mixed ok/error slots, bounds,
 //! the client helpers, and whole-batch backpressure.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
 use std::time::Duration;
 
-use iced_service::{Client, Server, ServiceConfig};
-
-struct RawClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl RawClient {
-    fn connect(addr: SocketAddr) -> RawClient {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        stream.set_nodelay(true).unwrap();
-        RawClient {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn round_trip(&mut self, line: &str) -> String {
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        self.writer.write_all(&buf).expect("send");
-        let mut resp = String::new();
-        let n = self.reader.read_line(&mut resp).expect("read response");
-        assert!(n > 0, "server closed the connection mid-conversation");
-        resp.trim_end().to_string()
-    }
-
-    fn send(&mut self, line: &str) {
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        self.writer.write_all(&buf).expect("send");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut resp = String::new();
-        let n = self.reader.read_line(&mut resp).expect("read response");
-        assert!(n > 0, "server closed the connection mid-conversation");
-        resp.trim_end().to_string()
-    }
-}
-
-fn start(cfg: ServiceConfig) -> (Server, SocketAddr) {
-    let server = Server::start(cfg).expect("bind ephemeral port");
-    let addr = server.local_addr();
-    (server, addr)
-}
-
-/// The `result` payload of a success envelope or slot.
-fn result_payload(response: &str) -> &str {
-    let idx = response
-        .find("\"result\":")
-        .unwrap_or_else(|| panic!("no result field in {response}"));
-    &response[idx + 9..response.len() - 1]
-}
+use common::{result_payload, start, LineClient};
+use iced_service::{Client, ServiceConfig};
 
 /// A batch of N identical specs performs exactly one compile: the
 /// envelope reports one unique element, every slot carries byte-identical
@@ -73,7 +16,7 @@ fn result_payload(response: &str) -> &str {
 #[test]
 fn identical_specs_compile_once_with_byte_identical_slots() {
     let (server, addr) = start(ServiceConfig::default());
-    let mut c = RawClient::connect(addr);
+    let mut c = Client::connect(addr);
 
     let item = r#"{"verb":"compile","kernel":"dtw","strategy":"iced"}"#;
     let resp = c.round_trip(&format!(
@@ -128,7 +71,7 @@ fn identical_specs_compile_once_with_byte_identical_slots() {
 #[test]
 fn mixed_ok_and_error_slots_resolve_independently() {
     let (server, addr) = start(ServiceConfig::default());
-    let mut c = RawClient::connect(addr);
+    let mut c = Client::connect(addr);
 
     let resp = c.round_trip(concat!(
         "{\"id\":7,\"verb\":\"batch\",\"items\":[",
@@ -167,7 +110,7 @@ fn mixed_ok_and_error_slots_resolve_independently() {
 #[test]
 fn empty_and_oversized_batches_hit_the_bounds() {
     let (server, addr) = start(ServiceConfig::default());
-    let mut c = RawClient::connect(addr);
+    let mut c = Client::connect(addr);
 
     let empty = c.round_trip("{\"id\":1,\"verb\":\"batch\",\"items\":[]}");
     assert!(empty.contains("\"ok\":true"), "{empty}");
@@ -252,7 +195,7 @@ fn saturated_queue_rejects_the_whole_batch() {
     // answered inline by the reactor even while the worker is busy, so a
     // side connection can observe each stage instead of guessing with
     // sleeps (the pin job's runtime varies with the machine).
-    let mut probe = RawClient::connect(addr);
+    let mut probe = Client::connect(addr);
     let mut wait_for = |field: &str, value: u64| {
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         loop {
@@ -268,14 +211,16 @@ fn saturated_queue_rejects_the_whole_batch() {
         }
     };
 
-    let mut a = RawClient::connect(addr);
-    a.send("{\"id\":1,\"verb\":\"compile\",\"kernel\":\"fft\",\"strategy\":\"exact\"}");
+    let mut a = Client::connect(addr);
+    a.send("{\"id\":1,\"verb\":\"compile\",\"kernel\":\"fft\",\"strategy\":\"exact\"}")
+        .expect("send");
     wait_for("in_flight", 1); // the worker has picked up the pin job
-    a.send("{\"id\":2,\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":1000,\"seed\":2}");
+    a.send("{\"id\":2,\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":1000,\"seed\":2}")
+        .expect("send");
     wait_for("queue_depth", 1); // the only queue slot is now occupied
 
     // Connection B's batch cannot be enqueued: whole-batch queue_full.
-    let mut b = RawClient::connect(addr);
+    let mut b = Client::connect(addr);
     let item = r#"{"verb":"compile","kernel":"fir","strategy":"iced"}"#;
     let resp = b.round_trip(&format!(
         "{{\"id\":3,\"verb\":\"batch\",\"items\":[{item},{item}]}}"
@@ -285,8 +230,11 @@ fn saturated_queue_rejects_the_whole_batch() {
     assert!(resp.contains("\"verb\":\"batch\""), "{resp}");
 
     // A's pinned work still completes in order.
-    assert!(a.recv().contains("\"id\":1,"), "first sim answers first");
-    assert!(a.recv().contains("\"id\":2,"));
+    assert!(
+        a.recv().expect("read response").contains("\"id\":1,"),
+        "first sim answers first"
+    );
+    assert!(a.recv().expect("read response").contains("\"id\":2,"));
 
     server.shutdown();
     server.wait();

@@ -3,56 +3,18 @@
 //! per-connection ordering under heavy pipelining, and survive a
 //! deterministic shard kill with replicated warm hits intact.
 
-use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+mod common;
 
+use std::collections::HashSet;
+use std::net::SocketAddr;
+
+use common::{key_paths, req_token, result_of, strip_req, LineClient};
 use iced::arch::{CgraConfig, IslandId};
 use iced::fault::FaultPlan;
 use iced_hash::{rendezvous_rank, shard_id};
-use iced_service::json::{self, Layout, Obj};
+use iced_service::json::Obj;
 use iced_service::proto::parse_request;
-use iced_service::{request_key, Router, RouterConfig, Server, ServiceConfig};
-
-/// A line-oriented test client.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        self.writer.write_all(&buf).expect("send");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server closed the connection mid-conversation");
-        line.trim_end().to_string()
-    }
-
-    fn round_trip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-}
+use iced_service::{request_key, Client, Router, RouterConfig, Server, ServiceConfig};
 
 /// Boots `n` in-process shards on ephemeral ports.
 fn start_shards(n: usize) -> (Vec<Server>, Vec<String>) {
@@ -73,15 +35,6 @@ fn start_router(shards: Vec<String>, replicate_hot: usize) -> Router {
         ..RouterConfig::default()
     })
     .expect("bind router")
-}
-
-/// The response with its `"req":"cC-S"` token blanked: connection
-/// counters differ between a router and a bare daemon, everything else
-/// must not.
-fn strip_req(line: &str) -> String {
-    let start = line.find("\"req\":\"").expect("response carries a req id") + 7;
-    let end = start + line[start..].find('"').expect("req id is terminated");
-    format!("{}{}", &line[..start], &line[end..])
 }
 
 /// Envelope text planted in DFG names and labels: a response that echoes
@@ -257,15 +210,6 @@ fn split_batches_reassemble_byte_identically() {
     single.wait();
 }
 
-/// Pulls `(conn, seq)` out of a response's `"req":"c<conn>-<seq>"`.
-fn req_token(resp: &str) -> (u64, u64) {
-    let i = resp.find("\"req\":\"c").expect("req token") + 8;
-    let rest = &resp[i..];
-    let end = rest.find('"').expect("token close quote");
-    let (conn, seq) = rest[..end].split_once('-').expect("token dash");
-    (conn.parse().expect("conn"), seq.parse().expect("seq"))
-}
-
 /// 200 pipelined connections through a router over three shards: every
 /// connection gets its responses strictly in send order, with a `req`
 /// token whose `seq` walks 1..=8 under a connection ordinal no other
@@ -285,9 +229,11 @@ fn pipelined_connections_keep_strict_order_through_router() {
         for s in 0..PER_CONN {
             let id = (c * PER_CONN + s + 1) as u64;
             let kernel = if (c + s) % 2 == 0 { "fir" } else { "dtw" };
-            client.send(&format!(
-                r#"{{"id":{id},"verb":"compile","kernel":"{kernel}"}}"#
-            ));
+            client
+                .send(&format!(
+                    r#"{{"id":{id},"verb":"compile","kernel":"{kernel}"}}"#
+                ))
+                .expect("send");
         }
     }
     let mut seen_ordinals = HashSet::new();
@@ -295,7 +241,7 @@ fn pipelined_connections_keep_strict_order_through_router() {
         let mut ordinal = None;
         for s in 0..PER_CONN {
             let id = (c * PER_CONN + s + 1) as u64;
-            let resp = client.recv();
+            let resp = client.recv().expect("read response");
             assert!(
                 resp.starts_with(&format!("{{\"id\":{id},")),
                 "conn {c} slot {s}: out-of-order response {resp}"
@@ -427,44 +373,6 @@ fn an_answer_the_owner_declines_to_cache_is_never_replicated() {
 
 /// The router's own control plane: healthz and stats report the router
 /// role, shard inventory, and Prometheus families.
-/// Every key path of the JSON object `text`, depth first in emission
-/// order (`a.b` for nesting, `a[]` for array elements; values ignored).
-fn key_paths(text: &str) -> Vec<String> {
-    fn walk(text: &str, prefix: &str, out: &mut Vec<String>) {
-        match json::layout(text).expect("valid JSON") {
-            Layout::Obj(fields) => {
-                let mut fields: Vec<_> = fields.into_iter().collect();
-                fields.sort_by_key(|(_, span)| span.start);
-                for (key, span) in fields {
-                    let path = if prefix.is_empty() {
-                        key
-                    } else {
-                        format!("{prefix}.{key}")
-                    };
-                    out.push(path.clone());
-                    walk(&text[span], &path, out);
-                }
-            }
-            Layout::Arr(elems) => {
-                for span in elems {
-                    walk(&text[span], &format!("{prefix}[]"), out);
-                }
-            }
-            Layout::Scalar => {}
-        }
-    }
-    let mut out = Vec::new();
-    walk(text, "", &mut out);
-    out
-}
-
-/// The `result` object of a response line.
-fn result_of(line: &str) -> String {
-    json::Fields::read(line)
-        .and_then(|f| f.get("result").map(str::to_string))
-        .unwrap_or_else(|| panic!("no result in {line}"))
-}
-
 #[test]
 fn router_control_plane_reports_role_and_shards() {
     let (shards, addrs) = start_shards(2);

@@ -3,50 +3,16 @@
 //! envelope and the JSONL event log, the `stats`/Prometheus expositions
 //! over the wire, and reactor-served warm hits accounted like any other.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+mod common;
 
-use iced_service::json::{self, Layout, Value};
-use iced_service::{ChaosInjector, Router, RouterConfig, Server, ServiceConfig};
+use std::net::SocketAddr;
 
-/// A line-oriented test client with no retry discipline — chaos-injected
-/// failures must be observed raw, not absorbed.
-struct Raw {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Raw {
-    fn connect(addr: SocketAddr) -> Raw {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        stream.set_nodelay(true).unwrap();
-        Raw {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn round_trip(&mut self, line: &str) -> String {
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        self.writer.write_all(&buf).expect("send");
-        let mut out = String::new();
-        let n = self.reader.read_line(&mut out).expect("read response");
-        assert!(n > 0, "server closed the connection mid-conversation");
-        out.trim_end().to_string()
-    }
-}
-
-fn start(cfg: ServiceConfig) -> (Server, SocketAddr) {
-    let server = Server::start(cfg).expect("bind ephemeral port");
-    let addr = server.local_addr();
-    (server, addr)
-}
+use common::{key_paths, result_of, start, LineClient};
+use iced_service::json::{self, Value};
+// The suites' line client: no retry discipline, so chaos-injected
+// failures are observed raw.
+use iced_service::Client as Raw;
+use iced_service::{ChaosInjector, Router, RouterConfig, ServiceConfig};
 
 #[test]
 fn healthz_reports_enriched_fields_in_deterministic_order() {
@@ -100,46 +66,6 @@ fn healthz_reports_enriched_fields_in_deterministic_order() {
 
     server.shutdown();
     server.wait();
-}
-
-/// Every key path of the JSON object `text`, depth first in emission
-/// order (`a.b` for nesting, `a[]` for array elements; values ignored).
-/// Built on the crate's own [`json::layout`], whose spans give each
-/// field's position.
-fn key_paths(text: &str) -> Vec<String> {
-    fn walk(text: &str, prefix: &str, out: &mut Vec<String>) {
-        match json::layout(text).expect("valid JSON") {
-            Layout::Obj(fields) => {
-                let mut fields: Vec<_> = fields.into_iter().collect();
-                fields.sort_by_key(|(_, span)| span.start);
-                for (key, span) in fields {
-                    let path = if prefix.is_empty() {
-                        key
-                    } else {
-                        format!("{prefix}.{key}")
-                    };
-                    out.push(path.clone());
-                    walk(&text[span], &path, out);
-                }
-            }
-            Layout::Arr(elems) => {
-                for span in elems {
-                    walk(&text[span], &format!("{prefix}[]"), out);
-                }
-            }
-            Layout::Scalar => {}
-        }
-    }
-    let mut out = Vec::new();
-    walk(text, "", &mut out);
-    out
-}
-
-/// The `result` object of a response line.
-fn result_of(line: &str) -> String {
-    json::Fields::read(line)
-        .and_then(|f| f.get("result").map(str::to_string))
-        .unwrap_or_else(|| panic!("no result in {line}"))
 }
 
 /// `block.verb.field` for every verb and field, in that nesting order.

@@ -4,51 +4,24 @@
 //! connection ceiling, and warm hits answered on the reactor while the
 //! worker pool is busy.
 
+mod common;
+
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Read;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use common::{req_token, result_payload, LineClient};
 use iced_service::json::{self, Value};
-use iced_service::{Server, ServiceConfig};
+use iced_service::{Client, Server, ServiceConfig};
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+/// The reactor probes this suite runs over a connection.
+trait Probe {
+    fn wait_for_health(&mut self, field: &str, value: u64);
+    fn metrics(&mut self) -> Value;
 }
 
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        self.writer.write_all(&buf).expect("send");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server closed the connection mid-conversation");
-        line.trim_end().to_string()
-    }
-
-    fn round_trip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-
+impl Probe for Client {
     /// Polls `healthz` until `"field":value` shows; `healthz` is answered
     /// by the reactor, so it observes a busy worker pool without waiting
     /// on it.
@@ -92,28 +65,11 @@ fn counter(metrics: &Value, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {name} in metrics"))
 }
 
-/// The `result` payload of a success envelope.
-fn result_payload(response: &str) -> &str {
-    let idx = response
-        .find("\"result\":")
-        .unwrap_or_else(|| panic!("no result field in {response}"));
-    &response[idx + 9..response.len() - 1]
-}
-
 /// A compile long enough to hold the only worker for a while: the exact
 /// search over fft explores a fixed 200,000 nodes.
 const PIN: &str = "{\"id\":50,\"verb\":\"compile\",\"kernel\":\"fft\",\"strategy\":\"exact\"}";
 const WARM_NAMED: &str = "{\"id\":1,\"verb\":\"compile\",\"kernel\":\"fir\",\"strategy\":\"iced\"}";
 const WARM_INLINE: &str = "{\"id\":2,\"verb\":\"compile\",\"dfg\":\"dfg reactor_hit\\nnode n0 ld x\\nnode n1 add y\\nnode n2 st z\\nedge n0 n1\\nedge n1 n2\\n\"}";
-
-/// Pulls `(conn, seq)` out of a response's `"req":"c<conn>-<seq>"`.
-fn req_token(resp: &str) -> (u64, u64) {
-    let i = resp.find("\"req\":\"c").expect("req token") + 8;
-    let rest = &resp[i..];
-    let end = rest.find('"').expect("token close quote");
-    let (conn, seq) = rest[..end].split_once('-').expect("token dash");
-    (conn.parse().expect("conn"), seq.parse().expect("seq"))
-}
 
 /// This process's soft open-file limit, from `/proc/self/limits` (None
 /// where that file does not exist).
@@ -168,14 +124,14 @@ fn pipelined_connections_get_ordered_routed_responses() {
             } else {
                 format!("{{\"id\":{id},\"verb\":\"healthz\"}}")
             };
-            c.send(&line);
+            c.send(&line).expect("send");
         }
     }
     let mut seen_ordinals = HashSet::new();
     for (ci, c) in clients.iter_mut().enumerate() {
         let mut ordinal = None;
         for r in 0..ROUNDS {
-            let resp = c.recv();
+            let resp = c.recv().expect("read response");
             assert!(resp.contains("\"ok\":true"), "conn {ci} round {r}: {resp}");
             let want_id = (ci as u64 + 1) * 100 + r as u64;
             assert!(
@@ -216,17 +172,20 @@ fn pipeline_cap_rejects_excess_in_order() {
 
     // Ticket 0 occupies the single worker; nothing later may release
     // until it finishes, so `outstanding` climbs with each send.
-    c.send("{\"id\":1,\"verb\":\"compile\",\"kernel\":\"fft\",\"strategy\":\"exact\"}");
+    c.send("{\"id\":1,\"verb\":\"compile\",\"kernel\":\"fft\",\"strategy\":\"exact\"}")
+        .expect("send");
     std::thread::sleep(Duration::from_millis(100));
     // Ticket 1 sits in the queue (capacity 1).
-    c.send("{\"id\":2,\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":1000,\"seed\":2}");
+    c.send("{\"id\":2,\"verb\":\"simulate\",\"kernel\":\"fir\",\"iterations\":1000,\"seed\":2}")
+        .expect("send");
     // Tickets 2..=3 fill the rest of the cap of 4; 4..=5 exceed it.
     for id in 3..=6 {
-        c.send(&format!("{{\"id\":{id},\"verb\":\"healthz\"}}"));
+        c.send(&format!("{{\"id\":{id},\"verb\":\"healthz\"}}"))
+            .expect("send");
     }
 
     for seq in 1u64..=6 {
-        let resp = c.recv();
+        let resp = c.recv().expect("read response");
         let (_, got_seq) = req_token(&resp);
         assert_eq!(got_seq, seq, "responses leave in request order: {resp}");
         if seq <= 4 {
@@ -268,8 +227,9 @@ fn connection_ceiling_refuses_then_recovers() {
     let mut held: Vec<Client> = (0..8).map(|_| Client::connect(addr)).collect();
     // A round trip per connection proves all 8 are registered.
     for (i, c) in held.iter_mut().enumerate() {
-        c.send(&format!("{{\"id\":{i},\"verb\":\"healthz\"}}"));
-        assert!(c.recv().contains("\"ok\":true"));
+        c.send(&format!("{{\"id\":{i},\"verb\":\"healthz\"}}"))
+            .expect("send");
+        assert!(c.recv().expect("read response").contains("\"ok\":true"));
     }
 
     // The 9th dialer is told why, then hung up on.
@@ -290,8 +250,8 @@ fn connection_ceiling_refuses_then_recovers() {
     // The refusal is observable.
     let metrics = {
         let c = &mut held[0];
-        c.send("{\"id\":100,\"verb\":\"metrics\"}");
-        c.recv()
+        c.send("{\"id\":100,\"verb\":\"metrics\"}").expect("send");
+        c.recv().expect("read response")
     };
     assert!(metrics.contains("\"conns_rejected\":1"), "{metrics}");
     assert!(metrics.contains("\"max_conns\":8"), "{metrics}");
@@ -302,14 +262,15 @@ fn connection_ceiling_refuses_then_recovers() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let mut retry = Client::connect(addr);
-        retry.send("{\"id\":200,\"verb\":\"healthz\"}");
-        let mut line = String::new();
-        match retry.reader.read_line(&mut line) {
-            Ok(n) if n > 0 && line.contains("\"ok\":true") => break,
+        retry
+            .send("{\"id\":200,\"verb\":\"healthz\"}")
+            .expect("send");
+        match retry.recv() {
+            Ok(line) if line.contains("\"ok\":true") => break,
             _ if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(50));
             }
-            other => panic!("slot never freed: {other:?} / {line}"),
+            other => panic!("slot never freed: {other:?}"),
         }
     }
 
@@ -339,7 +300,7 @@ fn warm_hits_are_answered_while_the_worker_is_pinned() {
     }
 
     let mut pin = Client::connect(addr);
-    pin.send(PIN);
+    pin.send(PIN).expect("send");
     probe.wait_for_health("in_flight", 1);
 
     for (line, cold) in [(WARM_NAMED, &cold_named), (WARM_INLINE, &cold_inline)] {
@@ -360,7 +321,7 @@ fn warm_hits_are_answered_while_the_worker_is_pinned() {
         "only the two cold compiles went through the queue"
     );
 
-    let done = pin.recv();
+    let done = pin.recv().expect("read response");
     assert!(done.contains("\"ok\":true"), "{done}");
     assert!(done.contains("\"id\":50,"), "{done}");
     server.shutdown();
@@ -384,8 +345,8 @@ fn a_hit_pipelined_behind_a_miss_keeps_ticket_order() {
     let cold = c.round_trip(WARM_NAMED);
     assert!(cold.contains("\"cached\":false"), "{cold}");
 
-    c.send(PIN);
-    c.send(WARM_NAMED);
+    c.send(PIN).expect("send");
+    c.send(WARM_NAMED).expect("send");
     // The hit is counted while the miss still holds the worker…
     probe.wait_for_health("in_flight", 1);
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -400,13 +361,13 @@ fn a_hit_pipelined_behind_a_miss_keeps_ticket_order() {
     assert!(health.contains("\"in_flight\":1"), "{health}");
 
     // …and still leaves after it, in request order.
-    let first = c.recv();
+    let first = c.recv().expect("read response");
     assert!(
         first.contains("\"id\":50,"),
         "the miss answers first: {first}"
     );
     assert!(first.contains("\"nodes_explored\":"), "{first}");
-    let second = c.recv();
+    let second = c.recv().expect("read response");
     assert!(second.contains("\"id\":1,"), "{second}");
     assert!(second.contains("\"cached\":true"), "{second}");
     assert_eq!(req_token(&first).1 + 1, req_token(&second).1);

@@ -2,78 +2,21 @@
 //! clients, warm-vs-cold byte identity, backpressure, graceful shutdown,
 //! and malformed-input robustness.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use iced_service::{Server, ServiceConfig};
-
-/// A line-oriented test client.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        stream.set_nodelay(true).unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        self.writer.write_all(&buf).expect("send");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server closed the connection mid-conversation");
-        line.trim_end().to_string()
-    }
-
-    fn round_trip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-}
+use common::{result_payload, strip_req, LineClient};
+use iced_service::{Client, Server, ServiceConfig};
 
 fn start(threads: usize, queue_cap: usize) -> (Server, SocketAddr) {
-    let cfg = ServiceConfig {
+    common::start(ServiceConfig {
         threads,
         queue_cap,
         ..ServiceConfig::default()
-    };
-    let server = Server::start(cfg).expect("bind ephemeral port");
-    let addr = server.local_addr();
-    (server, addr)
-}
-
-/// Removes the per-request `"req":"cN-M"` token so envelopes from
-/// different requests can be compared byte-for-byte.
-fn strip_req(envelope: &str) -> String {
-    match (envelope.find(",\"req\":\""), envelope.find("\",\"ok\"")) {
-        (Some(a), Some(b)) if a < b => format!("{}{}", &envelope[..a], &envelope[b + 1..]),
-        _ => envelope.to_string(),
-    }
-}
-
-/// The `result` payload of a success envelope (everything the cache
-/// stores). Panics if the response is not a success envelope.
-fn result_payload(response: &str) -> &str {
-    let idx = response
-        .find("\"result\":")
-        .unwrap_or_else(|| panic!("no result field in {response}"));
-    &response[idx + "\"result\":".len()..response.len() - 1]
+    })
 }
 
 #[test]
@@ -179,9 +122,10 @@ fn saturated_queue_answers_queue_full_not_silence() {
         // lines land.
         c.send(&format!(
             "{{\"id\":{i},\"verb\":\"compile\",\"kernel\":\"fft\",\"strategy\":\"exact\"}}"
-        ));
+        ))
+        .expect("send");
     }
-    let responses: Vec<String> = (0..4).map(|_| c.recv()).collect();
+    let responses: Vec<String> = (0..4).map(|_| c.recv().expect("read response")).collect();
     let full = responses
         .iter()
         .filter(|r| r.contains("\"code\":\"queue_full\""))
@@ -213,7 +157,8 @@ fn shutdown_drains_in_flight_work_before_closing() {
 
     // A's job occupies the single worker for a while. Wait until the
     // worker has picked it up, as the daemon's own in-flight gauge says.
-    a.send(r#"{"id":1,"verb":"compile","kernel":"fft","strategy":"exact"}"#);
+    a.send(r#"{"id":1,"verb":"compile","kernel":"fft","strategy":"exact"}"#)
+        .expect("send");
     let give_up = std::time::Instant::now() + Duration::from_secs(30);
     loop {
         let metrics = b.round_trip(r#"{"id":9,"verb":"metrics"}"#);
@@ -241,7 +186,7 @@ fn shutdown_drains_in_flight_work_before_closing() {
     assert!(refused.contains("\"shutting_down\""), "{refused}");
 
     // …but A's accepted request still completes before sockets close.
-    let slow = a.recv();
+    let slow = a.recv().expect("read response");
     assert!(slow.contains("\"ok\":true"), "in-flight dropped: {slow}");
     assert!(slow.contains("\"nodes_explored\":"), "{slow}");
 

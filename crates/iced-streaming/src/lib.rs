@@ -15,7 +15,7 @@
 //!   exhaustive partition search (paper: "exhaustively evaluate the mapping
 //!   for each kernel on a varying number of islands");
 //! * [`DvfsController`] — the windowed runtime level controller;
-//! * [`simulate`] — the pipeline event simulator producing throughput,
+//! * [`mod@simulate`] — the pipeline event simulator producing throughput,
 //!   power, and energy-efficiency series (Fig. 13).
 //!
 //! # Example
